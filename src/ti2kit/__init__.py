@@ -50,6 +50,8 @@ from .special import (
     PoleError,
     catalan_reference,
     cot_partial_fraction_sum,
+    digamma,
+    digamma_gap,
     ei_negative,
     expint_T,
     hurwitz_zeta,
@@ -85,6 +87,8 @@ __all__ = [
     "clausen2",
     "corollary2_series",
     "cot_partial_fraction_sum",
+    "digamma",
+    "digamma_gap",
     "ei_negative",
     "expint_T",
     "find_root_increasing",

@@ -12,6 +12,7 @@ Exit codes: 0 all checks passed, 1 some check failed, 2 usage/config error,
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -52,9 +53,19 @@ def _format_value(v) -> str:
     return f"{v:.15g}"
 
 
+# Every negative float literal, exponent notation included ("-6.02e-05").
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     # argparse exits 2 on its own errors, matching the usage-error contract.
-    pass
+    # Its own negative-number pattern misses exponent notation, so "-6.02e-05"
+    # would be read as an unknown option; no option here looks like a number,
+    # so every negative literal can be taken as a value.  Subparsers are
+    # built from this class too.
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
 
 def _build_parser() -> argparse.ArgumentParser:

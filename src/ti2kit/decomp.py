@@ -22,9 +22,19 @@ alpha = 1 through the Ti2 power series yields the Hurwitz-zeta form
 
 with S_1 = 1 - cot(1) from the cotangent partial fractions and K(1) in
 closed form through the exponential integral, log-gamma, and the sine-log
-sum.  Tail bounds: arctan y <= y gives Xi_k(x) <= 2 alpha x/((k pi)^2 -
-alpha^2) and Ti2(u) <= u gives the same envelope for the bracket terms;
-summing 1/(k^2 - 1) telescopically bounds either tail by 2*alpha*x/(pi^2 K).
+sum.
+
+The same expansion evaluates the K-truncated bracket sum of corollary 2 (and
+of the Catalan family, its A = alpha = pi/n case) without K Ti2 calls.  The
+first K0 = max(20, ceil((4A + alpha)/pi)) brackets are summed directly; the
+brackets k = K0+1..K are T(K0) - T(K), where T(m), the sum over k > m, is a
+digamma difference plus an alternating series of Hurwitz-zeta differences
+whose ratio A/((K0+1) pi - alpha) stays below 1/4.  The result is still the
+K-truncated sum, to rounding.
+
+Tail bounds: arctan y <= y gives Xi_k(x) <= 2 alpha x/((k pi)^2 - alpha^2)
+and Ti2(u) <= u gives the same envelope for the bracket terms; summing
+1/(k^2 - 1) telescopically bounds either tail by 2*alpha*x/(pi^2 K).
 """
 
 from __future__ import annotations
@@ -39,6 +49,7 @@ from .report import IdentityReport
 from .special import (
     catalan_reference,
     cot_partial_fraction_sum,
+    digamma_gap,
     ei_negative,
     hurwitz_zeta,
     log_gamma,
@@ -213,6 +224,72 @@ def h_series(A: float, alpha: float, J: int | None = None) -> SeriesResult:
     )
 
 
+def _pole_tail(A: float, alpha: float, m: int) -> SeriesResult:
+    """T(m) = sum_{k>m} [Ti2(A/(k pi - alpha)) - Ti2(A/(k pi + alpha))] via Hurwitz zeta.
+
+    Requires q = A/((m+1) pi - alpha) < 1, so that every argument sits inside
+    the radius of the Ti2 power series; swapping the sums then gives, with
+    a = alpha/pi and r = 2n + 1,
+
+        T(m) = (A/pi) [psi(m+1+a) - psi(m+1-a)]
+               + sum_{n>=1} (-1)^n (A/pi)^r / r^2 [zeta(r, m+1-a) - zeta(r, m+1+a)].
+
+    The digamma difference is taken by digamma_gap, which keeps its digits
+    when A/pi is large.  The n-series alternates with decreasing terms, so
+    its remainder is below the first omitted term, which
+    _pole_power_envelope bounds.
+    """
+    a = alpha / PI
+    lo = m + 1 - a
+    hi = m + 1 + a
+    x = A / PI
+
+    def term(n: int) -> float:
+        r = 2 * n + 1
+        return (-1.0) ** n * x**r / (r * r) * (hurwitz_zeta(r, lo) - hurwitz_zeta(r, hi))
+
+    def first_omitted(n: int) -> float:
+        r = 2 * n + 3
+        return _pole_power_envelope(A, alpha, m, r) / (r * r)
+
+    ser = sum_series(term, first_omitted, tol=1e-17, max_terms=64)
+    return SeriesResult(
+        value=x * digamma_gap(m + 1.0, a) + ser.value,
+        terms_used=ser.terms_used,
+        tail_bound=ser.tail_bound,
+        truncated=ser.truncated,
+    )
+
+
+def _pole_power_envelope(A: float, alpha: float, m: int, r: int) -> float:
+    # sum_{k>m} (A/(k pi - alpha))^r <= A^r [u^{-r} + u^{1-r}/(pi (r-1))],
+    # u = (m+1) pi - alpha: first term plus the integral of the rest.
+    u = (m + 1) * PI - alpha
+    return A**r * (u ** (-r) + u ** (1 - r) / (PI * (r - 1)))
+
+
+def _pole_direct_terms(A: float, alpha: float) -> int:
+    # K0 with A/((K0+1) pi - alpha) < 1/4: the Hurwitz n-series then gains
+    # at least 1.2 digits per term.
+    return max(20, math.ceil((4.0 * A + alpha) / PI))
+
+
+def _pole_bracket(A: float, alpha: float, K: int) -> float:
+    """sum_{k<=K} [Ti2(A/(k pi - alpha)) - Ti2(A/(k pi + alpha))].
+
+    The first K0 = max(20, ceil((4A + alpha)/pi)) brackets are summed
+    directly and the rest, k = K0+1..K, as T(K0) - T(K) from the Hurwitz
+    expansion; K <= K0 is the direct loop alone.
+    """
+    k0 = _pole_direct_terms(A, alpha)
+    total = 0.0
+    for k in range(1, min(K, k0) + 1):
+        total += ti2(A / (k * PI - alpha)) - ti2(A / (k * PI + alpha))
+    if K > k0:
+        total += _pole_tail(A, alpha, k0).value - _pole_tail(A, alpha, K).value
+    return total
+
+
 def corollary2_series(
     A: float, alpha: float, K: int = 2000, tolerance: float = 1e-9
 ) -> IdentityReport:
@@ -228,14 +305,11 @@ def corollary2_series(
     if K < 1:
         raise DomainError(f"corollary2_series requires K >= 1, got {K!r}")
     h = h_series(A, alpha)
-    bracket = 0.0
-    for k in range(1, K + 1):
-        bracket += ti2(A / (k * PI - alpha)) - ti2(A / (k * PI + alpha))
     return IdentityReport.build(
         name="corollary2",
         params={"A": A, "alpha": alpha, "K": float(K)},
         lhs=ti2(A / alpha),
-        rhs=h.value + bracket,
+        rhs=h.value + _pole_bracket(A, alpha, K),
         tolerance=tolerance,
         method_lhs="ti2",
         method_rhs="hyperbolic-term+ti2-differences",
@@ -264,22 +338,20 @@ def catalan_family(n: int, K: int = 2000, tolerance: float = 1e-8) -> IdentityRe
 
         G = H(pi/n, pi/n) + sum_k [ Ti2(1/(n k - 1)) - Ti2(1/(n k + 1)) ]
 
-    n = 2 makes the hyperbolic term vanish and the sum telescope.  The tail
-    bound specializes to 2/(n^2 K).
+    This is the corollary-2 bracket sum at A = alpha = pi/n, evaluated the
+    same way.  n = 2 makes the hyperbolic term vanish and the sum telescope.
+    The tail bound specializes to 2/(n^2 K).
     """
     if n < 2:
         raise DomainError(f"catalan_family requires n >= 2, got {n!r}")
     if K < 1:
         raise DomainError(f"catalan_family requires K >= 1, got {K!r}")
     h = h_series(PI / n, PI / n)
-    bracket = 0.0
-    for k in range(1, K + 1):
-        bracket += ti2(1.0 / (n * k - 1)) - ti2(1.0 / (n * k + 1))
     return IdentityReport.build(
         name="corollary3",
         params={"n": float(n), "K": float(K)},
         lhs=catalan_reference(1e-14),
-        rhs=h.value + bracket,
+        rhs=h.value + _pole_bracket(PI / n, PI / n, K),
         tolerance=tolerance,
         method_lhs="alternating-series-acceleration",
         method_rhs="hyperbolic-term+ti2-differences",
@@ -299,11 +371,6 @@ def s_r(r: int) -> float:
     if r == 1:
         return 2.0 * cot_partial_fraction_sum(1.0)
     return PI ** (-r) * (hurwitz_zeta(r, 1.0 - 1.0 / PI) - hurwitz_zeta(r, 1.0 + 1.0 / PI))
-
-
-def _s_r_envelope(r: int) -> float:
-    # S_r <= sum_k (k pi - 1)^{-r} <= (pi-1)^{-r} + (pi-1)^{1-r}/(pi (r-1)).
-    return (PI - 1.0) ** (-r) + (PI - 1.0) ** (1 - r) / (PI * (r - 1))
 
 
 def _k1_ei_tail(J: int) -> float:
@@ -353,7 +420,8 @@ def lemma1_catalan(N: int = 8, J: int = 18, tolerance: float = 1e-10) -> Identit
         coeff = (-1.0) ** n / float((2 * n + 1) ** 2)
         value += coeff * s_r(2 * n + 1)
     r_next = 2 * N + 3
-    tail = _s_r_envelope(r_next) / float(r_next * r_next) + _k1_ei_tail(J)
+    # S_r <= sum_k (k pi - 1)^{-r}: the A = alpha = 1, m = 0 pole envelope.
+    tail = _pole_power_envelope(1.0, 1.0, 0, r_next) / float(r_next * r_next) + _k1_ei_tail(J)
     return IdentityReport.build(
         name="lemma1",
         params={"N": float(N), "J": float(J)},

@@ -5,6 +5,9 @@ import pytest
 
 from ti2kit.decomp import (
     DecompParams,
+    _pole_bracket,
+    _pole_direct_terms,
+    _pole_tail,
     catalan_family,
     corollary2_series,
     h_quadrature,
@@ -132,6 +135,66 @@ class TestCorollary2:
         r500 = corollary2_series(1.0, 1.0, 500)
         r4000 = corollary2_series(1.0, 1.0, 4000)
         assert r4000.abs_residual < r500.abs_residual
+
+
+def explicit_partial_sums(bracket, checkpoints):
+    """Running sum of bracket(k), k = 1..max(checkpoints), read at each checkpoint."""
+    out, total = {}, 0.0
+    for k in range(1, max(checkpoints) + 1):
+        total += bracket(k)
+        if k in checkpoints:
+            out[k] = total
+    return out
+
+
+class TestPoleBracket:
+    """The direct-plus-Hurwitz bracket sum against the explicit k-loop."""
+
+    @pytest.mark.parametrize(
+        "A, alpha",
+        # A = 1000 has K0 = 1274, so K = 500 also takes the fallback loop.
+        [(1.0, 1.0), (0.05, 0.2), (2.0, 0.21), (2.0, 2.95), (0.5, 3.0), (50.0, 2.5), (1000.0, 1.0)],
+    )
+    def test_matches_explicit_loop(self, A, alpha):
+        k0 = _pole_direct_terms(A, alpha)
+        checkpoints = {1, k0, k0 + 1, 500, 2000, 4000}
+        loop = explicit_partial_sums(
+            lambda k: ti2(A / (k * PI - alpha)) - ti2(A / (k * PI + alpha)), checkpoints
+        )
+        for K in sorted(checkpoints):
+            got = _pole_bracket(A, alpha, K)
+            if K <= k0:  # no Hurwitz tail: the same loop, bit for bit
+                assert got == loop[K], (A, alpha, K)
+            else:
+                assert abs(got - loop[K]) <= 1e-13, (A, alpha, K)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_catalan_family_brackets(self, n):
+        # The corollary-3 sum in its own form, Ti2(1/(nk-1)) - Ti2(1/(nk+1)).
+        k0 = _pole_direct_terms(PI / n, PI / n)
+        checkpoints = {1, k0, k0 + 1, 500, 2000, 4000}
+        loop = explicit_partial_sums(
+            lambda k: ti2(1.0 / (n * k - 1)) - ti2(1.0 / (n * k + 1)), checkpoints
+        )
+        for K in sorted(checkpoints):
+            assert abs(_pole_bracket(PI / n, PI / n, K) - loop[K]) <= 1e-13, (n, K)
+
+    def test_ratio_stays_below_a_quarter(self):
+        for A, alpha in ((0.01, 3.1), (1.0, 1.0), (7.0, 0.3), (1e4, 2.0)):
+            k0 = _pole_direct_terms(A, alpha)
+            assert k0 >= 20
+            assert A / ((k0 + 1) * PI - alpha) < 0.25
+
+    def test_tail_series_converges_with_honest_bound(self):
+        # T(m) - T(m+1) is the single bracket m+1; the n-series reports the
+        # first omitted term as its bound and stops well before its cap.
+        A, alpha = 2.0, 2.95
+        m = _pole_direct_terms(A, alpha)
+        t0, t1 = _pole_tail(A, alpha, m), _pole_tail(A, alpha, m + 1)
+        for t in (t0, t1):
+            assert not t.truncated and 0.0 < t.tail_bound <= 1e-17
+        single = ti2(A / ((m + 1) * PI - alpha)) - ti2(A / ((m + 1) * PI + alpha))
+        assert t0.value - t1.value == pytest.approx(single, rel=1e-12)
 
 
 class TestRemark1:

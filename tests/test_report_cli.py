@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from ti2kit.cli import _build_parser
 from ti2kit.report import IdentityReport, render_json, render_table
 from ti2kit.verify import VerificationConfig, run_all, run_identity
 
@@ -170,6 +171,27 @@ class TestCli:
         re_s, im_s = res.stdout.split()
         assert float(re_s) == pytest.approx(0.31045297562115706, abs=1e-13)
         assert float(im_s) == pytest.approx(0.23586792101697522, abs=1e-13)
+
+    def test_compute_negative_exponent_notation(self):
+        # argparse's stock pattern took "-6.02e-05" for an unknown option.
+        res = run_cli("compute", "li2", "-6.02e-05", "0.0017")
+        assert res.returncode == 0, res.stderr
+        re_s, im_s = res.stdout.split()
+        z = complex(-6.02e-05, 0.0017)
+        series = sum(z**k / (k * k) for k in range(1, 12))  # Li2 Taylor series
+        assert float(re_s) == pytest.approx(series.real, rel=1e-13, abs=0.0)
+        assert float(im_s) == pytest.approx(series.imag, rel=1e-13, abs=0.0)
+
+    def test_verify_flags_take_negative_exponent_notation(self):
+        args = _build_parser().parse_args(
+            ["verify", "corollary2", "--A", "-2.5E+1", "--alpha", "-3e0",
+             "--a", "-1e-3", "--tol", "-1.5e-9"]
+        )
+        assert (args.A, args.alpha, args.a, args.tol) == ([-25.0], [-3.0], [-0.001], -1.5e-9)
+
+    def test_option_like_arguments_stay_usage_errors(self):
+        res = run_cli("compute", "ti2", "-x")
+        assert res.returncode == 2
 
     def test_unknown_function_exits_2(self):
         res = run_cli("compute", "nosuch", "1")

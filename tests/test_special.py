@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from ti2kit.special import (
     PoleError,
     catalan_reference,
     cot_partial_fraction_sum,
+    digamma,
+    digamma_gap,
     ei_negative,
     expint_T,
     hurwitz_zeta,
@@ -63,6 +66,86 @@ class TestHurwitzZeta:
             hurwitz_zeta(2.0, -1.0)
 
 
+def log_grid(lo: float, hi: float, n: int) -> list[float]:
+    return [lo * (hi / lo) ** (i / (n - 1)) for i in range(n)]
+
+
+class TestAgainstMpmath:
+    """Differential tests against mpmath.
+
+    The Hurwitz reference runs at 150 digits: mpmath's zeta(s, c) loses
+    about s*log10(c) digits, which at 40 digits leaves zeta(21, 100) off by
+    2e-10.
+    """
+
+    @pytest.fixture(autouse=True)
+    def mp(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(150):
+            yield mpmath
+
+    def test_digamma(self, mp):
+        for x in log_grid(1e-2, 1e6, 121):
+            ref = mp.digamma(x)
+            assert abs(digamma(x) - ref) <= 2e-15 * max(1.0, abs(ref)), x
+
+    def test_digamma_gap(self, mp):
+        for x in (13.0, 21.0, 400.0, 2001.0, 1e6):
+            for h in (0.0, 0.07, 0.5, 0.95):
+                ref = mp.digamma(mp.mpf(x) + h) - mp.digamma(mp.mpf(x) - h)
+                assert abs(digamma_gap(x, h) - ref) <= 4e-16 * abs(ref), (x, h)
+
+    def test_hurwitz_zeta_odd_s(self, mp):
+        for s in range(3, 32, 2):
+            for c in log_grid(1e-2, 1e6, 33) + [2.0 * s + 29.5, 2.0 * s + 30.5]:
+                ref = mp.zeta(s, c)
+                assert abs(hurwitz_zeta(float(s), c) - ref) <= 1e-14 * ref, (s, c)
+
+    def test_ei_negative(self, mp):
+        # (2, 6] included: the series used to lose ~1e-11 relative there.
+        for x in log_grid(1e-3, 700.0, 121) + [1.5, 1.5000000000000002, 2.5, 4.0, 6.0]:
+            ref = mp.ei(-x)
+            assert abs(ei_negative(x) - ref) <= 1e-14 * abs(ref), x
+
+
+class TestHurwitzCost:
+    def test_large_offset_is_cheap(self):
+        # Euler-Maclaurin needs no shift at large c; the old 16*ceil(c) + 32
+        # direct terms took tens of ms at c = 1e4.
+        best = math.inf
+        for _ in range(5):
+            t0 = time.perf_counter()
+            hurwitz_zeta(3.0, 1e6)
+            best = min(best, time.perf_counter() - t0)
+        assert best < 2e-4
+
+
+class TestDigamma:
+    def test_recursion(self):
+        for x in (0.2, 1.0 / PI, 0.9, 2.3, 11.5, 12.0, 40.0):
+            assert digamma(x + 1.0) - digamma(x) == pytest.approx(1.0 / x, rel=1e-13)
+
+    def test_at_one_and_half(self):
+        assert digamma(1.0) == pytest.approx(-EULER_GAMMA, abs=1e-15)
+        assert digamma(0.5) == pytest.approx(-EULER_GAMMA - 2.0 * math.log(2.0), abs=1e-15)
+
+    def test_gap_matches_difference(self):
+        for x, h in ((21.3, 0.3), (300.0, 0.9), (12.0, 0.0)):
+            assert digamma_gap(x, h) == pytest.approx(
+                digamma(x + h) - digamma(x - h), abs=1e-14
+            )
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            digamma(0.0)
+        with pytest.raises(DomainError):
+            digamma(-1.5)
+        with pytest.raises(DomainError):
+            digamma_gap(12.5, 1.0)
+        with pytest.raises(DomainError):
+            digamma_gap(30.0, -0.1)
+
+
 class TestEiNegative:
     def test_at_one(self):
         # Series oracle gamma + log x + sum (-x)^n/(n n!), summed here inline.
@@ -97,6 +180,10 @@ class TestEiNegative:
             series = EULER_GAMMA + math.log(x) + _ei_series_sum(x)
             cf = -math.exp(-x) / _e1_lentz_cf(x)
             assert abs(series - cf) < 1e-12
+
+    def test_underflows_to_negative_zero(self):
+        v = ei_negative(800.0)
+        assert v == 0.0 and math.copysign(1.0, v) == -1.0
 
     def test_derivative_consistency(self):
         # d/dx Ei(-x) = e^{-x}/x (negative, increasing toward zero).
