@@ -13,15 +13,18 @@ grid, and closes the loop with the quadrature-backed identity check.
 Run: python demos/endpoint_identity.py
 """
 
-import numpy as np
-
 from ti2kit import admissibility, solve_endpoint_b, theorem1_identity
+
+
+def linspace(lo, hi, n):
+    """n evenly spaced points from lo to hi, both ends included."""
+    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
 def scan_admissible_window():
     """Bracket the admissible window by bisecting the two sign changes."""
-    grid = np.concatenate([np.linspace(0.05, 2.0, 40), np.linspace(2.0, 30.0, 57)])
-    flags = [admissibility(float(a)).admissible for a in grid]
+    grid = linspace(0.05, 2.0, 40) + linspace(2.0, 30.0, 57)
+    flags = [admissibility(a).admissible for a in grid]
 
     def bisect(lo, hi):
         for _ in range(60):
@@ -34,8 +37,8 @@ def scan_admissible_window():
 
     first = next(i for i, f in enumerate(flags) if f)
     last = max(i for i, f in enumerate(flags) if f)
-    lower = bisect(float(grid[first - 1]), float(grid[first]))
-    upper = bisect(float(grid[last]), float(grid[last + 1]))
+    lower = bisect(grid[first - 1], grid[first])
+    upper = bisect(grid[last], grid[last + 1])
     return lower, upper, grid, flags
 
 

@@ -57,6 +57,7 @@ from .special import (
     hurwitz_zeta,
     kummer_sine_log_sum,
     log_gamma,
+    loggamma_im_gap,
 )
 from .ti2core import ti2, ti2_clausen_form, ti2_proposition_form, ti2_via_quadrature
 from .verify import IDENTITY_NAMES, VerificationConfig, run_all, run_identity
@@ -103,6 +104,7 @@ __all__ = [
     "li2_derivative",
     "li2_upper_boundary",
     "log_gamma",
+    "loggamma_im_gap",
     "phi",
     "phi_derivative",
     "pointwise_identity",

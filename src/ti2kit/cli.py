@@ -5,8 +5,8 @@
                                   --tol --format json|table --out PATH
                                   --workers W --config PATH]
 
-Exit codes: 0 all checks passed, 1 some check failed, 2 usage/config error,
-3 domain error, 4 I/O error.
+Exit codes: 0 all checks passed, 1 some check failed or no check ran,
+2 usage/config error, 3 domain error, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -213,6 +213,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
 
+    if not reports:
+        # all([]) is true: an empty run must not read as a pass.
+        print(f"error: no check ran: no grid point of {identity!r} was admissible",
+              file=sys.stderr)
+        return EXIT_FAIL
     return EXIT_OK if all(r.passed for r in reports) else EXIT_FAIL
 
 

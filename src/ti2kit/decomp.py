@@ -32,6 +32,14 @@ digamma difference plus an alternating series of Hurwitz-zeta differences
 whose ratio A/((K0+1) pi - alpha) stays below 1/4.  The result is still the
 K-truncated sum, to rounding.
 
+The pointwise identity's K-truncated sum of Xi_k(x) costs the same at every
+K.  Xi_k(x) = Im[log(k - a + iy) - log(k + a + iy)] with a = alpha/pi and
+y = x/pi, so the sum over k > m telescopes through log Gamma(z+1) =
+log Gamma(z) + log z to Im[log Gamma(m+1+a+iy) - log Gamma(m+1-a+iy)].  The
+first 20 terms are summed directly; the rest are that tail at m = 20 minus
+the tail at m = K, from the complex Stirling series differenced term by term
+(special.loggamma_im_gap).
+
 Tail bounds: arctan y <= y gives Xi_k(x) <= 2 alpha x/((k pi)^2 - alpha^2)
 and Ti2(u) <= u gives the same envelope for the bracket terms; summing
 1/(k^2 - 1) telescopically bounds either tail by 2*alpha*x/(pi^2 K).
@@ -42,8 +50,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .numerics import DomainError, SeriesResult, integrate_adaptive, sum_series
 from .report import IdentityReport
 from .special import (
@@ -53,6 +59,7 @@ from .special import (
     ei_negative,
     hurwitz_zeta,
     log_gamma,
+    loggamma_im_gap,
 )
 from .ti2core import ti2
 
@@ -116,8 +123,13 @@ def xi_k(k: int, alpha: float, x: float) -> float:
     _check_alpha(alpha)
     if not x >= 0.0:
         raise DomainError(f"xi_k requires x >= 0, got {x!r}")
+    return _xi_term(k, alpha, x)
+
+
+def _xi_term(k: int, alpha: float, x: float) -> float:
+    # (k pi)^2 - alpha^2 as a product: PI - alpha is exact near alpha = pi.
     kpi = k * PI
-    return math.atan(2.0 * alpha * x / (x * x + kpi * kpi - alpha * alpha))
+    return math.atan(2.0 * alpha * x / (x * x + (kpi - alpha) * (kpi + alpha)))
 
 
 def _xi_tail_bound(alpha: float, x: float, K: int) -> float:
@@ -126,11 +138,35 @@ def _xi_tail_bound(alpha: float, x: float, K: int) -> float:
     return 2.0 * alpha * x / (PI * PI * K)
 
 
+# Pole corrections summed one by one before the Stirling tail takes over.
+_XI_DIRECT_TERMS = 20
+
+
+def _xi_sum(alpha: float, x: float, K: int) -> float:
+    """sum_{k<=K} Xi_k(x) in constant time.
+
+    Xi_k(x) = Im[log(k - a + iy) - log(k + a + iy)] with a = alpha/pi and
+    y = x/pi, so log Gamma(z+1) = log Gamma(z) + log z telescopes the tail:
+
+        T(m) = sum_{k>m} Xi_k(x) = Im[log Gamma(m+1+a+iy) - log Gamma(m+1-a+iy)].
+
+    The first min(K, 20) terms are summed directly, the rest as
+    T(20) - T(K) by loggamma_im_gap.
+    """
+    a = alpha / PI
+    y = x / PI
+    total = math.fsum(_xi_term(k, alpha, x) for k in range(1, min(K, _XI_DIRECT_TERMS) + 1))
+    if K > _XI_DIRECT_TERMS:
+        total += loggamma_im_gap(_XI_DIRECT_TERMS + 1.0, y, a) - loggamma_im_gap(K + 1.0, y, a)
+    return total
+
+
 def pointwise_identity(alpha: float, x: float, K: int = 5000) -> IdentityReport:
     """Residual of arctan(x/alpha) against the K-truncated pole decomposition.
 
-    Passes when the residual sits under the analytic tail bound
-    2*alpha*x/(pi^2 K) plus a 1e-12 floating-point allowance.
+    The K-truncated sum costs the same at every K (see _xi_sum).  Passes
+    when the residual sits under the analytic tail bound 2*alpha*x/(pi^2 K)
+    plus a 1e-12 floating-point allowance.
     """
     _check_alpha(alpha)
     if not x >= 0.0:
@@ -139,16 +175,11 @@ def pointwise_identity(alpha: float, x: float, K: int = 5000) -> IdentityReport:
         raise DomainError(f"pointwise_identity requires K >= 1, got {K!r}")
     lhs = math.atan(x / alpha)
     principal = math.atan(math.cos(alpha) / math.sin(alpha) * math.tanh(x))
-    k = np.arange(1, K + 1, dtype=np.float64)
-    corrections = np.arctan(
-        2.0 * alpha * x / (x * x + (k * PI) ** 2 - alpha * alpha)
-    )
-    rhs = principal + float(corrections.sum())
     return IdentityReport.build(
         name="pointwise",
         params={"alpha": alpha, "x": x, "K": float(K)},
         lhs=lhs,
-        rhs=rhs,
+        rhs=principal + _xi_sum(alpha, x, K),
         tolerance=1e-12,
         method_lhs="arctan",
         method_rhs="pole-sum",

@@ -19,6 +19,7 @@ __all__ = [
     "hurwitz_zeta",
     "digamma",
     "digamma_gap",
+    "loggamma_im_gap",
     "ei_negative",
     "expint_T",
     "cot_partial_fraction_sum",
@@ -148,6 +149,31 @@ def digamma_gap(x: float, h: float) -> float:
     )
 
 
+def loggamma_im_gap(x: float, y: float, h: float) -> float:
+    """Im[log Gamma(x + h + iy) - log Gamma(x - h + iy)] for h >= 0, x - h >= 12.
+
+    With w = x - h + iy the Stirling series is differenced term by term,
+
+        Im[(w - 1/2) log1p(2h/w) + 2h log(w + 2h)] + Im[B(w + 2h) - B(w)],
+
+    B(z) = sum_j B_{2j}/(2j (2j-1) z^{2j-1}), so that the two O(|w| log |w|)
+    Stirling leads never meet.  log1p(u) at u = 2h/w is taken from real
+    parts, (1/2) log1p(2 Re u + |u|^2) + i atan2(Im u, 1 + Re u), which
+    keeps its digits when |u| is small.  The cost does not depend on x or y.
+    """
+    if not (h >= 0.0 and x - h >= 12.0):
+        raise DomainError(
+            f"loggamma_im_gap requires h >= 0 and x - h >= 12, got x={x!r}, h={h!r}"
+        )
+    w = complex(x - h, y)
+    gap = 2.0 * h
+    u = gap / w
+    log1p_re = 0.5 * math.log1p(2.0 * u.real + u.real * u.real + u.imag * u.imag)
+    log1p_im = math.atan2(u.imag, 1.0 + u.real)
+    lead = (w.real - 0.5) * log1p_im + w.imag * log1p_re + gap * math.atan2(y, x + h)
+    return lead + (_stirling_series(w + gap) - _stirling_series(w)).imag
+
+
 # Below this the series of Ei(-x) is used, above it the continued fraction.
 # Measured against a 40-digit reference: the series loses digits to
 # cancellation as x grows (1e-14 relative at 2, 1e-12 at 6) while the
@@ -261,6 +287,18 @@ _STIRLING = (
 _LN_SQRT_2PI = 0.9189385332046727  # log(2*pi)/2
 
 
+def _stirling_series(z, total=0.0):
+    # total + sum_j B_{2j} / (2j (2j-1) z^{2j-1}) over _STIRLING, for real or
+    # complex z, added to total term by term; first omitted term below 1e-19
+    # at |z| >= 12.
+    zinv = 1.0 / z
+    z2 = zinv * zinv
+    for coeff in _STIRLING:
+        total += coeff * zinv
+        zinv *= z2
+    return total
+
+
 def log_gamma(x: float) -> float:
     """log Gamma(x) for x > 0: upward recursion to x >= 10, then Stirling.
 
@@ -274,13 +312,7 @@ def log_gamma(x: float) -> float:
     while x < 10.0:
         shift -= math.log(x)
         x += 1.0
-    total = (x - 0.5) * math.log(x) - x + _LN_SQRT_2PI
-    xp = 1.0 / x
-    x2 = xp * xp
-    for coeff in _STIRLING:
-        total += coeff * xp
-        xp *= x2
-    return shift + total
+    return shift + _stirling_series(x, (x - 0.5) * math.log(x) - x + _LN_SQRT_2PI)
 
 
 _ACCEL_RATE = math.log(3.0 + math.sqrt(8.0))  # ~1.7627, digits gained per term

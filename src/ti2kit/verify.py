@@ -11,7 +11,6 @@ count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -99,6 +98,8 @@ class VerificationConfig:
 def _map_ordered(fn: Callable, items: Sequence, workers: int) -> list:
     if workers <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
+    from concurrent.futures import ThreadPoolExecutor  # ~4 ms of import; rarely used
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 

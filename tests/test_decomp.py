@@ -1,13 +1,16 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 from ti2kit.decomp import (
     DecompParams,
+    _XI_DIRECT_TERMS,
     _pole_bracket,
     _pole_direct_terms,
     _pole_tail,
+    _xi_sum,
     catalan_family,
     corollary2_series,
     h_quadrature,
@@ -75,6 +78,55 @@ class TestPointwiseIdentity:
             for x in (0.8, 1.6, 2.4, 3.2, 4.0):
                 report = pointwise_identity(alpha, x, 5000)
                 assert report.abs_residual <= report.tail_bound, (alpha, x)
+
+
+_STIRLING_ALPHAS = (0.01, 0.2, 1.0, 2.0, 3.0, PI - 0.01)
+
+
+class TestPointwiseStirlingTail:
+    """The K-truncated pole sum: direct terms plus a complex-Stirling tail."""
+
+    def test_rhs_against_mpmath_truncated_sum(self):
+        # Terms k <= 21 are summed one by one in mpmath; k = 22..5000 come
+        # from mpmath's own loggamma: sum_{k>m} Xi_k = Im[lg(m+1+a+iy) - lg(m+1-a+iy)].
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            for alpha in _STIRLING_ALPHAS:
+                for x in (0.0, 1e-3, 0.8, 4.0, 50.0, 1e3, 1e6):
+                    a, X = mpmath.mpf(alpha), mpmath.mpf(x)
+                    ref = mpmath.atan(mpmath.cot(a) * mpmath.tanh(X))
+                    refs = {}
+                    for k in range(1, 22):
+                        kpi = k * mpmath.pi
+                        ref += mpmath.atan(X / (kpi - a)) - mpmath.atan(X / (kpi + a))
+                        refs[k] = ref
+
+                    def tail(m):
+                        z = mpmath.mpc(m + 1, X / mpmath.pi)
+                        shift = a / mpmath.pi
+                        return mpmath.im(mpmath.loggamma(z + shift) - mpmath.loggamma(z - shift))
+
+                    refs[5000] = refs[21] + tail(21) - tail(5000)
+                    for K in (1, 20, 21, 5000):
+                        rhs = pointwise_identity(alpha, x, K).rhs
+                        assert abs(rhs - refs[K]) <= 1e-14, (alpha, x, K)
+
+    @pytest.mark.parametrize(
+        "K", [1, _XI_DIRECT_TERMS - 1, _XI_DIRECT_TERMS, _XI_DIRECT_TERMS + 1, 5000]
+    )
+    def test_kernel_matches_atan_loop(self, K):
+        for alpha in _STIRLING_ALPHAS:
+            for x in (0.0, 0.3, 4.0, 1e3):
+                brute = math.fsum(xi_k(k, alpha, x) for k in range(1, K + 1))
+                assert _xi_sum(alpha, x, K) == pytest.approx(brute, abs=2e-15), (alpha, x)
+
+    def test_cost_does_not_grow_with_K(self):
+        best = math.inf
+        for _ in range(5):
+            t0 = time.perf_counter()
+            pointwise_identity(1.0, 1.0, 10**7)
+            best = min(best, time.perf_counter() - t0)
+        assert best < 5e-3
 
 
 class TestHRoutes:

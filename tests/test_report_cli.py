@@ -219,6 +219,12 @@ class TestCli:
         assert reports[0]["pass"] is True
         assert reports[0]["abs_residual"] < 1e-9
 
+    def test_verify_with_no_admissible_point_exits_1(self):
+        # a = 100 is inadmissible: the run executes no check and must not pass.
+        res = run_cli("verify", "theorem1", "--a", "100")
+        assert res.returncode == 1
+        assert "no grid point" in res.stderr
+
     def test_verify_unknown_identity_exits_2(self):
         res = run_cli("verify", "theorem9")
         assert res.returncode == 2
@@ -266,3 +272,17 @@ class TestCli:
         assert first.returncode == 0
         assert second.returncode == 0
         assert first.stdout == second.stdout
+
+
+class TestImportFootprint:
+    @pytest.mark.parametrize("module", ["ti2kit", "ti2kit.cli"])
+    def test_no_numpy_or_thread_pool_on_import(self, module):
+        probe = (
+            f"import sys, {module}; "
+            "print(sorted(m for m in ('numpy', 'concurrent.futures') if m in sys.modules))"
+        )
+        res = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "[]"

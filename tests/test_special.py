@@ -19,6 +19,7 @@ from ti2kit.special import (
     hurwitz_zeta,
     kummer_sine_log_sum,
     log_gamma,
+    loggamma_im_gap,
 )
 
 PI = math.pi
@@ -95,6 +96,15 @@ class TestAgainstMpmath:
                 ref = mp.digamma(mp.mpf(x) + h) - mp.digamma(mp.mpf(x) - h)
                 assert abs(digamma_gap(x, h) - ref) <= 4e-16 * abs(ref), (x, h)
 
+    def test_loggamma_im_gap(self, mp):
+        for x in (13.0, 21.0, 400.0, 5001.0, 1e7):
+            for y in (0.0, 1e-3, 0.3, 16.0, 300.0, 3e5):
+                for h in (0.0, 0.07, 0.5, 0.99):
+                    lo = mp.mpc(mp.mpf(x) - h, y)
+                    ref = mp.im(mp.loggamma(lo + 2 * h) - mp.loggamma(lo))
+                    err = abs(loggamma_im_gap(x, y, h) - ref)
+                    assert err <= 1e-15 * abs(ref), (x, y, h)
+
     def test_hurwitz_zeta_odd_s(self, mp):
         for s in range(3, 32, 2):
             for c in log_grid(1e-2, 1e6, 33) + [2.0 * s + 29.5, 2.0 * s + 30.5]:
@@ -144,6 +154,22 @@ class TestDigamma:
             digamma_gap(12.5, 1.0)
         with pytest.raises(DomainError):
             digamma_gap(30.0, -0.1)
+
+
+class TestLoggammaImGap:
+    def test_recursion(self):
+        # log Gamma(z+1) - log Gamma(z) = log z moves the pair by arg(x +- h + iy).
+        for x, y, h in ((20.5, 0.3, 0.2), (50.0, 40.0, 0.9), (13.0, 1e4, 0.5)):
+            step = loggamma_im_gap(x + 1.0, y, h) - loggamma_im_gap(x, y, h)
+            assert step == pytest.approx(
+                math.atan2(y, x + h) - math.atan2(y, x - h), abs=1e-15
+            )
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            loggamma_im_gap(12.5, 1.0, 1.0)
+        with pytest.raises(DomainError):
+            loggamma_im_gap(30.0, 1.0, -0.1)
 
 
 class TestEiNegative:
