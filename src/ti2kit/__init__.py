@@ -8,7 +8,6 @@ identity as an LHS-vs-RHS residual within declared tolerances.
 """
 
 from .decomp import (
-    DecompParams,
     catalan_family,
     corollary2_series,
     h_quadrature,
@@ -69,7 +68,6 @@ __all__ = [
     "BracketError",
     "BranchCutError",
     "BudgetError",
-    "DecompParams",
     "DomainError",
     "EULER_GAMMA",
     "EndpointSolution",

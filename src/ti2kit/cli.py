@@ -3,7 +3,7 @@
     ti2kit compute <fn> <args...>
     ti2kit verify <identity|all> [--a --theta --n --A --alpha --K --J --N
                                   --tol --format json|table --out PATH
-                                  --workers W --config PATH]
+                                  --config PATH]
 
 Exit codes: 0 all checks passed, 1 some check failed or no check ran,
 2 usage/config error, 3 domain error, 4 I/O error.
@@ -89,7 +89,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--tol", type=float, default=None)
     p_verify.add_argument("--format", choices=("json", "table"), default=None)
     p_verify.add_argument("--out", default=None)
-    p_verify.add_argument("--workers", type=int, default=None)
     p_verify.add_argument("--config", default=None, help="key=value defaults file")
     return parser
 
@@ -108,14 +107,14 @@ def _parse_config_file(path: str) -> dict[str, str]:
     return entries
 
 
-_CONFIG_KEYS = {"K", "J", "N", "tol", "format", "out", "workers"}
+_CONFIG_KEYS = {"K", "J", "N", "tol", "format", "out"}
 
 
 def _apply_config(cfg: VerificationConfig, entries: dict[str, str], identity: str) -> None:
     for key, value in entries.items():
         if key not in _CONFIG_KEYS:
             raise ValueError(f"unknown config key {key!r}")
-        if key in ("K", "J", "N", "workers"):
+        if key in ("K", "J", "N"):
             setattr(cfg, key, int(value))
         elif key == "tol":
             _set_tolerance(cfg, identity, float(value))
@@ -192,8 +191,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         cfg.format = args.format
     if args.out is not None:
         cfg.out = args.out
-    if args.workers is not None:
-        cfg.workers = args.workers
 
     try:
         cfg.validate()

@@ -48,7 +48,6 @@ and Ti2(u) <= u gives the same envelope for the bracket terms; summing
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .numerics import DomainError, SeriesResult, integrate_adaptive, sum_series
 from .report import IdentityReport
@@ -64,7 +63,6 @@ from .special import (
 from .ti2core import ti2
 
 __all__ = [
-    "DecompParams",
     "xi_k",
     "pointwise_identity",
     "h_quadrature",
@@ -80,29 +78,6 @@ __all__ = [
 PI = math.pi
 
 _ALPHA_MARGIN = 1e-10
-
-
-@dataclass(frozen=True)
-class DecompParams:
-    """Parameter bundle for decomposition runs.
-
-    alpha in (0, pi) away from multiples of pi; A > 0; K, J, N are the
-    pole-series, exponential-integral, and Hurwitz truncation depths.
-    """
-
-    alpha: float
-    A: float
-    K: int = 2000
-    J: int = 18
-    N: int = 8
-
-    def __post_init__(self):
-        _check_alpha(self.alpha)
-        if not self.A > 0.0:
-            raise DomainError(f"A must be positive, got {self.A!r}")
-        for label, v in (("K", self.K), ("J", self.J), ("N", self.N)):
-            if v < 1:
-                raise DomainError(f"truncation {label} must be >= 1, got {v!r}")
 
 
 def _check_alpha(alpha: float) -> None:
@@ -161,12 +136,14 @@ def _xi_sum(alpha: float, x: float, K: int) -> float:
     return total
 
 
-def pointwise_identity(alpha: float, x: float, K: int = 5000) -> IdentityReport:
+def pointwise_identity(
+    alpha: float, x: float, K: int = 5000, tolerance: float = 1e-12
+) -> IdentityReport:
     """Residual of arctan(x/alpha) against the K-truncated pole decomposition.
 
     The K-truncated sum costs the same at every K (see _xi_sum).  Passes
     when the residual sits under the analytic tail bound 2*alpha*x/(pi^2 K)
-    plus a 1e-12 floating-point allowance.
+    plus the floating-point allowance ``tolerance``.
     """
     _check_alpha(alpha)
     if not x >= 0.0:
@@ -180,7 +157,7 @@ def pointwise_identity(alpha: float, x: float, K: int = 5000) -> IdentityReport:
         params={"alpha": alpha, "x": x, "K": float(K)},
         lhs=lhs,
         rhs=principal + _xi_sum(alpha, x, K),
-        tolerance=1e-12,
+        tolerance=tolerance,
         method_lhs="arctan",
         method_rhs="pole-sum",
         tail_bound=_xi_tail_bound(alpha, x, K),
@@ -404,30 +381,17 @@ def s_r(r: int) -> float:
     return PI ** (-r) * (hurwitz_zeta(r, 1.0 - 1.0 / PI) - hurwitz_zeta(r, 1.0 + 1.0 / PI))
 
 
-def _k1_ei_tail(J: int) -> float:
-    # |Ei(-2j)| <= e^{-2j}/(2j): geometric envelope of the truncated sum.
-    return math.exp(-2.0 * J) / (2.0 * J * J * (1.0 - math.exp(-2.0)))
-
-
 def k1_closed(J: int = 18) -> float:
-    """Closed form of K(1) = H(1, 1), the hyperbolic term of the A = 1 family:
+    """K(1) = H(1, 1), the hyperbolic term of the A = 1 family, in closed form:
 
         K(1) = -sum_{j<=J} sin(2j)/j Ei(-2j) + pi logGamma(1/pi)
-               + (1 - pi/2) log(pi) - (pi/2) log(pi / sin 1).
+               + (1 - pi/2) log(pi) - (pi/2) log(pi / sin 1),
 
-    The omitted exponential-integral tail is below 1e-15 already at J = 18.
+    which is h_series at A = alpha = 1.  The exponential-integral sum stops
+    once its tail bound falls below 1e-15 (15 terms), so J >= 15 all give the
+    same value.
     """
-    if J < 1:
-        raise DomainError(f"k1_closed requires J >= 1, got {J!r}")
-    ei_part = 0.0
-    for j in range(1, J + 1):
-        ei_part -= math.sin(2.0 * j) / j * ei_negative(2.0 * j)
-    return (
-        ei_part
-        + PI * log_gamma(1.0 / PI)
-        + (1.0 - PI / 2.0) * math.log(PI)
-        - (PI / 2.0) * math.log(PI / math.sin(1.0))
-    )
+    return h_series(1.0, 1.0, J).value
 
 
 def lemma1_catalan(N: int = 8, J: int = 18, tolerance: float = 1e-10) -> IdentityReport:
@@ -446,13 +410,14 @@ def lemma1_catalan(N: int = 8, J: int = 18, tolerance: float = 1e-10) -> Identit
         raise DomainError(f"lemma1_catalan requires N >= 1, got {N!r}")
     if J < 1:
         raise DomainError(f"lemma1_catalan requires J >= 1, got {J!r}")
-    value = k1_closed(J) + s_r(1)
+    k1 = h_series(1.0, 1.0, J)
+    value = k1.value + s_r(1)
     for n in range(1, N + 1):
         coeff = (-1.0) ** n / float((2 * n + 1) ** 2)
         value += coeff * s_r(2 * n + 1)
     r_next = 2 * N + 3
     # S_r <= sum_k (k pi - 1)^{-r}: the A = alpha = 1, m = 0 pole envelope.
-    tail = _pole_power_envelope(1.0, 1.0, 0, r_next) / float(r_next * r_next) + _k1_ei_tail(J)
+    tail = _pole_power_envelope(1.0, 1.0, 0, r_next) / float(r_next * r_next) + k1.tail_bound
     return IdentityReport.build(
         name="lemma1",
         params={"N": float(N), "J": float(J)},

@@ -27,15 +27,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .numerics import DomainError
 
 __all__ = [
     "BranchCutError",
-    "BranchPolicy",
-    "PRINCIPAL_BRANCH",
     "li2",
     "li2_upper_boundary",
     "li2_derivative",
@@ -48,22 +45,6 @@ _PI2_6 = PI * PI / 6.0
 
 class BranchCutError(DomainError):
     """Argument lies on the open branch cut (1, oo); use the boundary operation."""
-
-
-@dataclass(frozen=True)
-class BranchPolicy:
-    """Branch convention this module computes under.
-
-    ``cut_start`` marks the ray [cut_start, oo) on the real axis; boundary
-    values of the imaginary part are taken as limits from the half-plane
-    named by ``continuity``.  Li2 is continuous on any path avoiding the cut.
-    """
-
-    cut_start: float = 1.0
-    continuity: str = "upper"
-
-
-PRINCIPAL_BRANCH = BranchPolicy()
 
 
 # Bernoulli numbers B_0 .. B_34 (odd ones beyond B_1 vanish).

@@ -1,18 +1,17 @@
 """Named identity verifications over configurable parameter grids.
 
-Each identity name maps to a runner that emits one :class:`IdentityReport`
-per grid point.  The name set is a closed enumeration: adding one requires
-adding the backing operation first.  Grid points are independent pure
-computations, so they may be dispatched to worker threads; reports are
-always emitted in input order, making runs deterministic at any worker
-count.
+Each identity is one row of a table: its default tolerance, the grid points
+it runs at, and the check that turns one point into an
+:class:`IdentityReport`.  The name set is a closed enumeration: adding one
+requires adding the backing operation first.  Reports are emitted in grid
+order, so runs are deterministic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import decomp, endpoint
 from .report import IdentityReport
@@ -22,31 +21,6 @@ from .ti2core import METHOD_CLAUSEN_FORM, ti2, ti2_clausen_form, ti2_method
 __all__ = ["IDENTITY_NAMES", "VerificationConfig", "run_identity", "run_all"]
 
 PI = math.pi
-
-IDENTITY_NAMES = (
-    "theorem1",
-    "corollary1",
-    "corollary2",
-    "corollary3",
-    "corollary4",
-    "remark1",
-    "lemma1",
-    "pointwise",
-)
-
-# Default tolerances: 1e-9 where a quadrature sits on one side, 1e-10 for
-# purely series/closed-form comparisons.  Truncated series carry their own
-# tail bounds on top.
-_DEFAULT_TOLERANCES = {
-    "theorem1": 1e-9,
-    "corollary1": 1e-10,
-    "corollary2": 1e-9,
-    "corollary3": 1e-8,
-    "corollary4": 1e-10,
-    "remark1": 1e-10,
-    "lemma1": 1e-10,
-    "pointwise": 1e-12,
-}
 
 
 @dataclass
@@ -73,10 +47,6 @@ class VerificationConfig:
     tolerances: dict[str, float] = field(default_factory=dict)
     format: str = "table"
     out: Optional[str] = None
-    workers: int = 1
-
-    def tolerance(self, name: str) -> float:
-        return self.tolerances.get(name, _DEFAULT_TOLERANCES[name])
 
     def validate(self) -> None:
         for name, tol in self.tolerances.items():
@@ -91,123 +61,93 @@ class VerificationConfig:
             raise ValueError(f"truncation N must be >= 1, got {self.N!r}")
         if self.format not in ("json", "table"):
             raise ValueError(f"format must be 'json' or 'table', got {self.format!r}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers!r}")
 
 
-def _map_ordered(fn: Callable, items: Sequence, workers: int) -> list:
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    from concurrent.futures import ThreadPoolExecutor  # ~4 ms of import; rarely used
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+def _K(cfg: VerificationConfig, default: int) -> int:
+    return cfg.K if cfg.K is not None else default
 
 
-def _run_theorem1(cfg: VerificationConfig) -> list[IdentityReport]:
-    tol = cfg.tolerance("theorem1")
-    points = [a for a in cfg.a_grid if endpoint.admissibility(a).admissible]
-    return _map_ordered(
-        lambda a: endpoint.theorem1_identity(a, tolerance=tol), points, cfg.workers
-    )
-
-
-def _run_corollary1(cfg: VerificationConfig) -> list[IdentityReport]:
+def _corollary1(_point, cfg: VerificationConfig, tol: float) -> IdentityReport:
     sol = endpoint.solve_endpoint_b(1.0, 1e-13)
-    value = sol.b * sol.b / 4.0 - 0.25 * PI * math.log(2.0)
-    return [
-        IdentityReport.build(
-            name="corollary1",
-            params={"a": 1.0, "b": sol.b},
-            lhs=catalan_reference(1e-14),
-            rhs=value,
-            tolerance=cfg.tolerance("corollary1"),
-            method_lhs="alternating-series-acceleration",
-            method_rhs="endpoint-root-solve",
-        )
-    ]
-
-
-def _run_corollary2(cfg: VerificationConfig) -> list[IdentityReport]:
-    K = cfg.K if cfg.K is not None else 2000
-    tol = cfg.tolerance("corollary2")
-    return _map_ordered(
-        lambda p: decomp.corollary2_series(p[0], p[1], K, tolerance=tol),
-        list(cfg.A_alpha_grid),
-        cfg.workers,
+    return IdentityReport.build(
+        name="corollary1",
+        params={"a": 1.0, "b": sol.b},
+        lhs=catalan_reference(1e-14),
+        rhs=sol.b * sol.b / 4.0 - 0.25 * PI * math.log(2.0),
+        tolerance=tol,
+        method_lhs="alternating-series-acceleration",
+        method_rhs="endpoint-root-solve",
     )
 
 
-def _run_corollary3(cfg: VerificationConfig) -> list[IdentityReport]:
-    K = cfg.K if cfg.K is not None else 2000
-    tol = cfg.tolerance("corollary3")
-    return _map_ordered(
-        lambda n: decomp.catalan_family(n, K, tolerance=tol),
-        list(cfg.n_grid),
-        cfg.workers,
+def _corollary4(theta: float, cfg: VerificationConfig, tol: float) -> IdentityReport:
+    return IdentityReport.build(
+        name="corollary4",
+        params={"theta": theta},
+        lhs=ti2(math.tan(theta)),
+        rhs=ti2_clausen_form(theta),
+        tolerance=tol,
+        method_lhs=ti2_method(math.tan(theta)),
+        method_rhs=METHOD_CLAUSEN_FORM,
     )
 
 
-def _run_corollary4(cfg: VerificationConfig) -> list[IdentityReport]:
-    tol = cfg.tolerance("corollary4")
-
-    def check(theta: float) -> IdentityReport:
-        lhs = ti2(math.tan(theta))
-        return IdentityReport.build(
-            name="corollary4",
-            params={"theta": theta},
-            lhs=lhs,
-            rhs=ti2_clausen_form(theta),
-            tolerance=tol,
-            method_lhs=ti2_method(math.tan(theta)),
-            method_rhs=METHOD_CLAUSEN_FORM,
-        )
-
-    return _map_ordered(check, list(cfg.theta_grid), cfg.workers)
-
-
-def _run_remark1(cfg: VerificationConfig) -> list[IdentityReport]:
-    K = cfg.K if cfg.K is not None else 10
+def _remark1(K: int, cfg: VerificationConfig, tol: float) -> IdentityReport:
     # Telescoping correction: partial sum + Ti2(1/(2K+1)) recovers G in full.
-    value = decomp.remark1_partial(K) + ti2(1.0 / (2 * K + 1))
-    return [
-        IdentityReport.build(
-            name="remark1",
-            params={"K": float(K)},
-            lhs=catalan_reference(1e-14),
-            rhs=value,
-            tolerance=cfg.tolerance("remark1"),
-            method_lhs="alternating-series-acceleration",
-            method_rhs="telescoping+ti2-tail",
-            terms_used=K,
-        )
-    ]
-
-
-def _run_lemma1(cfg: VerificationConfig) -> list[IdentityReport]:
-    J = cfg.J if cfg.J is not None else 18
-    return [decomp.lemma1_catalan(cfg.N, J, tolerance=cfg.tolerance("lemma1"))]
-
-
-def _run_pointwise(cfg: VerificationConfig) -> list[IdentityReport]:
-    K = cfg.K if cfg.K is not None else 5000
-    return _map_ordered(
-        lambda p: decomp.pointwise_identity(p[0], p[1], K),
-        list(cfg.alpha_x_grid),
-        cfg.workers,
+    return IdentityReport.build(
+        name="remark1",
+        params={"K": float(K)},
+        lhs=catalan_reference(1e-14),
+        rhs=decomp.remark1_partial(K) + ti2(1.0 / (2 * K + 1)),
+        tolerance=tol,
+        method_lhs="alternating-series-acceleration",
+        method_rhs="telescoping+ti2-tail",
+        terms_used=K,
     )
 
 
-_RUNNERS = {
-    "theorem1": _run_theorem1,
-    "corollary1": _run_corollary1,
-    "corollary2": _run_corollary2,
-    "corollary3": _run_corollary3,
-    "corollary4": _run_corollary4,
-    "remark1": _run_remark1,
-    "lemma1": _run_lemma1,
-    "pointwise": _run_pointwise,
+# name -> (default tolerance, points(cfg), check(point, cfg, tol)).
+# Default tolerances: 1e-9 where a quadrature sits on one side, 1e-10 for
+# purely series/closed-form comparisons.  Truncated series carry their own
+# tail bounds on top.
+_IDENTITIES = {
+    "theorem1": (
+        1e-9,
+        lambda cfg: [a for a in cfg.a_grid if endpoint.admissibility(a).admissible],
+        lambda a, cfg, tol: endpoint.theorem1_identity(a, tolerance=tol),
+    ),
+    "corollary1": (1e-10, lambda cfg: [None], _corollary1),
+    "corollary2": (
+        1e-9,
+        lambda cfg: cfg.A_alpha_grid,
+        lambda p, cfg, tol: decomp.corollary2_series(p[0], p[1], _K(cfg, 2000), tolerance=tol),
+    ),
+    "corollary3": (
+        1e-8,
+        lambda cfg: cfg.n_grid,
+        lambda n, cfg, tol: decomp.catalan_family(n, _K(cfg, 2000), tolerance=tol),
+    ),
+    "corollary4": (1e-10, lambda cfg: cfg.theta_grid, _corollary4),
+    "remark1": (1e-10, lambda cfg: [_K(cfg, 10)], _remark1),
+    "lemma1": (
+        1e-10,
+        lambda cfg: [(cfg.N, cfg.J if cfg.J is not None else 18)],
+        lambda p, cfg, tol: decomp.lemma1_catalan(p[0], p[1], tolerance=tol),
+    ),
+    "pointwise": (
+        1e-12,
+        lambda cfg: cfg.alpha_x_grid,
+        lambda p, cfg, tol: decomp.pointwise_identity(p[0], p[1], _K(cfg, 5000), tolerance=tol),
+    ),
 }
+
+IDENTITY_NAMES = tuple(_IDENTITIES)
+
+
+def _run(name: str, cfg: VerificationConfig) -> list[IdentityReport]:
+    default_tol, points, check = _IDENTITIES[name]
+    tol = cfg.tolerances.get(name, default_tol)
+    return [check(p, cfg, tol) for p in points(cfg)]
 
 
 def run_identity(name: str, cfg: Optional[VerificationConfig] = None) -> list[IdentityReport]:
@@ -216,9 +156,9 @@ def run_identity(name: str, cfg: Optional[VerificationConfig] = None) -> list[Id
     cfg.validate()
     if name == "all":
         return run_all(cfg)
-    if name not in _RUNNERS:
+    if name not in _IDENTITIES:
         raise KeyError(f"unknown identity {name!r}; expected one of {IDENTITY_NAMES}")
-    return _RUNNERS[name](cfg)
+    return _run(name, cfg)
 
 
 def run_all(cfg: Optional[VerificationConfig] = None) -> list[IdentityReport]:
@@ -227,5 +167,5 @@ def run_all(cfg: Optional[VerificationConfig] = None) -> list[IdentityReport]:
     cfg.validate()
     reports: list[IdentityReport] = []
     for name in IDENTITY_NAMES:
-        reports.extend(_RUNNERS[name](cfg))
+        reports.extend(_run(name, cfg))
     return reports

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from ti2kit.decomp import (
-    DecompParams,
     _XI_DIRECT_TERMS,
     _pole_bracket,
     _pole_direct_terms,
@@ -376,15 +375,3 @@ class TestLemma1:
     def test_residuals_alternate_and_shrink(self):
         residuals = [lemma1_catalan(n, 18).abs_residual for n in (1, 2, 4, 8)]
         assert all(r2 < r1 for r1, r2 in zip(residuals, residuals[1:]))
-
-
-class TestDecompParams:
-    def test_validation(self):
-        params = DecompParams(alpha=1.0, A=1.0)
-        assert params.K == 2000
-        with pytest.raises(DomainError):
-            DecompParams(alpha=PI, A=1.0)
-        with pytest.raises(DomainError):
-            DecompParams(alpha=1.0, A=0.0)
-        with pytest.raises(DomainError):
-            DecompParams(alpha=1.0, A=1.0, K=0)

@@ -6,7 +6,7 @@ import pytest
 
 from ti2kit.cli import _build_parser
 from ti2kit.report import IdentityReport, render_json, render_table
-from ti2kit.verify import VerificationConfig, run_all, run_identity
+from ti2kit.verify import IDENTITY_NAMES, VerificationConfig, run_all, run_identity
 
 
 def make_report(residual=1e-12, tolerance=1e-10, tail=None):
@@ -134,10 +134,11 @@ class TestVerifyRunners:
             ].index,
         )
 
-    def test_workers_do_not_change_results(self):
-        seq = run_all(VerificationConfig(workers=1))
-        par = run_all(VerificationConfig(workers=4))
-        assert render_json(seq) == render_json(par)
+    @pytest.mark.parametrize("name", IDENTITY_NAMES)
+    def test_configured_tolerance_reaches_every_report(self, name):
+        reports = run_identity(name, VerificationConfig(tolerances={name: 0.5}))
+        assert reports
+        assert all(r.tolerance == 0.5 for r in reports)
 
 
 def run_cli(*args):
@@ -259,6 +260,18 @@ class TestCli:
         assert json.loads(out_default.stdout)[0]["params"]["K"] == 3.0
         out_flag = run_cli("verify", "remark1", "--config", str(cfg), "--K", "7")
         assert json.loads(out_flag.stdout)[0]["params"]["K"] == 7.0
+
+    def test_removed_workers_flag_exits_2(self):
+        res = run_cli("verify", "remark1", "--workers", "2")
+        assert res.returncode == 2
+        assert "--workers" in res.stderr
+
+    def test_removed_workers_config_key_exits_2(self, tmp_path):
+        cfg = tmp_path / "ti2kit.cfg"
+        cfg.write_text("workers=2\n")
+        res = run_cli("verify", "remark1", "--config", str(cfg))
+        assert res.returncode == 2
+        assert "workers" in res.stderr
 
     def test_config_parse_error_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
