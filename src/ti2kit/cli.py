@@ -1,9 +1,13 @@
 """Command-line surface: compute single values, run identity verifications.
 
     ti2kit compute <fn> <args...>
-    ti2kit verify <identity|all> [--a --theta --n --A --alpha --K --J --N
+    ti2kit verify <identity|all> [--a --theta --n --A --alpha --K --N
                                   --tol --format json|table --out PATH
                                   --config PATH]
+
+--K is Remark 1's partial-sum depth and --N the depth of Lemma 1's Hurwitz
+series; the pole sums of corollaries 2 and 3 and the pointwise identity are
+summed to the end and take no depth.
 
 Exit codes: 0 all checks passed, 1 some check failed or no check ran,
 2 usage/config error, 3 domain error, 4 I/O error.
@@ -83,9 +87,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n", action="append", type=int, default=None)
     p_verify.add_argument("--A", action="append", type=float, default=None)
     p_verify.add_argument("--alpha", action="append", type=float, default=None)
-    p_verify.add_argument("--K", type=int, default=None)
-    p_verify.add_argument("--J", type=int, default=None)
-    p_verify.add_argument("--N", type=int, default=None)
+    p_verify.add_argument("--K", type=int, default=None, help="remark1 partial-sum depth")
+    p_verify.add_argument("--N", type=int, default=None, help="lemma1 Hurwitz series depth")
     p_verify.add_argument("--tol", type=float, default=None)
     p_verify.add_argument("--format", choices=("json", "table"), default=None)
     p_verify.add_argument("--out", default=None)
@@ -107,14 +110,14 @@ def _parse_config_file(path: str) -> dict[str, str]:
     return entries
 
 
-_CONFIG_KEYS = {"K", "J", "N", "tol", "format", "out"}
+_CONFIG_KEYS = {"K", "N", "tol", "format", "out"}
 
 
 def _apply_config(cfg: VerificationConfig, entries: dict[str, str], identity: str) -> None:
     for key, value in entries.items():
         if key not in _CONFIG_KEYS:
             raise ValueError(f"unknown config key {key!r}")
-        if key in ("K", "J", "N"):
+        if key in ("K", "N"):
             setattr(cfg, key, int(value))
         elif key == "tol":
             _set_tolerance(cfg, identity, float(value))
@@ -181,8 +184,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         cfg.alpha_x_grid = tuple(zip(args.alpha, args.A))
     if args.K is not None:
         cfg.K = args.K
-    if args.J is not None:
-        cfg.J = args.J
     if args.N is not None:
         cfg.N = args.N
     if args.tol is not None:

@@ -24,25 +24,21 @@ with S_1 = 1 - cot(1) from the cotangent partial fractions and K(1) in
 closed form through the exponential integral, log-gamma, and the sine-log
 sum.
 
-The same expansion evaluates the K-truncated bracket sum of corollary 2 (and
-of the Catalan family, its A = alpha = pi/n case) without K Ti2 calls.  The
-first K0 = max(20, ceil((4A + alpha)/pi)) brackets are summed directly; the
-brackets k = K0+1..K are T(K0) - T(K), where T(m), the sum over k > m, is a
-digamma difference plus an alternating series of Hurwitz-zeta differences
-whose ratio A/((K0+1) pi - alpha) stays below 1/4.  The result is still the
-K-truncated sum, to rounding.
+Corollary 2's bracket sum (and the Catalan family's, its A = alpha = pi/n
+case) is summed over every k with a fixed number of Ti2 calls.  The first
+K0 = max(20, ceil((4A + alpha)/pi)) brackets are summed directly; the rest,
+T(K0) = sum over k > K0, is a digamma difference plus an alternating series
+of Hurwitz-zeta differences whose ratio A/((K0+1) pi - alpha) stays below
+1/4.  That n-series stops at its first omitted term below 1e-17, which is
+the reported tail bound.
 
-The pointwise identity's K-truncated sum of Xi_k(x) costs the same at every
-K.  Xi_k(x) = Im[log(k - a + iy) - log(k + a + iy)] with a = alpha/pi and
+The pointwise identity's pole sum is summed to the end the same way.
+Xi_k(x) = Im[log(k - a + iy) - log(k + a + iy)] with a = alpha/pi and
 y = x/pi, so the sum over k > m telescopes through log Gamma(z+1) =
 log Gamma(z) + log z to Im[log Gamma(m+1+a+iy) - log Gamma(m+1-a+iy)].  The
-first 20 terms are summed directly; the rest are that tail at m = 20 minus
-the tail at m = K, from the complex Stirling series differenced term by term
-(special.loggamma_im_gap).
-
-Tail bounds: arctan y <= y gives Xi_k(x) <= 2 alpha x/((k pi)^2 - alpha^2)
-and Ti2(u) <= u gives the same envelope for the bracket terms; summing
-1/(k^2 - 1) telescopically bounds either tail by 2*alpha*x/(pi^2 K).
+first 20 terms are summed directly and the rest is that tail at m = 20,
+from the complex Stirling series differenced term by term
+(special.loggamma_im_gap), whose remainder is below 1e-19.
 """
 
 from __future__ import annotations
@@ -107,61 +103,46 @@ def _xi_term(k: int, alpha: float, x: float) -> float:
     return math.atan(2.0 * alpha * x / (x * x + (kpi - alpha) * (kpi + alpha)))
 
 
-def _xi_tail_bound(alpha: float, x: float, K: int) -> float:
-    # Xi_k(x) <= 2 alpha x/((k pi)^2 - alpha^2) and, for alpha < pi,
-    # sum_{k>K} 1/(k^2 - (alpha/pi)^2) <= sum_{k>K} 1/(k^2 - 1) <= 1/K.
-    return 2.0 * alpha * x / (PI * PI * K)
-
-
 # Pole corrections summed one by one before the Stirling tail takes over.
 _XI_DIRECT_TERMS = 20
 
 
-def _xi_sum(alpha: float, x: float, K: int) -> float:
-    """sum_{k<=K} Xi_k(x) in constant time.
+def _xi_sum(alpha: float, x: float) -> float:
+    """sum_{k>=1} Xi_k(x) in constant time.
 
     Xi_k(x) = Im[log(k - a + iy) - log(k + a + iy)] with a = alpha/pi and
     y = x/pi, so log Gamma(z+1) = log Gamma(z) + log z telescopes the tail:
 
         T(m) = sum_{k>m} Xi_k(x) = Im[log Gamma(m+1+a+iy) - log Gamma(m+1-a+iy)].
 
-    The first min(K, 20) terms are summed directly, the rest as
-    T(20) - T(K) by loggamma_im_gap.
+    The first 20 terms are summed directly, the rest as T(20) by
+    loggamma_im_gap.
     """
-    a = alpha / PI
-    y = x / PI
-    total = math.fsum(_xi_term(k, alpha, x) for k in range(1, min(K, _XI_DIRECT_TERMS) + 1))
-    if K > _XI_DIRECT_TERMS:
-        total += loggamma_im_gap(_XI_DIRECT_TERMS + 1.0, y, a) - loggamma_im_gap(K + 1.0, y, a)
-    return total
+    direct = math.fsum(_xi_term(k, alpha, x) for k in range(1, _XI_DIRECT_TERMS + 1))
+    return direct + loggamma_im_gap(_XI_DIRECT_TERMS + 1.0, x / PI, alpha / PI)
 
 
-def pointwise_identity(
-    alpha: float, x: float, K: int = 5000, tolerance: float = 1e-12
-) -> IdentityReport:
-    """Residual of arctan(x/alpha) against the K-truncated pole decomposition.
+def pointwise_identity(alpha: float, x: float, *, tolerance: float = 1e-12) -> IdentityReport:
+    """Residual of arctan(x/alpha) against the full pole decomposition.
 
-    The K-truncated sum costs the same at every K (see _xi_sum).  Passes
-    when the residual sits under the analytic tail bound 2*alpha*x/(pi^2 K)
-    plus the floating-point allowance ``tolerance``.
+    The infinite pole sum costs the same at every x (see _xi_sum); the
+    Stirling remainder of its tail is below 1e-19, so no tail bound is
+    reported and ``tolerance`` is the whole budget.
     """
     _check_alpha(alpha)
     if not x >= 0.0:
         raise DomainError(f"pointwise_identity requires x >= 0, got {x!r}")
-    if K < 1:
-        raise DomainError(f"pointwise_identity requires K >= 1, got {K!r}")
     lhs = math.atan(x / alpha)
     principal = math.atan(math.cos(alpha) / math.sin(alpha) * math.tanh(x))
     return IdentityReport.build(
         name="pointwise",
-        params={"alpha": alpha, "x": x, "K": float(K)},
+        params={"alpha": alpha, "x": x},
         lhs=lhs,
-        rhs=principal + _xi_sum(alpha, x, K),
+        rhs=principal + _xi_sum(alpha, x),
         tolerance=tolerance,
         method_lhs="arctan",
         method_rhs="pole-sum",
-        tail_bound=_xi_tail_bound(alpha, x, K),
-        terms_used=K,
+        terms_used=_XI_DIRECT_TERMS,
     )
 
 
@@ -282,47 +263,47 @@ def _pole_direct_terms(A: float, alpha: float) -> int:
     return max(20, math.ceil((4.0 * A + alpha) / PI))
 
 
-def _pole_bracket(A: float, alpha: float, K: int) -> float:
-    """sum_{k<=K} [Ti2(A/(k pi - alpha)) - Ti2(A/(k pi + alpha))].
+def _pole_bracket(A: float, alpha: float) -> SeriesResult:
+    """sum_{k>=1} [Ti2(A/(k pi - alpha)) - Ti2(A/(k pi + alpha))].
 
     The first K0 = max(20, ceil((4A + alpha)/pi)) brackets are summed
-    directly and the rest, k = K0+1..K, as T(K0) - T(K) from the Hurwitz
-    expansion; K <= K0 is the direct loop alone.
+    directly and the rest as T(K0) from the Hurwitz expansion, whose
+    n-series bound is the tail bound.
     """
     k0 = _pole_direct_terms(A, alpha)
     total = 0.0
-    for k in range(1, min(K, k0) + 1):
+    for k in range(1, k0 + 1):
         total += ti2(A / (k * PI - alpha)) - ti2(A / (k * PI + alpha))
-    if K > k0:
-        total += _pole_tail(A, alpha, k0).value - _pole_tail(A, alpha, K).value
-    return total
+    tail = _pole_tail(A, alpha, k0)
+    return SeriesResult(
+        value=total + tail.value,
+        terms_used=k0 + tail.terms_used,
+        tail_bound=tail.tail_bound,
+        truncated=tail.truncated,
+    )
 
 
-def corollary2_series(
-    A: float, alpha: float, K: int = 2000, tolerance: float = 1e-9
-) -> IdentityReport:
-    """Check Ti2(A/alpha) against H(A, alpha) plus the K-truncated bracket sum.
+def corollary2_series(A: float, alpha: float, *, tolerance: float = 1e-9) -> IdentityReport:
+    """Check Ti2(A/alpha) against H(A, alpha) plus the full bracket sum.
 
-    Each bracket Ti2(A/(k pi - alpha)) - Ti2(A/(k pi + alpha)) is positive
-    and bounded by 2 alpha A/((k pi)^2 - alpha^2); the reported tail adds the
-    bracket-sum envelope 2 alpha A/(pi^2 K) to the H-series tail.
+    The reported tail adds the bracket sum's Hurwitz n-series bound to the
+    H-series tail.
     """
     _check_alpha(alpha)
     if not A > 0.0:
         raise DomainError(f"corollary2_series requires A > 0, got {A!r}")
-    if K < 1:
-        raise DomainError(f"corollary2_series requires K >= 1, got {K!r}")
     h = h_series(A, alpha)
+    pole = _pole_bracket(A, alpha)
     return IdentityReport.build(
         name="corollary2",
-        params={"A": A, "alpha": alpha, "K": float(K)},
+        params={"A": A, "alpha": alpha},
         lhs=ti2(A / alpha),
-        rhs=h.value + _pole_bracket(A, alpha, K),
+        rhs=h.value + pole.value,
         tolerance=tolerance,
         method_lhs="ti2",
         method_rhs="hyperbolic-term+ti2-differences",
-        tail_bound=_xi_tail_bound(alpha, A, K) + h.tail_bound,
-        terms_used=K,
+        tail_bound=pole.tail_bound + h.tail_bound,
+        terms_used=pole.terms_used,
     )
 
 
@@ -341,30 +322,29 @@ def remark1_partial(K: int) -> float:
     return total
 
 
-def catalan_family(n: int, K: int = 2000, tolerance: float = 1e-8) -> IdentityReport:
+def catalan_family(n: int, *, tolerance: float = 1e-8) -> IdentityReport:
     """The n-th Catalan decomposition: A = alpha = pi/n, n >= 2.
 
         G = H(pi/n, pi/n) + sum_k [ Ti2(1/(n k - 1)) - Ti2(1/(n k + 1)) ]
 
-    This is the corollary-2 bracket sum at A = alpha = pi/n, evaluated the
-    same way.  n = 2 makes the hyperbolic term vanish and the sum telescope.
-    The tail bound specializes to 2/(n^2 K).
+    This is the corollary-2 bracket sum at A = alpha = pi/n, evaluated and
+    bounded the same way.  n = 2 makes the hyperbolic term vanish and the
+    sum telescope.
     """
     if n < 2:
         raise DomainError(f"catalan_family requires n >= 2, got {n!r}")
-    if K < 1:
-        raise DomainError(f"catalan_family requires K >= 1, got {K!r}")
     h = h_series(PI / n, PI / n)
+    pole = _pole_bracket(PI / n, PI / n)
     return IdentityReport.build(
         name="corollary3",
-        params={"n": float(n), "K": float(K)},
+        params={"n": float(n)},
         lhs=catalan_reference(1e-14),
-        rhs=h.value + _pole_bracket(PI / n, PI / n, K),
+        rhs=h.value + pole.value,
         tolerance=tolerance,
         method_lhs="alternating-series-acceleration",
         method_rhs="hyperbolic-term+ti2-differences",
-        tail_bound=2.0 / (n * n * K) + h.tail_bound,
-        terms_used=K,
+        tail_bound=pole.tail_bound + h.tail_bound,
+        terms_used=pole.terms_used,
     )
 
 
@@ -381,20 +361,19 @@ def s_r(r: int) -> float:
     return PI ** (-r) * (hurwitz_zeta(r, 1.0 - 1.0 / PI) - hurwitz_zeta(r, 1.0 + 1.0 / PI))
 
 
-def k1_closed(J: int = 18) -> float:
+def k1_closed() -> float:
     """K(1) = H(1, 1), the hyperbolic term of the A = 1 family, in closed form:
 
-        K(1) = -sum_{j<=J} sin(2j)/j Ei(-2j) + pi logGamma(1/pi)
+        K(1) = -sum_j sin(2j)/j Ei(-2j) + pi logGamma(1/pi)
                + (1 - pi/2) log(pi) - (pi/2) log(pi / sin 1),
 
     which is h_series at A = alpha = 1.  The exponential-integral sum stops
-    once its tail bound falls below 1e-15 (15 terms), so J >= 15 all give the
-    same value.
+    once its tail bound falls below 1e-15 (15 terms).
     """
-    return h_series(1.0, 1.0, J).value
+    return h_series(1.0, 1.0).value
 
 
-def lemma1_catalan(N: int = 8, J: int = 18, tolerance: float = 1e-10) -> IdentityReport:
+def lemma1_catalan(N: int = 8, *, tolerance: float = 1e-10) -> IdentityReport:
     """Assemble G from K(1), S_1, and the alternating Hurwitz series:
 
         G = K(1) + (1 - cot 1) + sum_{n=1}^{N} (-1)^n/(2n+1)^2 * S_{2n+1}.
@@ -408,9 +387,7 @@ def lemma1_catalan(N: int = 8, J: int = 18, tolerance: float = 1e-10) -> Identit
     """
     if N < 1:
         raise DomainError(f"lemma1_catalan requires N >= 1, got {N!r}")
-    if J < 1:
-        raise DomainError(f"lemma1_catalan requires J >= 1, got {J!r}")
-    k1 = h_series(1.0, 1.0, J)
+    k1 = h_series(1.0, 1.0)
     value = k1.value + s_r(1)
     for n in range(1, N + 1):
         coeff = (-1.0) ** n / float((2 * n + 1) ** 2)
@@ -420,7 +397,7 @@ def lemma1_catalan(N: int = 8, J: int = 18, tolerance: float = 1e-10) -> Identit
     tail = _pole_power_envelope(1.0, 1.0, 0, r_next) / float(r_next * r_next) + k1.tail_bound
     return IdentityReport.build(
         name="lemma1",
-        params={"N": float(N), "J": float(J)},
+        params={"N": float(N)},
         lhs=catalan_reference(1e-14),
         rhs=value,
         tolerance=tolerance,

@@ -41,9 +41,8 @@ class VerificationConfig:
         for a in (0.4, 1.0, 1.6, 2.2, 2.8)
         for x in (0.8, 1.6, 2.4, 3.2, 4.0)
     )
-    K: Optional[int] = None  # pole-series depth; None = per-identity default
-    J: Optional[int] = None  # exponential-integral depth; None = auto
-    N: int = 8  # Hurwitz series depth
+    K: int = 10  # Remark 1 partial-sum depth
+    N: int = 8  # Lemma 1 Hurwitz series depth
     tolerances: dict[str, float] = field(default_factory=dict)
     format: str = "table"
     out: Optional[str] = None
@@ -54,17 +53,11 @@ class VerificationConfig:
                 raise ValueError(f"unknown identity {name!r} in tolerances")
             if not tol > 0.0:
                 raise ValueError(f"tolerance for {name!r} must be positive, got {tol!r}")
-        for label, v in (("K", self.K), ("J", self.J)):
-            if v is not None and v < 1:
+        for label, v in (("K", self.K), ("N", self.N)):
+            if v < 1:
                 raise ValueError(f"truncation {label} must be >= 1, got {v!r}")
-        if self.N < 1:
-            raise ValueError(f"truncation N must be >= 1, got {self.N!r}")
         if self.format not in ("json", "table"):
             raise ValueError(f"format must be 'json' or 'table', got {self.format!r}")
-
-
-def _K(cfg: VerificationConfig, default: int) -> int:
-    return cfg.K if cfg.K is not None else default
 
 
 def _corollary1(_point, cfg: VerificationConfig, tol: float) -> IdentityReport:
@@ -120,24 +113,24 @@ _IDENTITIES = {
     "corollary2": (
         1e-9,
         lambda cfg: cfg.A_alpha_grid,
-        lambda p, cfg, tol: decomp.corollary2_series(p[0], p[1], _K(cfg, 2000), tolerance=tol),
+        lambda p, cfg, tol: decomp.corollary2_series(p[0], p[1], tolerance=tol),
     ),
     "corollary3": (
         1e-8,
         lambda cfg: cfg.n_grid,
-        lambda n, cfg, tol: decomp.catalan_family(n, _K(cfg, 2000), tolerance=tol),
+        lambda n, cfg, tol: decomp.catalan_family(n, tolerance=tol),
     ),
     "corollary4": (1e-10, lambda cfg: cfg.theta_grid, _corollary4),
-    "remark1": (1e-10, lambda cfg: [_K(cfg, 10)], _remark1),
+    "remark1": (1e-10, lambda cfg: [cfg.K], _remark1),
     "lemma1": (
         1e-10,
-        lambda cfg: [(cfg.N, cfg.J if cfg.J is not None else 18)],
-        lambda p, cfg, tol: decomp.lemma1_catalan(p[0], p[1], tolerance=tol),
+        lambda cfg: [cfg.N],
+        lambda N, cfg, tol: decomp.lemma1_catalan(N, tolerance=tol),
     ),
     "pointwise": (
         1e-12,
         lambda cfg: cfg.alpha_x_grid,
-        lambda p, cfg, tol: decomp.pointwise_identity(p[0], p[1], _K(cfg, 5000), tolerance=tol),
+        lambda p, cfg, tol: decomp.pointwise_identity(p[0], p[1], tolerance=tol),
     ),
 }
 

@@ -22,10 +22,26 @@ from ti2kit.decomp import (
     xi_k,
 )
 from ti2kit.numerics import DomainError
-from ti2kit.special import catalan_reference, hurwitz_zeta
+from ti2kit.special import catalan_reference, hurwitz_zeta, loggamma_im_gap
 from ti2kit.ti2core import ti2
 
 PI = math.pi
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: pointwise_identity(1.0, 1.0, 5000),
+        lambda: corollary2_series(1.0, 1.0, 2000),
+        lambda: catalan_family(3, 2000),
+        lambda: lemma1_catalan(8, 18),
+    ],
+    ids=["pointwise", "corollary2", "corollary3", "lemma1"],
+)
+def test_tolerance_is_keyword_only(call):
+    # A stale positional depth must not become the tolerance.
+    with pytest.raises(TypeError):
+        call()
 
 
 class TestXiK:
@@ -55,75 +71,76 @@ class TestXiK:
 
 class TestPointwiseIdentity:
     def test_zero_at_origin(self):
-        report = pointwise_identity(1.0, 0.0, 10)
+        report = pointwise_identity(1.0, 0.0)
         assert report.lhs == 0.0
         assert report.abs_residual < 1e-15
 
     def test_half_pi_drops_principal_term(self):
         # cot(pi/2) = 0, so arctan(2x/pi)... the whole arctan(x/alpha) must be
         # carried by the pole sum alone.
-        report = pointwise_identity(PI / 2.0, 1.0, 10_000)
+        report = pointwise_identity(PI / 2.0, 1.0)
         assert report.passed
-        assert report.abs_residual <= report.tail_bound + 1e-12
+        assert report.abs_residual <= 1e-13
 
     def test_residual_tracks_tail_bound(self):
-        report = pointwise_identity(1.0, 1.0, 1000)
-        assert report.abs_residual <= report.tail_bound
-        assert report.tail_bound == pytest.approx(2.0 / (PI * PI * 1000), rel=1e-12)
+        # Cut at K, the sum misses exactly T(K) = sum_{k>K} Xi_k, which sits
+        # under the envelope 2 alpha x/(pi^2 K); the full sum misses nothing.
+        alpha, x, K = 1.0, 1.0, 1000
+        report = pointwise_identity(alpha, x)
+        truncated = report.rhs - loggamma_im_gap(K + 1.0, x / PI, alpha / PI)
+        envelope = 2.0 * alpha * x / (PI * PI * K)
+        assert 0.0 < report.lhs - truncated <= envelope
+        assert report.lhs - truncated == pytest.approx(envelope, rel=1e-3)
+        assert report.tail_bound is None
+        assert report.abs_residual <= 1e-13
         assert report.passed
 
-    def test_grid_at_k5000(self):
+    def test_default_grid(self):
         for alpha in (0.4, 1.0, 1.6, 2.2, 2.8):
             for x in (0.8, 1.6, 2.4, 3.2, 4.0):
-                report = pointwise_identity(alpha, x, 5000)
-                assert report.abs_residual <= report.tail_bound, (alpha, x)
+                report = pointwise_identity(alpha, x)
+                assert report.abs_residual <= 1e-13, (alpha, x)
+                assert report.terms_used == _XI_DIRECT_TERMS
 
 
 _STIRLING_ALPHAS = (0.01, 0.2, 1.0, 2.0, 3.0, PI - 0.01)
 
 
 class TestPointwiseStirlingTail:
-    """The K-truncated pole sum: direct terms plus a complex-Stirling tail."""
+    """The pole sum summed to the end: direct terms plus a complex-Stirling tail."""
 
     def test_rhs_against_mpmath_truncated_sum(self):
-        # Terms k <= 21 are summed one by one in mpmath; k = 22..5000 come
-        # from mpmath's own loggamma: sum_{k>m} Xi_k = Im[lg(m+1+a+iy) - lg(m+1-a+iy)].
+        # Terms k <= 21 are summed one by one in mpmath; k > 21 come from
+        # mpmath's own loggamma: sum_{k>m} Xi_k = Im[lg(m+1+a+iy) - lg(m+1-a+iy)].
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(30):
             for alpha in _STIRLING_ALPHAS:
                 for x in (0.0, 1e-3, 0.8, 4.0, 50.0, 1e3, 1e6):
                     a, X = mpmath.mpf(alpha), mpmath.mpf(x)
                     ref = mpmath.atan(mpmath.cot(a) * mpmath.tanh(X))
-                    refs = {}
                     for k in range(1, 22):
                         kpi = k * mpmath.pi
                         ref += mpmath.atan(X / (kpi - a)) - mpmath.atan(X / (kpi + a))
-                        refs[k] = ref
+                    z = mpmath.mpc(22, X / mpmath.pi)
+                    shift = a / mpmath.pi
+                    ref += mpmath.im(mpmath.loggamma(z + shift) - mpmath.loggamma(z - shift))
+                    rhs = pointwise_identity(alpha, x).rhs
+                    assert abs(rhs - ref) <= 1e-14, (alpha, x)
 
-                    def tail(m):
-                        z = mpmath.mpc(m + 1, X / mpmath.pi)
-                        shift = a / mpmath.pi
-                        return mpmath.im(mpmath.loggamma(z + shift) - mpmath.loggamma(z - shift))
-
-                    refs[5000] = refs[21] + tail(21) - tail(5000)
-                    for K in (1, 20, 21, 5000):
-                        rhs = pointwise_identity(alpha, x, K).rhs
-                        assert abs(rhs - refs[K]) <= 1e-14, (alpha, x, K)
-
-    @pytest.mark.parametrize(
-        "K", [1, _XI_DIRECT_TERMS - 1, _XI_DIRECT_TERMS, _XI_DIRECT_TERMS + 1, 5000]
-    )
+    @pytest.mark.parametrize("K", [_XI_DIRECT_TERMS, _XI_DIRECT_TERMS + 1, 5000])
     def test_kernel_matches_atan_loop(self, K):
+        # The full sum less its own tail T(K) is the K-term partial sum.
         for alpha in _STIRLING_ALPHAS:
             for x in (0.0, 0.3, 4.0, 1e3):
                 brute = math.fsum(xi_k(k, alpha, x) for k in range(1, K + 1))
-                assert _xi_sum(alpha, x, K) == pytest.approx(brute, abs=2e-15), (alpha, x)
+                partial = _xi_sum(alpha, x) - loggamma_im_gap(K + 1.0, x / PI, alpha / PI)
+                assert partial == pytest.approx(brute, abs=2e-15), (alpha, x)
 
-    def test_cost_does_not_grow_with_K(self):
+    def test_cost_does_not_grow_with_x(self):
         best = math.inf
         for _ in range(5):
             t0 = time.perf_counter()
-            pointwise_identity(1.0, 1.0, 10**7)
+            pointwise_identity(1.0, 1e6)
             best = min(best, time.perf_counter() - t0)
         assert best < 5e-3
 
@@ -168,14 +185,16 @@ class TestHRoutes:
 
 class TestCorollary2:
     def test_unit_point(self):
-        report = corollary2_series(1.0, 1.0, 2000)
+        report = corollary2_series(1.0, 1.0)
         assert report.passed
-        assert report.abs_residual <= report.tail_bound + 1e-9
+        assert report.abs_residual <= 1e-13
+        assert report.tail_bound <= 1e-14
 
     def test_half_pi_alpha(self):
-        report = corollary2_series(1.0, PI / 2.0, 500)
+        report = corollary2_series(1.0, PI / 2.0)
         assert report.lhs == pytest.approx(ti2(2.0 / PI), abs=1e-14)
         assert report.passed
+        assert report.abs_residual <= 1e-13
 
     def test_bracket_terms_positive(self):
         for k in range(1, 40):
@@ -183,9 +202,18 @@ class TestCorollary2:
             assert diff > 0.0
 
     def test_residual_shrinks_with_k(self):
-        r500 = corollary2_series(1.0, 1.0, 500)
-        r4000 = corollary2_series(1.0, 1.0, 4000)
-        assert r4000.abs_residual < r500.abs_residual
+        # Cut at K the sum misses T(K); the full sum is closer than any cut.
+        report = corollary2_series(1.0, 1.0)
+        r500, r4000 = (
+            abs(report.lhs - report.rhs + _pole_tail(1.0, 1.0, K).value) for K in (500, 4000)
+        )
+        assert report.abs_residual < r4000 < r500
+
+    def test_terms_used_counts_the_work_done(self):
+        k0 = _pole_direct_terms(1.0, 1.0)
+        report = corollary2_series(1.0, 1.0)
+        assert report.terms_used == k0 + _pole_tail(1.0, 1.0, k0).terms_used
+        assert report.terms_used < 30
 
 
 def explicit_partial_sums(bracket, checkpoints):
@@ -199,36 +227,39 @@ def explicit_partial_sums(bracket, checkpoints):
 
 
 class TestPoleBracket:
-    """The direct-plus-Hurwitz bracket sum against the explicit k-loop."""
+    """The direct-plus-Hurwitz bracket sum against the explicit k-loop.
+
+    The full sum less its own tail T(K) is the K-bracket partial sum.
+    """
 
     @pytest.mark.parametrize(
         "A, alpha",
-        # A = 1000 has K0 = 1274, so K = 500 also takes the fallback loop.
+        # A = 1000 has K0 = 1274, so its K = 500 tail runs at ratio 0.64.
         [(1.0, 1.0), (0.05, 0.2), (2.0, 0.21), (2.0, 2.95), (0.5, 3.0), (50.0, 2.5), (1000.0, 1.0)],
     )
     def test_matches_explicit_loop(self, A, alpha):
         k0 = _pole_direct_terms(A, alpha)
-        checkpoints = {1, k0, k0 + 1, 500, 2000, 4000}
+        checkpoints = {k0, k0 + 1, 500, 2000, 4000}
         loop = explicit_partial_sums(
             lambda k: ti2(A / (k * PI - alpha)) - ti2(A / (k * PI + alpha)), checkpoints
         )
+        full = _pole_bracket(A, alpha).value
         for K in sorted(checkpoints):
-            got = _pole_bracket(A, alpha, K)
-            if K <= k0:  # no Hurwitz tail: the same loop, bit for bit
-                assert got == loop[K], (A, alpha, K)
-            else:
-                assert abs(got - loop[K]) <= 1e-13, (A, alpha, K)
+            got = full - _pole_tail(A, alpha, K).value
+            assert abs(got - loop[K]) <= 1e-13, (A, alpha, K)
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_catalan_family_brackets(self, n):
         # The corollary-3 sum in its own form, Ti2(1/(nk-1)) - Ti2(1/(nk+1)).
         k0 = _pole_direct_terms(PI / n, PI / n)
-        checkpoints = {1, k0, k0 + 1, 500, 2000, 4000}
+        checkpoints = {k0, k0 + 1, 500, 2000, 4000}
         loop = explicit_partial_sums(
             lambda k: ti2(1.0 / (n * k - 1)) - ti2(1.0 / (n * k + 1)), checkpoints
         )
+        full = _pole_bracket(PI / n, PI / n).value
         for K in sorted(checkpoints):
-            assert abs(_pole_bracket(PI / n, PI / n, K) - loop[K]) <= 1e-13, (n, K)
+            got = full - _pole_tail(PI / n, PI / n, K).value
+            assert abs(got - loop[K]) <= 1e-13, (n, K)
 
     def test_ratio_stays_below_a_quarter(self):
         for A, alpha in ((0.01, 3.1), (1.0, 1.0), (7.0, 0.3), (1e4, 2.0)):
@@ -265,23 +296,26 @@ class TestRemark1:
 
 class TestCatalanFamily:
     def test_n2_reduces_to_telescoping(self):
-        # The hyperbolic term vanishes at alpha = pi/2.
+        # The hyperbolic term vanishes at alpha = pi/2, and the K-term partial
+        # sum telescopes to G - Ti2(1/(2K+1)).
         assert abs(h_series(PI / 2.0, PI / 2.0).value) < 1e-13
-        report = catalan_family(2, 500)
+        report = catalan_family(2)
+        telescoped = remark1_partial(500) + ti2(1.0 / 1001.0)
         assert report.rhs == pytest.approx(
-            remark1_partial(500) + h_series(PI / 2.0, PI / 2.0).value, abs=1e-13
+            telescoped + h_series(PI / 2.0, PI / 2.0).value, abs=1e-13
         )
         assert report.passed
 
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
     def test_family_members(self, n):
-        report = catalan_family(n, 2000)
+        report = catalan_family(n)
         assert report.passed
-        assert report.abs_residual <= 2.0 / (n * n * 2000) + 1e-8
+        assert report.abs_residual <= 1e-13
+        assert report.tail_bound <= 1e-14
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            catalan_family(1, 100)
+            catalan_family(1)
 
 
 class TestSR:
@@ -342,18 +376,18 @@ class TestK1:
 
 class TestLemma1:
     def test_default_assembly_reproduces_catalan(self):
-        report = lemma1_catalan(8, 18)
+        report = lemma1_catalan(8)
         assert report.passed
         assert report.abs_residual <= report.tail_bound + 1e-12
         assert report.abs_residual < 1e-8
 
     def test_deeper_truncation_reaches_1e10(self):
-        report = lemma1_catalan(12, 18)
+        report = lemma1_catalan(12)
         assert report.abs_residual < 1e-10
 
     def test_truncation_error_matches_first_omitted_term(self):
         # At N=1 the residual is dominated by the n=2 term S_5/25.
-        r1 = lemma1_catalan(1, 18)
+        r1 = lemma1_catalan(1)
         n2_term = s_r(5) / 25.0
         assert r1.abs_residual == pytest.approx(n2_term, rel=0.15)
 
@@ -373,5 +407,5 @@ class TestLemma1:
         assert abs(flipped - g) > 1e-2
 
     def test_residuals_alternate_and_shrink(self):
-        residuals = [lemma1_catalan(n, 18).abs_residual for n in (1, 2, 4, 8)]
+        residuals = [lemma1_catalan(n).abs_residual for n in (1, 2, 4, 8)]
         assert all(r2 < r1 for r1, r2 in zip(residuals, residuals[1:]))

@@ -273,6 +273,36 @@ class TestCli:
         assert res.returncode == 2
         assert "workers" in res.stderr
 
+    def test_removed_j_flag_exits_2(self):
+        res = run_cli("verify", "lemma1", "--J", "40")
+        assert res.returncode == 2
+        assert "--J" in res.stderr
+
+    def test_removed_j_config_key_exits_2(self, tmp_path):
+        cfg = tmp_path / "ti2kit.cfg"
+        cfg.write_text("J=40\n")
+        res = run_cli("verify", "lemma1", "--config", str(cfg))
+        assert res.returncode == 2
+        assert "J" in res.stderr
+
+    def test_pointwise_far_abscissa_is_not_vacuous(self):
+        # No tail bound may cover the residual: the pole sum runs to the end.
+        res = run_cli("verify", "pointwise", "--alpha", "1", "--A", "1e6", "--format", "json")
+        assert res.returncode == 0
+        (report,) = json.loads(res.stdout)
+        assert report["pass"] is True
+        assert report["abs_residual"] < 1e-12
+        assert "tail_bound" not in report
+
+    def test_corollary3_ignores_remark1_depth(self):
+        # --K is Remark 1's depth only; corollary 3 sums every bracket.
+        res = run_cli("verify", "corollary3", "--n", "2", "--K", "1", "--format", "json")
+        assert res.returncode == 0
+        (report,) = json.loads(res.stdout)
+        assert report["pass"] is True
+        assert report["abs_residual"] < 1e-12
+        assert report["params"] == {"n": 2}
+
     def test_config_parse_error_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("not a key value line\n")
