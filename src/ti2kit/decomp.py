@@ -21,8 +21,17 @@ alpha = 1 through the Ti2 power series yields the Hurwitz-zeta form
         = pi^{-r} [ zeta(r, 1 - 1/pi) - zeta(r, 1 + 1/pi) ]   (r > 1),
 
 with S_1 = 1 - cot(1) from the cotangent partial fractions and K(1) in
-closed form through the exponential integral, log-gamma, and the sine-log
-sum.
+closed form through the exponential integral and the sine-log sum.
+
+H(A, alpha) has two routes, chosen by A.  Below A = 3 (_H_QUADRATURE_BELOW)
+the integrand arctan(cot(alpha) tanh x)/x is integrated by adaptive
+Gauss-Kronrod quadrature; it is analytic in the strip |Im x| < min(alpha,
+pi - alpha), so the rule converges fast there.  From A = 3 on, H is the
+exponential-integral series of the Fourier expansion, ceil(16.1/A) <= 6
+terms.  Below A = 3 that series grows as 1/A and loses digits to
+cancellation (1395 terms and 1.2e-12 relative at A = 0.01); there it serves
+only when a depth J is asked for, and for Lemma 1's K(1), whose statement
+it is.
 
 Corollary 2's bracket sum (and the Catalan family's, its A = alpha = pi/n
 case) is summed over every k with a fixed number of Ti2 calls.  The first
@@ -45,15 +54,22 @@ from __future__ import annotations
 
 import math
 
-from .numerics import DomainError, SeriesResult, integrate_adaptive, sum_series
+from .numerics import (
+    DomainError,
+    QuadratureResult,
+    SeriesResult,
+    integrate_adaptive,
+    sum_series,
+)
 from .report import IdentityReport
 from .special import (
+    EULER_GAMMA,
+    _sine_log_sum,
     catalan_reference,
     cot_partial_fraction_sum,
     digamma_gap,
     ei_negative,
     hurwitz_zeta,
-    log_gamma,
     loggamma_im_gap,
 )
 from .ti2core import ti2
@@ -146,6 +162,17 @@ def pointwise_identity(alpha: float, x: float, *, tolerance: float = 1e-12) -> I
     )
 
 
+def _h_integral(A: float, alpha: float, tol: float) -> QuadratureResult:
+    # integral_0^A arctan(cot(alpha) tanh x)/x dx; the integrand tends to
+    # cot(alpha) at x -> 0+ and is smooth on (0, A].
+    cot = math.cos(alpha) / math.sin(alpha)
+
+    def f(x: float) -> float:
+        return math.atan(cot * math.tanh(x)) / x
+
+    return integrate_adaptive(f, 0.0, A, tol, limit_lo=cot, limit_hi=f(A))
+
+
 def h_quadrature(A: float, alpha: float, tol: float = 1e-11) -> float:
     """H(A, alpha) = integral_0^A arctan(cot(alpha) tanh x)/x dx by quadrature.
 
@@ -154,12 +181,7 @@ def h_quadrature(A: float, alpha: float, tol: float = 1e-11) -> float:
     _check_alpha(alpha)
     if not A > 0.0:
         raise DomainError(f"h_quadrature requires A > 0, got {A!r}")
-    cot = math.cos(alpha) / math.sin(alpha)
-
-    def f(x: float) -> float:
-        return math.atan(cot * math.tanh(x)) / x
-
-    return integrate_adaptive(f, 0.0, A, tol, limit_lo=cot, limit_hi=f(A)).value
+    return _h_integral(A, alpha, tol).value
 
 
 def default_ei_truncation(A: float) -> int:
@@ -167,27 +189,57 @@ def default_ei_truncation(A: float) -> int:
     return max(1, math.ceil(7.0 * math.log(10.0) / A))
 
 
-def h_series(A: float, alpha: float, J: int | None = None) -> SeriesResult:
-    """H(A, alpha) by termwise integration of the Fourier expansion.
+# h_series integrates below this A and sums the Ei series from it on.  Mean
+# h_series cost over 200 points stratified like perfbench's H pool (A
+# log-uniform in [0.01, 10], alpha uniform in [0.01, pi - 0.01]), 2 vCPUs,
+# Python 3.11: 18.8-21.4 us for every crossover in [1, 3], 25 us at 5,
+# 33 us for quadrature throughout, 978 us for the series throughout.  Of
+# that flat range the top is taken: the quadrature is the more accurate
+# route (worst 2.5e-16 against 3.4e-15 of |H| + 1, mpmath at 30 digits),
+# and A < 3 puts every corollary 2 and 3 grid point on it.
+_H_QUADRATURE_BELOW = 3.0
+_H_QUADRATURE_TOL = 1e-13
 
+
+def h_series(A: float, alpha: float, J: int | None = None) -> SeriesResult:
+    """H(A, alpha) = integral_0^A arctan(cot(alpha) tanh x)/x dx, by one of two routes.
+
+    With the default ``J=None``, A below 3 is integrated by adaptive
+    Gauss-Kronrod quadrature to absolute tolerance 1e-13 (the
+    exponential-integral series would need ceil(16.1/A) terms there and
+    lose digits to cancellation).  On that route ``terms_used`` is the
+    number of integrand evaluations and ``tail_bound`` the quadrature's
+    error estimate.
+
+    From A = 3 on, or at any A when a depth ``J`` is given, H is summed by
+    termwise integration of the Fourier expansion.
     arctan(cot(alpha) tanh x) = -sum_j sin(2 j alpha)/j (e^{-2jx} - 1)
     integrates termwise to -sum_j sin(2 j alpha)/j * T(2 j A) with
     T(xi) = Ei(-xi) - gamma - log(xi).  The gamma and log pieces of T make
     that series only conditionally convergent, so they are summed in closed
     form first (the sawtooth sum_j sin(2 j alpha)/j = pi/2 - alpha and the
-    sine-log sum via the log-gamma Fourier expansion), leaving
+    sine-log sum via Kummer's log-gamma Fourier series), leaving
 
         H = -sum_{j<=J} sin(2 j alpha)/j * Ei(-2 j A)
-            + (pi/2 - alpha) log(A/pi) + pi logGamma(alpha/pi)
-            - (pi/2) log(pi / sin alpha)
+            + (pi/2 - alpha)(gamma + log 2A) + sum_j sin(2 j alpha) log(j)/j.
 
-    whose truncation tail is geometric: |Ei(-xi)| <= e^{-xi}/xi gives the
-    bound e^{-2JA}/(2 A J^2 (1 - e^{-2A})).
+    The Ei sum stops at J terms or once its tail bound falls below 1e-15;
+    ``terms_used`` is the number of Ei terms and ``tail_bound`` the
+    truncation bound, geometric because |Ei(-xi)| <= e^{-xi}/xi gives
+    e^{-2JA}/(2 A J^2 (1 - e^{-2A})).  Without ``J`` the depth is
+    ceil(16.1/A).
     """
     _check_alpha(alpha)
     if not A > 0.0:
         raise DomainError(f"h_series requires A > 0, got {A!r}")
     if J is None:
+        if A < _H_QUADRATURE_BELOW:
+            quad = _h_integral(A, alpha, _H_QUADRATURE_TOL)
+            return SeriesResult(
+                value=quad.value,
+                terms_used=quad.evaluations,
+                tail_bound=quad.abs_error_estimate,
+            )
         J = default_ei_truncation(A)
     if J < 1:
         raise DomainError(f"h_series requires J >= 1, got {J!r}")
@@ -201,9 +253,8 @@ def h_series(A: float, alpha: float, J: int | None = None) -> SeriesResult:
     )
     value = (
         ser.value
-        + (PI / 2.0 - alpha) * math.log(A / PI)
-        + PI * log_gamma(alpha / PI)
-        - (PI / 2.0) * math.log(PI / math.sin(alpha))
+        + (PI / 2.0 - alpha) * (EULER_GAMMA + math.log(2.0 * A))
+        + _sine_log_sum(alpha)
     )
     return SeriesResult(
         value=value,
@@ -283,11 +334,11 @@ def _pole_bracket(A: float, alpha: float) -> SeriesResult:
     )
 
 
-def corollary2_series(A: float, alpha: float, *, tolerance: float = 1e-9) -> IdentityReport:
+def corollary2_series(A: float, alpha: float, *, tolerance: float = 1e-12) -> IdentityReport:
     """Check Ti2(A/alpha) against H(A, alpha) plus the full bracket sum.
 
     The reported tail adds the bracket sum's Hurwitz n-series bound to the
-    H-series tail.
+    tail bound of h_series (its quadrature error estimate below A = 3).
     """
     _check_alpha(alpha)
     if not A > 0.0:
@@ -322,7 +373,7 @@ def remark1_partial(K: int) -> float:
     return total
 
 
-def catalan_family(n: int, *, tolerance: float = 1e-8) -> IdentityReport:
+def catalan_family(n: int, *, tolerance: float = 1e-12) -> IdentityReport:
     """The n-th Catalan decomposition: A = alpha = pi/n, n >= 2.
 
         G = H(pi/n, pi/n) + sum_k [ Ti2(1/(n k - 1)) - Ti2(1/(n k + 1)) ]
@@ -364,13 +415,14 @@ def s_r(r: int) -> float:
 def k1_closed() -> float:
     """K(1) = H(1, 1), the hyperbolic term of the A = 1 family, in closed form:
 
-        K(1) = -sum_j sin(2j)/j Ei(-2j) + pi logGamma(1/pi)
-               + (1 - pi/2) log(pi) - (pi/2) log(pi / sin 1),
+        K(1) = -sum_j sin(2j)/j Ei(-2j) + (pi/2 - 1)(gamma + log 2)
+               + sum_j sin(2j) log(j)/j,
 
-    which is h_series at A = alpha = 1.  The exponential-integral sum stops
-    once its tail bound falls below 1e-15 (15 terms).
+    which is h_series' exponential-integral route at A = alpha = 1, asked
+    for by its depth because this form is Lemma 1's statement.  The sum
+    stops once its tail bound falls below 1e-15 (15 terms).
     """
-    return h_series(1.0, 1.0).value
+    return h_series(1.0, 1.0, default_ei_truncation(1.0)).value
 
 
 def lemma1_catalan(N: int = 8, *, tolerance: float = 1e-10) -> IdentityReport:
@@ -387,7 +439,7 @@ def lemma1_catalan(N: int = 8, *, tolerance: float = 1e-10) -> IdentityReport:
     """
     if N < 1:
         raise DomainError(f"lemma1_catalan requires N >= 1, got {N!r}")
-    k1 = h_series(1.0, 1.0)
+    k1 = h_series(1.0, 1.0, default_ei_truncation(1.0))
     value = k1.value + s_r(1)
     for n in range(1, N + 1):
         coeff = (-1.0) ** n / float((2 * n + 1) ** 2)

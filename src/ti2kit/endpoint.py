@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .numerics import (
     DomainError,
@@ -58,8 +58,7 @@ PI = math.pi
 ADMISSIBILITY_MARGIN = 1e-12
 
 
-@dataclass(frozen=True)
-class AdmissibilityResult:
+class AdmissibilityResult(NamedTuple):
     """Outcome of the admissibility test 0 < psi(a) < phi_a(pi)."""
 
     a: float
@@ -69,8 +68,7 @@ class AdmissibilityResult:
     boundary: bool = False
 
 
-@dataclass(frozen=True)
-class EndpointSolution:
+class EndpointSolution(NamedTuple):
     """Solved endpoint b(a) with the residual |phi_a(b) - psi(a)|."""
 
     a: float

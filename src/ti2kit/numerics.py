@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 
 class DomainError(ValueError):
@@ -35,8 +34,7 @@ class BudgetError(RuntimeError):
         self.best = best
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(NamedTuple):
     """Value of an adaptive integral together with its error estimate."""
 
     value: float
@@ -44,8 +42,7 @@ class QuadratureResult:
     evaluations: int
 
 
-@dataclass(frozen=True)
-class SeriesResult:
+class SeriesResult(NamedTuple):
     """Partial sum of a series with a rigorous bound on the omitted tail.
 
     When the supplied tail-bound function is valid, the true sum lies in

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from fractions import Fraction
 
 from .numerics import DomainError
 
@@ -47,32 +46,35 @@ class BranchCutError(DomainError):
     """Argument lies on the open branch cut (1, oo); use the boundary operation."""
 
 
-# Bernoulli numbers B_0 .. B_34 (odd ones beyond B_1 vanish).
+# Bernoulli numbers B_0 .. B_34 as (numerator, denominator); odd ones
+# beyond B_1 vanish.
 _BERNOULLI = {
-    0: Fraction(1),
-    1: Fraction(-1, 2),
-    2: Fraction(1, 6),
-    4: Fraction(-1, 30),
-    6: Fraction(1, 42),
-    8: Fraction(-1, 30),
-    10: Fraction(5, 66),
-    12: Fraction(-691, 2730),
-    14: Fraction(7, 6),
-    16: Fraction(-3617, 510),
-    18: Fraction(43867, 798),
-    20: Fraction(-174611, 330),
-    22: Fraction(854513, 138),
-    24: Fraction(-236364091, 2730),
-    26: Fraction(8553103, 6),
-    28: Fraction(-23749461029, 870),
-    30: Fraction(8615841276005, 14322),
-    32: Fraction(-7709321041217, 510),
-    34: Fraction(2577687858367, 6),
+    0: (1, 1),
+    1: (-1, 2),
+    2: (1, 6),
+    4: (-1, 30),
+    6: (1, 42),
+    8: (-1, 30),
+    10: (5, 66),
+    12: (-691, 2730),
+    14: (7, 6),
+    16: (-3617, 510),
+    18: (43867, 798),
+    20: (-174611, 330),
+    22: (854513, 138),
+    24: (-236364091, 2730),
+    26: (8553103, 6),
+    28: (-23749461029, 870),
+    30: (8615841276005, 14322),
+    32: (-7709321041217, 510),
+    34: (2577687858367, 6),
 }
 
-# Coefficient of w^{k+1} in the log-series: B_k / ((k+1) * k!).
+# Coefficient of w^{k+1} in the log-series: B_k / ((k+1) * k!).  The integer
+# quotient num / den is correctly rounded, as float(Fraction(num, den)) is.
 _LOG_SERIES_COEFF = tuple(
-    float(_BERNOULLI.get(k, 0)) / ((k + 1) * math.factorial(k)) for k in range(35)
+    _BERNOULLI[k][0] / _BERNOULLI[k][1] / ((k + 1) * math.factorial(k)) if k in _BERNOULLI else 0.0
+    for k in range(35)
 )
 
 _INVERSION_THRESHOLD = 1.0 + 1e-8

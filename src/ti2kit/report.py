@@ -11,24 +11,23 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, TextIO
+from typing import NamedTuple, Optional, Sequence, TextIO
 
 __all__ = ["IdentityReport", "render_json", "render_table", "write_reports"]
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """One verified identity at one grid point.
 
     Invariants: ``abs_residual == |lhs - rhs|`` exactly as computed, and
     ``passed`` is ``abs_residual <= tolerance + (tail_bound or 0)``.  Use
     :meth:`build` so both are enforced by construction.  The wire name of
-    ``passed`` is ``pass``.
+    ``passed`` is ``pass``.  Equality compares every field, ``params``
+    included.
     """
 
     name: str
-    params: dict[str, float] = field(compare=False)
+    params: dict[str, float]
     lhs: float
     rhs: float
     abs_residual: float

@@ -10,7 +10,6 @@ order, so runs are deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import decomp, endpoint
@@ -23,29 +22,42 @@ __all__ = ["IDENTITY_NAMES", "VerificationConfig", "run_identity", "run_all"]
 PI = math.pi
 
 
-@dataclass
+_ALPHA_X_GRID = tuple(
+    (a, x) for a in (0.4, 1.0, 1.6, 2.2, 2.8) for x in (0.8, 1.6, 2.4, 3.2, 4.0)
+)
+
+
 class VerificationConfig:
     """Grids, truncations, tolerances, and output options for verify runs."""
 
-    a_grid: Sequence[float] = (0.5, 0.75, 1.0, 1.5, 2.0)
-    theta_grid: Sequence[float] = (PI / 12, PI / 8, PI / 6, PI / 4, PI / 3)
-    n_grid: Sequence[int] = (2, 3, 4, 6)
-    A_alpha_grid: Sequence[tuple[float, float]] = (
-        (1.0, 1.0),
-        (1.0, PI / 2),
-        (0.5, 0.5),
-        (2.0, 2.5),
-    )
-    alpha_x_grid: Sequence[tuple[float, float]] = tuple(
-        (a, x)
-        for a in (0.4, 1.0, 1.6, 2.2, 2.8)
-        for x in (0.8, 1.6, 2.4, 3.2, 4.0)
-    )
-    K: int = 10  # Remark 1 partial-sum depth
-    N: int = 8  # Lemma 1 Hurwitz series depth
-    tolerances: dict[str, float] = field(default_factory=dict)
-    format: str = "table"
-    out: Optional[str] = None
+    def __init__(
+        self,
+        a_grid: Sequence[float] = (0.5, 0.75, 1.0, 1.5, 2.0),
+        theta_grid: Sequence[float] = (PI / 12, PI / 8, PI / 6, PI / 4, PI / 3),
+        n_grid: Sequence[int] = (2, 3, 4, 6),
+        A_alpha_grid: Sequence[tuple[float, float]] = (
+            (1.0, 1.0),
+            (1.0, PI / 2),
+            (0.5, 0.5),
+            (2.0, 2.5),
+        ),
+        alpha_x_grid: Sequence[tuple[float, float]] = _ALPHA_X_GRID,
+        K: int = 10,  # Remark 1 partial-sum depth
+        N: int = 8,  # Lemma 1 Hurwitz series depth
+        tolerances: Optional[dict[str, float]] = None,
+        format: str = "table",
+        out: Optional[str] = None,
+    ):
+        self.a_grid = a_grid
+        self.theta_grid = theta_grid
+        self.n_grid = n_grid
+        self.A_alpha_grid = A_alpha_grid
+        self.alpha_x_grid = alpha_x_grid
+        self.K = K
+        self.N = N
+        self.tolerances = {} if tolerances is None else tolerances
+        self.format = format
+        self.out = out
 
     def validate(self) -> None:
         for name, tol in self.tolerances.items():
@@ -102,7 +114,11 @@ def _remark1(K: int, cfg: VerificationConfig, tol: float) -> IdentityReport:
 # name -> (default tolerance, points(cfg), check(point, cfg, tol)).
 # Default tolerances: 1e-9 where a quadrature sits on one side, 1e-10 for
 # purely series/closed-form comparisons.  Truncated series carry their own
-# tail bounds on top.
+# tail bounds on top.  corollary2 and corollary3 sum their pole series to
+# the end: over 4000 seeded corollary2 points (A log-stratified in [0.05, 2],
+# alpha uniform in [0.2, 3]) the worst residual was 2.4e-15, and over
+# corollary3's n = 2..12 it was 1.1e-16, so 1e-12 leaves a factor of about
+# 400 for other platforms' libm while a 1e-11 error in either sum fails.
 _IDENTITIES = {
     "theorem1": (
         1e-9,
@@ -111,12 +127,12 @@ _IDENTITIES = {
     ),
     "corollary1": (1e-10, lambda cfg: [None], _corollary1),
     "corollary2": (
-        1e-9,
+        1e-12,
         lambda cfg: cfg.A_alpha_grid,
         lambda p, cfg, tol: decomp.corollary2_series(p[0], p[1], tolerance=tol),
     ),
     "corollary3": (
-        1e-8,
+        1e-12,
         lambda cfg: cfg.n_grid,
         lambda n, cfg, tol: decomp.catalan_family(n, tolerance=tol),
     ),

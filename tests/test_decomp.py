@@ -1,10 +1,12 @@
 import math
+import random
 import time
 
 import numpy as np
 import pytest
 
 from ti2kit.decomp import (
+    _H_QUADRATURE_BELOW,
     _XI_DIRECT_TERMS,
     _pole_bracket,
     _pole_direct_terms,
@@ -12,6 +14,7 @@ from ti2kit.decomp import (
     _xi_sum,
     catalan_family,
     corollary2_series,
+    default_ei_truncation,
     h_quadrature,
     h_series,
     k1_closed,
@@ -181,6 +184,65 @@ class TestHRoutes:
             h_quadrature(0.0, 1.0)
         with pytest.raises(DomainError):
             h_series(1.0, PI)
+
+
+def _h_reference(mpmath, A: float, alpha: float):
+    # Breakpoints at s, 4s, 16s, ... with s = min(alpha, pi - alpha), the
+    # distance to the integrand's nearest singularities x = +-i s.
+    cot = mpmath.cot(mpmath.mpf(alpha))
+    s = min(alpha, PI - alpha)
+    pts = [0]
+    while s < A:
+        pts.append(s)
+        s *= 4.0
+    pts.append(A)
+    return mpmath.quad(lambda x: mpmath.atan(cot * mpmath.tanh(x)) / x, pts)
+
+
+class TestHSeriesDefaultRoute:
+    """h_series without J: quadrature below _H_QUADRATURE_BELOW, the Ei series from it on."""
+
+    def test_against_mpmath(self):
+        # One seeded point per (log A, alpha) stratum, the corners, both
+        # sides of the crossover, and a dense alpha band around pi/2 on the
+        # Ei route, where log_gamma(a) - log_gamma(1 - a) cost up to 1.9e-14.
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(6)
+        n_a, n_alpha = 14, 12
+        points = [
+            (1e-6 * 1e7 ** ((i + rng.random()) / n_a),
+             0.01 + (PI - 0.02) * (j + rng.random()) / n_alpha)
+            for i in range(n_a)
+            for j in range(n_alpha)
+        ]
+        below = math.nextafter(_H_QUADRATURE_BELOW, 0.0)
+        points += [(A, alpha) for A in (1e-6, below, _H_QUADRATURE_BELOW, 10.0)
+                   for alpha in (0.01, PI / 2.0 - 1e-3, PI - 0.01)]
+        points += [(A, 1.2 + 0.75 * k / 40) for A in (3.0, 4.5, 7.0, 10.0) for k in range(41)]
+        with mpmath.workdps(30):
+            for A, alpha in points:
+                ref = _h_reference(mpmath, A, alpha)
+                err = abs(h_series(A, alpha).value - ref)
+                assert err <= 1e-14 * (abs(ref) + 1), (A, alpha, float(err))
+
+    def test_route_and_counts_switch_at_crossover(self):
+        below = h_series(math.nextafter(_H_QUADRATURE_BELOW, 0.0), 1.0)
+        assert below.terms_used % 15 == 0  # GK15 panels: integrand evaluations
+        assert below.tail_bound <= 1e-13
+        at = h_series(_H_QUADRATURE_BELOW, 1.0)
+        assert at.terms_used <= default_ei_truncation(_H_QUADRATURE_BELOW)
+        assert at.tail_bound <= 1e-15
+        assert at.value == h_series(_H_QUADRATURE_BELOW, 1.0, 100).value
+
+    @pytest.mark.parametrize("A, alpha", [(1e-6, 1.0), (0.01, 0.01)])
+    def test_small_A_costs_under_a_millisecond(self, A, alpha):
+        # The Ei series needs ceil(16.1/A) terms here: 16.1 million at 1e-6.
+        best = math.inf
+        for _ in range(5):
+            t0 = time.perf_counter()
+            h_series(A, alpha)
+            best = min(best, time.perf_counter() - t0)
+        assert best < 1e-3
 
 
 class TestCorollary2:

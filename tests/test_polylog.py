@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,8 @@ from conftest import (
 )
 from ti2kit.numerics import DomainError, integrate_adaptive
 from ti2kit.polylog import (
+    _BERNOULLI,
+    _LOG_SERIES_COEFF,
     BranchCutError,
     clausen2,
     li2,
@@ -24,6 +27,15 @@ from ti2kit.polylog import (
 
 PI = math.pi
 PI2_6 = PI * PI / 6.0
+
+
+def test_log_series_coefficients_match_fractions():
+    # B_k / ((k+1) k!) with B_k rounded once from the exact fraction.
+    for k, coeff in enumerate(_LOG_SERIES_COEFF):
+        b = Fraction(*_BERNOULLI[k]) if k in _BERNOULLI else Fraction(0)
+        assert coeff == float(b) / ((k + 1) * math.factorial(k)), k
+    assert len(_LOG_SERIES_COEFF) == 35
+    assert Fraction(*_BERNOULLI[12]) == Fraction(-691, 2730)
 
 
 class TestLi2:

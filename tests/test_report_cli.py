@@ -318,14 +318,34 @@ class TestCli:
 
 
 class TestImportFootprint:
+    # dataclasses pulls in inspect, ast, dis and tokenize, and fractions
+    # pulls in decimal: 1.3 MB of RSS in every ti2kit process.
     @pytest.mark.parametrize("module", ["ti2kit", "ti2kit.cli"])
     def test_no_numpy_or_thread_pool_on_import(self, module):
+        unwanted = ("numpy", "concurrent.futures", "dataclasses", "fractions")
         probe = (
             f"import sys, {module}; "
-            "print(sorted(m for m in ('numpy', 'concurrent.futures') if m in sys.modules))"
+            f"print(sorted(m for m in {unwanted!r} if m in sys.modules))"
         )
         res = subprocess.run(
             [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60
         )
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == "[]"
+
+
+class TestCorollaryTolerances:
+    @pytest.mark.parametrize("identity", ["corollary2", "corollary3"])
+    def test_error_of_1e11_in_H_fails_verify(self, identity, monkeypatch, capsys):
+        from ti2kit import decomp
+        from ti2kit.cli import main
+
+        assert main(["verify", identity]) == 0
+        h_series = decomp.h_series
+
+        def shifted(*args):
+            h = h_series(*args)
+            return h._replace(value=h.value + 1e-11)
+
+        monkeypatch.setattr(decomp, "h_series", shifted)
+        assert main(["verify", identity]) == 1

@@ -17,6 +17,7 @@ from ti2kit.special import (
     ei_negative,
     expint_T,
     hurwitz_zeta,
+    _sine_log_sum,
     kummer_sine_log_sum,
     log_gamma,
     loggamma_im_gap,
@@ -110,6 +111,16 @@ class TestAgainstMpmath:
             for c in log_grid(1e-2, 1e6, 33) + [2.0 * s + 29.5, 2.0 * s + 30.5]:
                 ref = mp.zeta(s, c)
                 assert abs(hurwitz_zeta(float(s), c) - ref) <= 1e-14 * ref, (s, c)
+
+    def test_sine_log_sum(self, mp):
+        # Kummer: pi logGamma(a) - (pi/2) log(pi/sin alpha) - (pi/2 - alpha)(gamma + log 2pi),
+        # a = alpha/pi; alpha near pi/2 is where log_gamma(a) - log_gamma(1 - a)
+        # would lose ~1e-14.
+        for alpha in (0.01, 0.3, 1.0, 1.5, PI / 2.0, 1.6, 2.5, PI - 0.01):
+            a = mp.mpf(alpha)
+            ref = (mp.pi * mp.loggamma(a / mp.pi) - mp.pi / 2 * mp.log(mp.pi / mp.sin(a))
+                   - (mp.pi / 2 - a) * (mp.euler + mp.log(2 * mp.pi)))
+            assert abs(_sine_log_sum(alpha) - ref) <= 4e-15 * (abs(ref) + 1), alpha
 
     def test_ei_negative(self, mp):
         # (2, 6] included: the series used to lose ~1e-11 relative there.
