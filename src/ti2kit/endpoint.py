@@ -19,6 +19,11 @@ and G = b(1)^2/4 - (pi/4) log 2, which is the Catalan evaluation this module
 exposes.  The identity check here deliberately evaluates I by quadrature
 while the solver works on the dilogarithm closed form, so the comparison is
 a genuine two-route test rather than algebra cancelling itself.
+
+Cost of one solve of b(a): the admissibility test (psi(a) and phi_a(pi),
+three dilogarithms), Li2(-a) once more, and one Li2(-a e^{ib}) per interior
+root step; phi_a(0) = 0 and phi_a(pi) come free, and the residual reuses the
+value at the returned root.  A theorem1 check tests admissibility once.
 """
 
 from __future__ import annotations
@@ -56,6 +61,13 @@ PI = math.pi
 # Strict-inequality margin for the admissibility test; values inside the
 # margin are flagged as boundary cases and excluded from solves.
 ADMISSIBILITY_MARGIN = 1e-12
+
+# phi takes its b = pi value at every b within this distance of pi.
+_PI_SNAP = 1e-12
+
+# theorem1's default quadrature and root-solve tolerances.
+_QUAD_TOL = 1e-11
+_SOLVER_TOL = 1e-12
 
 
 class AdmissibilityResult(NamedTuple):
@@ -153,7 +165,7 @@ def phi(a: float, b: float) -> float:
         raise DomainError(f"phi requires 0 <= b <= pi, got b={b!r}")
     if b == 0.0:
         return 0.0
-    if b >= PI - 1e-12:
+    if b >= PI - _PI_SNAP:
         return _phi_at_pi(a)
     return li2(-a * cmath.exp(1j * b)).real - li2(complex(-a, 0.0)).real
 
@@ -192,31 +204,59 @@ def solve_endpoint_b(
     sides and monotonicity of phi_a makes bisection sufficient.  Newton
     refinement via Arg(1 + a e^{ib}) is on by default; ``use_derivative=False``
     gives the bisection-only run used for dual-solver cross-checks.
+
+    One solve evaluates the admissibility test (psi(a) and phi_a(pi), three
+    dilogarithms), Li2(-a) once, and one Li2(-a e^{ib}) per interior root
+    step.  ``iterations`` counts the phi_a values the root finder asked for,
+    the two bracket ends included, so a solve makes ``iterations + 2``
+    dilogarithm calls (one more if the solver stops on a bracket midpoint
+    it never evaluated, whose residual then needs one).
     """
-    adm = admissibility(a)
+    return _solve(admissibility(a), tol, use_derivative)
+
+
+def _solve(
+    adm: AdmissibilityResult, tol: float, use_derivative: bool = True
+) -> EndpointSolution:
+    # solve_endpoint_b for an admissibility result already in hand: phi_a
+    # with Li2(-a) computed once and phi_a(pi) taken from the test.  g
+    # counts the solver's evaluations and keeps the last one, which is the
+    # residual's phi_a(b) unless the solver returned a bracket midpoint.
+    a = adm.a
     if not adm.admissible:
         raise DomainError(
             f"a={a!r} is not admissible (psi={adm.psi!r}, phi_pi={adm.phi_pi!r})"
         )
+    li2_minus_a = li2(complex(-a, 0.0)).real
+
+    def phi_a(b: float) -> float:
+        if b == 0.0:
+            return 0.0
+        if b >= PI - _PI_SNAP:
+            return adm.phi_pi
+        return li2(-a * cmath.exp(1j * b)).real - li2_minus_a
+
     evals = 0
+    last = (math.nan, math.nan)
 
     def g(b: float) -> float:
-        nonlocal evals
+        nonlocal evals, last
         evals += 1
-        return phi(a, b)
+        last = (b, phi_a(b))
+        return last[1]
 
     deriv = (lambda b: phi_derivative(a, b)) if use_derivative else None
     b = find_root_increasing(g, 0.0, PI, adm.psi, tol, derivative=deriv)
-    residual = abs(phi(a, b) - adm.psi)
-    return EndpointSolution(a=a, b=b, residual=residual, iterations=evals)
+    phi_b = last[1] if last[0] == b else phi_a(b)
+    return EndpointSolution(a=a, b=b, residual=abs(phi_b - adm.psi), iterations=evals)
 
 
 def theorem1_identity(
     a: float,
     tolerance: float = 1e-9,
     *,
-    quad_tol: float = 1e-11,
-    solver_tol: float = 1e-12,
+    quad_tol: float = _QUAD_TOL,
+    solver_tol: float = _SOLVER_TOL,
 ) -> IdentityReport:
     """Check Ti2(a) against the tunable-endpoint right-hand side.
 
@@ -226,8 +266,20 @@ def theorem1_identity(
         arctan(a) log(a) + I(a, b) - pi*b/2 + b^2/2 - (pi/4) log(a^2 + 1)
 
     with I by *quadrature*, keeping the two sides on independent routes.
+    ``terms_used`` is the solve's ``iterations``.
     """
-    sol = solve_endpoint_b(a, solver_tol)
+    return _theorem1(admissibility(a), tolerance, quad_tol, solver_tol)
+
+
+def _theorem1(
+    adm: AdmissibilityResult,
+    tolerance: float,
+    quad_tol: float = _QUAD_TOL,
+    solver_tol: float = _SOLVER_TOL,
+) -> IdentityReport:
+    # theorem1_identity for an admissibility result already in hand.
+    a = adm.a
+    sol = _solve(adm, solver_tol)
     quad = aux_integral_I(a, sol.b, quad_tol)
     rhs = (
         math.atan(a) * math.log(a)
@@ -244,6 +296,7 @@ def theorem1_identity(
         tolerance=tolerance,
         method_lhs=ti2_method(a),
         method_rhs=f"{METHOD_QUADRATURE}+root-solve",
+        terms_used=sol.iterations,
     )
 
 

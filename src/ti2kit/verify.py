@@ -82,6 +82,7 @@ def _corollary1(_point, cfg: VerificationConfig, tol: float) -> IdentityReport:
         tolerance=tol,
         method_lhs="alternating-series-acceleration",
         method_rhs="endpoint-root-solve",
+        terms_used=sol.iterations,
     )
 
 
@@ -112,6 +113,8 @@ def _remark1(K: int, cfg: VerificationConfig, tol: float) -> IdentityReport:
 
 
 # name -> (default tolerance, points(cfg), check(point, cfg, tol)).
+# theorem1's points are the admissibility results of the admissible a, so
+# the check solves from the test it was filtered by instead of redoing it.
 # Default tolerances: 1e-9 where a quadrature sits on one side, 1e-10 for
 # purely series/closed-form comparisons.  Truncated series carry their own
 # tail bounds on top.  corollary2 and corollary3 sum their pole series to
@@ -122,8 +125,8 @@ def _remark1(K: int, cfg: VerificationConfig, tol: float) -> IdentityReport:
 _IDENTITIES = {
     "theorem1": (
         1e-9,
-        lambda cfg: [a for a in cfg.a_grid if endpoint.admissibility(a).admissible],
-        lambda a, cfg, tol: endpoint.theorem1_identity(a, tolerance=tol),
+        lambda cfg: [r for r in map(endpoint.admissibility, cfg.a_grid) if r.admissible],
+        lambda adm, cfg, tol: endpoint._theorem1(adm, tol),
     ),
     "corollary1": (1e-10, lambda cfg: [None], _corollary1),
     "corollary2": (

@@ -1,9 +1,11 @@
 import cmath
 import math
+import random
 
 import pytest
 
 from conftest import central_difference
+from ti2kit import endpoint
 from ti2kit.endpoint import (
     admissibility,
     aux_closed_F,
@@ -15,10 +17,11 @@ from ti2kit.endpoint import (
     solve_endpoint_b,
     theorem1_identity,
 )
-from ti2kit.numerics import DomainError
+from ti2kit.numerics import DomainError, find_root_increasing
 from ti2kit.polylog import li2, li2_upper_boundary
 from ti2kit.special import catalan_reference
 from ti2kit.ti2core import ti2
+from ti2kit.verify import VerificationConfig, run_identity
 
 PI = math.pi
 
@@ -211,6 +214,97 @@ class TestSolveEndpoint:
     def test_inadmissible_rejected(self):
         with pytest.raises(DomainError):
             solve_endpoint_b(0.1)
+
+
+def _reference_solve(a, tol, use_derivative):
+    # The solve as first written: phi_a evaluated in full at every step and
+    # once more at the returned root.
+    target = psi(a)
+    evals = 0
+
+    def g(b):
+        nonlocal evals
+        evals += 1
+        return phi(a, b)
+
+    deriv = (lambda b: phi_derivative(a, b)) if use_derivative else None
+    b = find_root_increasing(g, 0.0, PI, target, tol, derivative=deriv)
+    return b, abs(phi(a, b) - target), evals
+
+
+def _seeded_admissible_a(n, seed=7):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < n:
+        a = math.exp(rng.uniform(math.log(0.4515), math.log(19.0)))
+        if admissibility(a).admissible:
+            out.append(a)
+    return out
+
+
+class TestSolveCost:
+    """What one solve evaluates: admissibility, Li2(-a), one Li2 per step."""
+
+    @pytest.fixture
+    def dilog_calls(self, monkeypatch):
+        """A one-item list counting endpoint's li2 and li2_upper_boundary calls."""
+        calls = [0]
+
+        def counted(fn):
+            def wrapper(*args):
+                calls[0] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(endpoint, "li2", counted(li2))
+        monkeypatch.setattr(endpoint, "li2_upper_boundary", counted(li2_upper_boundary))
+        return calls
+
+    @pytest.mark.parametrize("a", [0.46, 0.5, 1.0, 2.0, 18.9])
+    def test_dilog_calls_at_most_iterations_plus_two(self, a, dilog_calls):
+        sol = solve_endpoint_b(a)
+        assert dilog_calls[0] <= sol.iterations + 2, (dilog_calls[0], sol.iterations)
+
+    def test_theorem1_point_tests_admissibility_once(self, monkeypatch):
+        calls = 0
+        real = endpoint.admissibility
+
+        def counted(a):
+            nonlocal calls
+            calls += 1
+            return real(a)
+
+        monkeypatch.setattr(endpoint, "admissibility", counted)
+        reports = run_identity("theorem1", VerificationConfig(a_grid=(1.5,)))
+        assert len(reports) == 1 and reports[0].passed
+        assert calls == 1
+
+    @pytest.mark.parametrize("use_derivative", [True, False])
+    def test_bit_identical_to_reference_solve(self, use_derivative):
+        for a in _seeded_admissible_a(200):
+            sol = solve_endpoint_b(a, 1e-12, use_derivative=use_derivative)
+            assert (sol.b, sol.residual, sol.iterations) == _reference_solve(
+                a, 1e-12, use_derivative
+            ), a
+
+    def test_bit_identical_when_solver_stops_on_unevaluated_midpoint(self, dilog_calls):
+        # A tolerance no step can meet makes the solver return the midpoint
+        # of its last bracket, whose phi_a the residual then evaluates: one
+        # dilogarithm more than a solve that stops on an evaluated root.
+        for a in (0.46, 1.0, 2.0, 18.9):
+            dilog_calls[0] = 0
+            sol = solve_endpoint_b(a, 1e-300, use_derivative=False)
+            assert dilog_calls[0] == sol.iterations + 3
+            assert (sol.b, sol.residual, sol.iterations) == _reference_solve(
+                a, 1e-300, False
+            )
+
+    def test_reports_carry_solve_iterations(self):
+        sol = solve_endpoint_b(1.0)
+        assert theorem1_identity(1.0).terms_used == sol.iterations
+        (c1,) = run_identity("corollary1")
+        assert c1.terms_used == solve_endpoint_b(1.0, 1e-13).iterations > 2
 
 
 class TestTheorem1Identity:
