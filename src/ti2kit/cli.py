@@ -1,13 +1,13 @@
 """Command-line surface: compute single values, run identity verifications.
 
     ti2kit compute <fn> <args...>
-    ti2kit verify <identity|all> [--a --theta --n --A --alpha --K --N
+    ti2kit verify <identity|all> [--a --theta --n --A --alpha --K
                                   --tol --format json|table --out PATH
                                   --config PATH]
 
---K is Remark 1's partial-sum depth and --N the depth of Lemma 1's Hurwitz
-series; the pole sums of corollaries 2 and 3 and the pointwise identity are
-summed to the end and take no depth.
+--K is Remark 1's partial-sum depth; Lemma 1's Hurwitz series, the pole
+sums of corollaries 2 and 3 and the pointwise identity are summed to the
+end and take no depth.
 
 Exit codes: 0 all checks passed, 1 some check failed or no check ran,
 2 usage/config error, 3 domain error, 4 I/O error.
@@ -88,7 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--A", action="append", type=float, default=None)
     p_verify.add_argument("--alpha", action="append", type=float, default=None)
     p_verify.add_argument("--K", type=int, default=None, help="remark1 partial-sum depth")
-    p_verify.add_argument("--N", type=int, default=None, help="lemma1 Hurwitz series depth")
     p_verify.add_argument("--tol", type=float, default=None)
     p_verify.add_argument("--format", choices=("json", "table"), default=None)
     p_verify.add_argument("--out", default=None)
@@ -110,15 +109,15 @@ def _parse_config_file(path: str) -> dict[str, str]:
     return entries
 
 
-_CONFIG_KEYS = {"K", "N", "tol", "format", "out"}
+_CONFIG_KEYS = {"K", "tol", "format", "out"}
 
 
 def _apply_config(cfg: VerificationConfig, entries: dict[str, str], identity: str) -> None:
     for key, value in entries.items():
         if key not in _CONFIG_KEYS:
             raise ValueError(f"unknown config key {key!r}")
-        if key in ("K", "N"):
-            setattr(cfg, key, int(value))
+        if key == "K":
+            cfg.K = int(value)
         elif key == "tol":
             _set_tolerance(cfg, identity, float(value))
         elif key == "format":
@@ -184,8 +183,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         cfg.alpha_x_grid = tuple(zip(args.alpha, args.A))
     if args.K is not None:
         cfg.K = args.K
-    if args.N is not None:
-        cfg.N = args.N
     if args.tol is not None:
         _set_tolerance(cfg, identity, args.tol)
     if args.format is not None:

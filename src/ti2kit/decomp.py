@@ -39,7 +39,9 @@ K0 = max(20, ceil((4A + alpha)/pi)) brackets are summed directly; the rest,
 T(K0) = sum over k > K0, is a digamma difference plus an alternating series
 of Hurwitz-zeta differences whose ratio A/((K0+1) pi - alpha) stays below
 1/4.  That n-series stops at its first omitted term below 1e-17, which is
-the reported tail bound.
+the reported tail bound.  Lemma 1's n-series is the same series at
+A = alpha = 1, m = 0 (ratio 1/(pi - 1)), summed to the end by the same code
+in 20 terms.
 
 The pointwise identity's pole sum is summed to the end the same way.
 Xi_k(x) = Im[log(k - a + iy) - log(k + a + iy)] with a = alpha/pi and
@@ -269,20 +271,29 @@ def _pole_tail(A: float, alpha: float, m: int) -> SeriesResult:
 
     Requires q = A/((m+1) pi - alpha) < 1, so that every argument sits inside
     the radius of the Ti2 power series; swapping the sums then gives, with
-    a = alpha/pi and r = 2n + 1,
+    a = alpha/pi,
 
-        T(m) = (A/pi) [psi(m+1+a) - psi(m+1-a)]
-               + sum_{n>=1} (-1)^n (A/pi)^r / r^2 [zeta(r, m+1-a) - zeta(r, m+1+a)].
+        T(m) = (A/pi) [psi(m+1+a) - psi(m+1-a)] + _hurwitz_n_series(A, alpha, m).
 
     The digamma difference is taken by digamma_gap, which keeps its digits
-    when A/pi is large.  The n-series alternates with decreasing terms, so
-    its remainder is below the first omitted term, which
-    _pole_power_envelope bounds.
+    when A/pi is large; it needs m + 1 - a >= 12.
     """
-    a = alpha / PI
-    lo = m + 1 - a
-    hi = m + 1 + a
+    ser = _hurwitz_n_series(A, alpha, m)
+    return ser._replace(value=A / PI * digamma_gap(m + 1.0, alpha / PI) + ser.value)
+
+
+def _hurwitz_n_series(A: float, alpha: float, m: int) -> SeriesResult:
+    """sum_{n>=1} (-1)^n x^r / r^2 [zeta(r, m+1-a) - zeta(r, m+1+a)], r = 2n + 1.
+
+    With x = A/pi and a = alpha/pi this is the pole tail's n-series; it needs
+    q = x/lo < 1, lo = m+1-a.  Its terms alternate and decrease, so the rest
+    is below the first omitted term, bounded through x^r zeta(r, lo) <=
+    q^r (1 + lo/(r-1)) (first term plus the integral of the rest).  The sum
+    stops once that bound falls below 1e-17 and reports it as the tail bound.
+    """
     x = A / PI
+    lo = m + 1 - alpha / PI
+    hi = m + 1 + alpha / PI
 
     def term(n: int) -> float:
         r = 2 * n + 1
@@ -290,22 +301,9 @@ def _pole_tail(A: float, alpha: float, m: int) -> SeriesResult:
 
     def first_omitted(n: int) -> float:
         r = 2 * n + 3
-        return _pole_power_envelope(A, alpha, m, r) / (r * r)
+        return (x / lo) ** r * (1.0 + lo / (r - 1)) / (r * r)
 
-    ser = sum_series(term, first_omitted, tol=1e-17, max_terms=64)
-    return SeriesResult(
-        value=x * digamma_gap(m + 1.0, a) + ser.value,
-        terms_used=ser.terms_used,
-        tail_bound=ser.tail_bound,
-        truncated=ser.truncated,
-    )
-
-
-def _pole_power_envelope(A: float, alpha: float, m: int, r: int) -> float:
-    # sum_{k>m} (A/(k pi - alpha))^r <= A^r [u^{-r} + u^{1-r}/(pi (r-1))],
-    # u = (m+1) pi - alpha: first term plus the integral of the rest.
-    u = (m + 1) * PI - alpha
-    return A**r * (u ** (-r) + u ** (1 - r) / (PI * (r - 1)))
+    return sum_series(term, first_omitted, tol=1e-17, max_terms=64)
 
 
 def _pole_direct_terms(A: float, alpha: float) -> int:
@@ -425,36 +423,27 @@ def k1_closed() -> float:
     return h_series(1.0, 1.0, default_ei_truncation(1.0)).value
 
 
-def lemma1_catalan(N: int = 8, *, tolerance: float = 1e-10) -> IdentityReport:
-    """Assemble G from K(1), S_1, and the alternating Hurwitz series:
+def lemma1_catalan(*, tolerance: float = 1e-12) -> IdentityReport:
+    """Assemble G from K(1), S_1, and the alternating Hurwitz series summed to the end:
 
-        G = K(1) + (1 - cot 1) + sum_{n=1}^{N} (-1)^n/(2n+1)^2 * S_{2n+1}.
+        G = K(1) + (1 - cot 1) + sum_{n>=1} (-1)^n/(2n+1)^2 * S_{2n+1}.
 
-    Sign bookkeeping: S_r as defined here carries the bracket order
-    (k pi - 1)^{-r} - (k pi + 1)^{-r}, i.e. zeta(r, 1 - 1/pi) before
-    zeta(r, 1 + 1/pi); assembling with the opposite order misses G by about
-    2e-2 (the tests pin this orientation).  The truncated alternating
-    n-series is bounded by its first omitted term, for which
-    S_r <= (pi-1)^{-r} + (pi-1)^{1-r}/(pi(r-1)) is the working envelope.
+    The n-series is the pole tail's at A = alpha = 1, m = 0, where S_r is
+    pi^{-r} [zeta(r, 1 - 1/pi) - zeta(r, 1 + 1/pi)]: that bracket order
+    carries (k pi - 1)^{-r} - (k pi + 1)^{-r}, and the opposite order misses
+    G by about 2e-2 (the tests pin it).  ``terms_used`` counts the n-series
+    terms (20); the tail bound adds its bound to K(1)'s Ei-series bound.
     """
-    if N < 1:
-        raise DomainError(f"lemma1_catalan requires N >= 1, got {N!r}")
     k1 = h_series(1.0, 1.0, default_ei_truncation(1.0))
-    value = k1.value + s_r(1)
-    for n in range(1, N + 1):
-        coeff = (-1.0) ** n / float((2 * n + 1) ** 2)
-        value += coeff * s_r(2 * n + 1)
-    r_next = 2 * N + 3
-    # S_r <= sum_k (k pi - 1)^{-r}: the A = alpha = 1, m = 0 pole envelope.
-    tail = _pole_power_envelope(1.0, 1.0, 0, r_next) / float(r_next * r_next) + k1.tail_bound
+    ser = _hurwitz_n_series(1.0, 1.0, 0)
     return IdentityReport.build(
         name="lemma1",
-        params={"N": float(N)},
+        params={},
         lhs=catalan_reference(1e-14),
-        rhs=value,
+        rhs=k1.value + s_r(1) + ser.value,
         tolerance=tolerance,
         method_lhs="alternating-series-acceleration",
         method_rhs="hurwitz-ei-loggamma-assembly",
-        tail_bound=tail,
-        terms_used=N,
+        tail_bound=ser.tail_bound + k1.tail_bound,
+        terms_used=ser.terms_used,
     )

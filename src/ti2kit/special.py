@@ -62,6 +62,11 @@ def hurwitz_zeta(s: float, c: float) -> float:
     B_14/14! (s)_13 x^{-s-13}, is below 1e-16 of the leading term once
     x >= 2s + 30 (for s up to about 50), so large c needs no shift and the
     cost does not grow with c.
+
+    The direct sum stops sooner, with no tail, at the first n with
+    y = n + c >= c (1e17 F)^{1/s}, F = 1 + x/(s-1), if that n is below M:
+    the rest, at most y^{-s} (1 + y/(s-1)), is then below 1e-17 c^{-s} <=
+    1e-17 zeta(s, c).  That is 2 terms at s = 41, c = 1 - 1/pi.
     """
     if not s > 1.0:
         raise DomainError(f"hurwitz_zeta requires s > 1, got s={s!r}")
@@ -69,11 +74,16 @@ def hurwitz_zeta(s: float, c: float) -> float:
         raise DomainError(f"hurwitz_zeta requires c > 0, got c={c!r}")
 
     m = max(0, math.ceil(2.0 * s + 30.0 - c))
-    total = 0.0
-    for k in range(m):
-        total += (k + c) ** (-s)
-
     x = m + c
+    # Compared as a float first: the bound is inf as s -> 1.
+    stop = c * ((1e17 * (1.0 + x / (s - 1.0))) ** (1.0 / s) - 1.0)
+    short = stop < m
+    total = 0.0
+    for k in range(math.ceil(stop) if short else m):
+        total += (k + c) ** (-s)
+    if short:
+        return total
+
     total += x ** (1.0 - s) / (s - 1.0)
     total += 0.5 * x ** (-s)
     # Pochhammer (s)_{2j-1} built incrementally: s, s(s+1)(s+2), ...

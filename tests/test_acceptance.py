@@ -51,7 +51,7 @@ def test_criterion_01_catalan_cross_route_agreement():
         "endpoint": catalan_via_endpoint(1e-13),
         "telescoped": remark1_partial(100) + ti2(1.0 / 201.0),
         "clausen": ti2_clausen_form(PI / 4.0),
-        "hurwitz-assembly": lemma1_catalan(8).rhs,
+        "hurwitz-assembly": lemma1_catalan().rhs,
     }
     worst = max(
         abs(u - v) for u, v in itertools.combinations(routes.values(), 2)

@@ -8,6 +8,7 @@ import pytest
 from ti2kit.decomp import (
     _H_QUADRATURE_BELOW,
     _XI_DIRECT_TERMS,
+    _hurwitz_n_series,
     _pole_bracket,
     _pole_direct_terms,
     _pole_tail,
@@ -37,7 +38,7 @@ PI = math.pi
         lambda: pointwise_identity(1.0, 1.0, 5000),
         lambda: corollary2_series(1.0, 1.0, 2000),
         lambda: catalan_family(3, 2000),
-        lambda: lemma1_catalan(8, 18),
+        lambda: lemma1_catalan(8),
     ],
     ids=["pointwise", "corollary2", "corollary3", "lemma1"],
 )
@@ -436,22 +437,47 @@ class TestK1:
         assert k1_closed() == pytest.approx(assembled, abs=1e-13)
 
 
+def lemma1_partial(N):
+    """K(1) + S_1 + the Lemma 1 n-series cut after N terms, term n being (-1)^n S_r / r^2."""
+    total = k1_closed() + s_r(1)
+    for n in range(1, N + 1):
+        r = 2 * n + 1
+        total += (-1.0) ** n * s_r(r) / (r * r)
+    return total
+
+
 class TestLemma1:
     def test_default_assembly_reproduces_catalan(self):
-        report = lemma1_catalan(8)
+        report = lemma1_catalan()
         assert report.passed
-        assert report.abs_residual <= report.tail_bound + 1e-12
-        assert report.abs_residual < 1e-8
+        assert report.tolerance == 1e-12
+        assert report.abs_residual <= 1e-15
+        assert report.tail_bound <= 1e-15
+
+    def test_summed_to_the_end_on_the_pole_tail_series(self):
+        # Lemma 1's n-series is the pole tail's at A = alpha = 1, m = 0, where
+        # term n is (-1)^n S_r / r^2; the explicit S_r sum to the same depth
+        # agrees to rounding.
+        ser = _hurwitz_n_series(1.0, 1.0, 0)
+        assert not ser.truncated and 0.0 < ser.tail_bound <= 1e-17
+        report = lemma1_catalan()
+        assert report.terms_used == ser.terms_used == 20
+        assert report.rhs == k1_closed() + s_r(1) + ser.value
+        assert abs(lemma1_partial(ser.terms_used) - report.rhs) <= 4.5e-16
 
     def test_deeper_truncation_reaches_1e10(self):
-        report = lemma1_catalan(12)
-        assert report.abs_residual < 1e-10
+        assert abs(lemma1_partial(12) - catalan_reference(1e-14)) < 1e-10
 
     def test_truncation_error_matches_first_omitted_term(self):
-        # At N=1 the residual is dominated by the n=2 term S_5/25.
-        r1 = lemma1_catalan(1)
-        n2_term = s_r(5) / 25.0
-        assert r1.abs_residual == pytest.approx(n2_term, rel=0.15)
+        # Cut after N = 1 the sum misses G by about the n = 2 term S_5/25;
+        # cut anywhere, by less than the envelope of the first omitted term.
+        g = catalan_reference(1e-14)
+        assert abs(lemma1_partial(1) - g) == pytest.approx(s_r(5) / 25.0, rel=0.15)
+        for N in range(1, 13):
+            r = 2 * N + 3
+            # S_r <= sum_k (k pi - 1)^{-r}: first term plus the integral of the rest.
+            bound = ((PI - 1.0) ** -r + (PI - 1.0) ** (1 - r) / (PI * (r - 1))) / (r * r)
+            assert abs(lemma1_partial(N) - g) <= bound, N
 
     def test_bracket_orientation_is_pinned(self):
         # Hurwitz offsets: zeta(r, 1+1/pi) < zeta(r, 1-1/pi) termwise, so
@@ -469,5 +495,11 @@ class TestLemma1:
         assert abs(flipped - g) > 1e-2
 
     def test_residuals_alternate_and_shrink(self):
-        residuals = [lemma1_catalan(n).abs_residual for n in (1, 2, 4, 8)]
-        assert all(r2 < r1 for r1, r2 in zip(residuals, residuals[1:]))
+        # G minus the cut after N has the sign (-1)^(N+1) of the first
+        # omitted term, and the full sum is closer than every cut.
+        g = catalan_reference(1e-14)
+        residuals = [g - lemma1_partial(n) for n in range(1, 9)]
+        for n, res in enumerate(residuals, start=1):
+            assert math.copysign(1.0, res) == (-1.0) ** (n + 1), n
+        magnitudes = [abs(r) for r in residuals] + [lemma1_catalan().abs_residual]
+        assert all(r2 < r1 for r1, r2 in zip(magnitudes, magnitudes[1:]))

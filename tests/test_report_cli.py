@@ -285,6 +285,18 @@ class TestCli:
         assert res.returncode == 2
         assert "J" in res.stderr
 
+    def test_removed_n_flag_exits_2(self):
+        res = run_cli("verify", "lemma1", "--N", "8")
+        assert res.returncode == 2
+        assert "--N" in res.stderr
+
+    def test_removed_n_config_key_exits_2(self, tmp_path):
+        cfg = tmp_path / "ti2kit.cfg"
+        cfg.write_text("N=8\n")
+        res = run_cli("verify", "lemma1", "--config", str(cfg))
+        assert res.returncode == 2
+        assert "'N'" in res.stderr
+
     def test_pointwise_far_abscissa_is_not_vacuous(self):
         # No tail bound may cover the residual: the pole sum runs to the end.
         res = run_cli("verify", "pointwise", "--alpha", "1", "--A", "1e6", "--format", "json")
@@ -335,7 +347,8 @@ class TestImportFootprint:
 
 
 class TestCorollaryTolerances:
-    @pytest.mark.parametrize("identity", ["corollary2", "corollary3"])
+    # lemma1's H is K(1) = H(1, 1).
+    @pytest.mark.parametrize("identity", ["corollary2", "corollary3", "lemma1"])
     def test_error_of_1e11_in_H_fails_verify(self, identity, monkeypatch, capsys):
         from ti2kit import decomp
         from ti2kit.cli import main

@@ -112,6 +112,17 @@ class TestAgainstMpmath:
                 ref = mp.zeta(s, c)
                 assert abs(hurwitz_zeta(float(s), c) - ref) <= 1e-14 * ref, (s, c)
 
+    def test_hurwitz_zeta_short_direct_sum(self, mp):
+        # Large s and small c, where the direct sum stops after a handful of
+        # terms and no Euler-Maclaurin tail is added; 1 +- 1/pi are Lemma 1's
+        # offsets.
+        orders = [float(s) for s in range(3, 62, 2)] + [2.5, 7.3, 11.7, 19.9, 33.3, 40.2, 55.5, 60.9]
+        offsets = log_grid(1e-3, 3.0, 11) + [1.0 - 1.0 / PI, 1.0 + 1.0 / PI]
+        for s in orders:
+            for c in offsets:
+                ref = mp.zeta(s, c)
+                assert abs(hurwitz_zeta(s, c) - ref) <= 1e-14 * ref, (s, c)
+
     def test_sine_log_sum(self, mp):
         # Kummer: pi logGamma(a) - (pi/2) log(pi/sin alpha) - (pi/2 - alpha)(gamma + log 2pi),
         # a = alpha/pi; alpha near pi/2 is where log_gamma(a) - log_gamma(1 - a)
@@ -139,6 +150,17 @@ class TestHurwitzCost:
             hurwitz_zeta(3.0, 1e6)
             best = min(best, time.perf_counter() - t0)
         assert best < 2e-4
+
+    def test_large_order_small_offset_is_cheap(self):
+        # Lemma 1's zeta(41, 1 - 1/pi) stops its direct sum after 2 terms;
+        # summing the 112 terms ahead of the Euler-Maclaurin tail took ~12 us.
+        best = math.inf
+        for _ in range(5):
+            t0 = time.perf_counter()
+            for _ in range(100):
+                hurwitz_zeta(41.0, 1.0 - 1.0 / PI)
+            best = min(best, (time.perf_counter() - t0) / 100)
+        assert best < 5e-6
 
 
 class TestDigamma:
