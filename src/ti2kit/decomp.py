@@ -166,19 +166,21 @@ def pointwise_identity(alpha: float, x: float, *, tolerance: float = 1e-12) -> I
 
 def _h_integral(A: float, alpha: float, tol: float) -> QuadratureResult:
     # integral_0^A arctan(cot(alpha) tanh x)/x dx; the integrand tends to
-    # cot(alpha) at x -> 0+ and is smooth on (0, A].
+    # cot(alpha) at x -> 0+, its value at 0, and is smooth on (0, A].
     cot = math.cos(alpha) / math.sin(alpha)
 
     def f(x: float) -> float:
+        if x == 0.0:
+            return cot
         return math.atan(cot * math.tanh(x)) / x
 
-    return integrate_adaptive(f, 0.0, A, tol, limit_lo=cot, limit_hi=f(A))
+    return integrate_adaptive(f, 0.0, A, tol)
 
 
 def h_quadrature(A: float, alpha: float, tol: float = 1e-11) -> float:
     """H(A, alpha) = integral_0^A arctan(cot(alpha) tanh x)/x dx by quadrature.
 
-    Endpoint limit cot(alpha) at x -> 0+; the integrand is smooth on (0, A].
+    The integrand takes its limit cot(alpha) at x = 0 and is smooth on [0, A].
     """
     _check_alpha(alpha)
     if not A > 0.0:

@@ -65,7 +65,7 @@ ADMISSIBILITY_MARGIN = 1e-12
 # phi takes its b = pi value at every b within this distance of pi.
 _PI_SNAP = 1e-12
 
-# theorem1's default quadrature and root-solve tolerances.
+# theorem1's quadrature and root-solve tolerances.
 _QUAD_TOL = 1e-11
 _SOLVER_TOL = 1e-12
 
@@ -94,31 +94,22 @@ def _check_a(a: float, who: str) -> None:
         raise DomainError(f"{who} requires a > 0, got {a!r}")
 
 
-def _integrand_limit_at_pi(a: float) -> float:
-    # arctan((a + cos b)/sin b) as b -> pi-: sign of a - 1 decides the branch.
-    if a < 1.0:
-        return -PI / 2.0
-    if a > 1.0:
-        return PI / 2.0
-    return 0.0
-
-
 def aux_integral_I(a: float, b: float, tol: float = 1e-11) -> QuadratureResult:
     """Quadrature of arctan((a + cos beta)/sin beta) over [0, b], 0 < b < pi.
 
-    Endpoint limits: pi/2 at beta -> 0+, and the a-dependent limit at
-    beta -> pi- (-pi/2, 0, +pi/2 for a below/equal/above 1) should b sit at
-    the far end of its range.
+    The integrand takes its limit pi/2 at beta = 0.  It needs no value at pi:
+    sin beta > 0 for every float beta < pi, even b within an ulp of pi.
     """
     _check_a(a, "aux_integral_I")
     if not 0.0 < b < PI:
         raise DomainError(f"aux_integral_I requires 0 < b < pi, got b={b!r}")
 
     def f(beta: float) -> float:
+        if beta == 0.0:
+            return PI / 2.0
         return math.atan((a + math.cos(beta)) / math.sin(beta))
 
-    limit_hi = _integrand_limit_at_pi(a) if b > PI - 1e-9 else f(b)
-    return integrate_adaptive(f, 0.0, b, tol, limit_lo=PI / 2.0, limit_hi=limit_hi)
+    return integrate_adaptive(f, 0.0, b, tol)
 
 
 def aux_closed_F(a: float, b: float) -> float:
@@ -251,13 +242,7 @@ def _solve(
     return EndpointSolution(a=a, b=b, residual=abs(phi_b - adm.psi), iterations=evals)
 
 
-def theorem1_identity(
-    a: float,
-    tolerance: float = 1e-9,
-    *,
-    quad_tol: float = _QUAD_TOL,
-    solver_tol: float = _SOLVER_TOL,
-) -> IdentityReport:
+def theorem1_identity(a: float, tolerance: float = 1e-9) -> IdentityReport:
     """Check Ti2(a) against the tunable-endpoint right-hand side.
 
     LHS: Ti2(a) by its own series/dilogarithm route.  RHS: with b = b(a)
@@ -268,19 +253,14 @@ def theorem1_identity(
     with I by *quadrature*, keeping the two sides on independent routes.
     ``terms_used`` is the solve's ``iterations``.
     """
-    return _theorem1(admissibility(a), tolerance, quad_tol, solver_tol)
+    return _theorem1(admissibility(a), tolerance)
 
 
-def _theorem1(
-    adm: AdmissibilityResult,
-    tolerance: float,
-    quad_tol: float = _QUAD_TOL,
-    solver_tol: float = _SOLVER_TOL,
-) -> IdentityReport:
+def _theorem1(adm: AdmissibilityResult, tolerance: float) -> IdentityReport:
     # theorem1_identity for an admissibility result already in hand.
     a = adm.a
-    sol = _solve(adm, solver_tol)
-    quad = aux_integral_I(a, sol.b, quad_tol)
+    sol = _solve(adm, _SOLVER_TOL)
+    quad = aux_integral_I(a, sol.b, _QUAD_TOL)
     rhs = (
         math.atan(a) * math.log(a)
         + quad.value

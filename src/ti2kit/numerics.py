@@ -1,11 +1,11 @@
 """Foundation kernels: adaptive quadrature, bracketed root-finding, tail-bounded sums.
 
 Everything here is pure and deterministic: fixed evaluation order, no shared
-state, binary64 throughout.  The quadrature engine never evaluates the
-integrand exactly at an interval endpoint; callers declare finite limit
-values instead, which is what makes integrands with removable endpoint
-singularities (arctan kernels divided by their argument, and similar)
-integrable without special casing at the call site.
+state, binary64 throughout.  The quadrature engine calls the integrand only
+at interior Kronrod nodes, so an integrand with a removable singularity at
+an endpoint (an arctan kernel divided by its argument, and similar) needs a
+value there only when the interval is so narrow that a node rounds onto the
+endpoint; such an integrand returns its own limit at that point.
 """
 
 from __future__ import annotations
@@ -85,11 +85,13 @@ _WG = (
     0.41795918367346935,
 )
 
-_ENDPOINT_SNAP = 1e-300
-
 
 def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-    """One Gauss-Kronrod 15(7) panel on [a, b] -> (integral, error estimate)."""
+    """One Gauss-Kronrod 15(7) panel on [a, b] -> (integral, error estimate).
+
+    Makes exactly 15 calls to ``f``.  A NaN from any node reaches the Kronrod
+    sum, which is checked once: :class:`DomainError` if it is NaN.
+    """
     centr = 0.5 * (a + b)
     hlgth = 0.5 * (b - a)
 
@@ -105,6 +107,8 @@ def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float
         resk += _WGK[j] * (f1 + f2)
         if j % 2 == 1:
             resg += _WG[(j - 1) // 2] * (f1 + f2)
+    if math.isnan(resk):
+        raise DomainError(f"integrand returned NaN on [{a!r}, {b!r}]")
 
     reskh = resk * 0.5
     resasc = _WGK[7] * abs(fc - reskh)
@@ -126,43 +130,27 @@ def integrate_adaptive(
     hi: float,
     tol: float,
     *,
-    limit_lo: Optional[float] = None,
-    limit_hi: Optional[float] = None,
     max_subdivisions: int = 10_000,
 ) -> QuadratureResult:
     """Adaptively integrate ``f`` over ``[lo, hi]`` to absolute tolerance ``tol``.
 
-    ``limit_lo`` / ``limit_hi`` declare the finite limits of ``f`` at the
-    endpoints; any abscissa within 1e-300 of an endpoint is replaced by the
-    declared limit, so ``f`` itself is never called exactly at ``lo`` or
-    ``hi`` when a limit is given.  (The Kronrod nodes are interior, so this
-    only matters for degenerate subintervals.)
+    ``f`` is called only at Kronrod nodes, which are interior, so it is never
+    called at ``lo`` or ``hi`` unless a subinterval is narrow enough (about
+    1e-321 wide next to 0) for a node to round onto its end.  An integrand
+    with a removable singularity at an endpoint returns its limit there.
 
     Strategy: nested 15-point Gauss-Kronrod panels, always bisecting the
     panel with the largest error estimate, up to ``max_subdivisions`` splits.
-    Raises :class:`BudgetError` (with the best estimate attached) if the
-    budget runs out, and :class:`DomainError` if ``f`` returns NaN.
+    ``evaluations`` is 15 per panel, 15 * (1 + 2 * splits) in all.  Raises
+    :class:`BudgetError` (with the best estimate attached) if the budget
+    runs out, and :class:`DomainError` if ``f`` returns NaN.
     """
     if not lo < hi:
         raise DomainError(f"integration bounds must satisfy lo < hi, got [{lo}, {hi}]")
     if not tol > 0.0:
         raise DomainError(f"tolerance must be positive, got {tol}")
 
-    evaluations = 0
-
-    def feval(x: float) -> float:
-        nonlocal evaluations
-        evaluations += 1
-        if limit_lo is not None and abs(x - lo) <= _ENDPOINT_SNAP:
-            return limit_lo
-        if limit_hi is not None and abs(x - hi) <= _ENDPOINT_SNAP:
-            return limit_hi
-        v = f(x)
-        if math.isnan(v):
-            raise DomainError(f"integrand returned NaN at x={x!r}")
-        return v
-
-    val, err = _gk15(feval, lo, hi)
+    val, err = _gk15(f, lo, hi)
     total, toterr = val, err
     counter = 0  # heap tiebreaker, keeps ordering deterministic
     heap = [(-err, counter, lo, hi, val, err)]
@@ -173,7 +161,7 @@ def integrate_adaptive(
             raise BudgetError(
                 f"subdivision budget {max_subdivisions} exhausted "
                 f"(error estimate {toterr:.3e} > tol {tol:.3e})",
-                best=QuadratureResult(total, toterr, evaluations),
+                best=QuadratureResult(total, toterr, 15 * (1 + 2 * splits)),
             )
         _, _, a, b, v, e = heapq.heappop(heap)
         mid = 0.5 * (a + b)
@@ -181,8 +169,8 @@ def integrate_adaptive(
             # Interval at floating-point resolution; its error is irreducible.
             continue
         splits += 1
-        v1, e1 = _gk15(feval, a, mid)
-        v2, e2 = _gk15(feval, mid, b)
+        v1, e1 = _gk15(f, a, mid)
+        v2, e2 = _gk15(f, mid, b)
         total += (v1 + v2) - v
         toterr += (e1 + e2) - e
         counter += 1
@@ -193,9 +181,9 @@ def integrate_adaptive(
     if toterr > tol:
         raise BudgetError(
             f"tolerance {tol:.3e} unreachable (error estimate {toterr:.3e})",
-            best=QuadratureResult(total, toterr, evaluations),
+            best=QuadratureResult(total, toterr, 15 * (1 + 2 * splits)),
         )
-    return QuadratureResult(total, toterr, evaluations)
+    return QuadratureResult(total, toterr, 15 * (1 + 2 * splits))
 
 
 _BRACKET_FLOOR = 1e-14

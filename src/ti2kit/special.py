@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 
 from .numerics import DomainError
+from .polylog import _BERNOULLI
 
 __all__ = [
     "EULER_GAMMA",
@@ -38,15 +39,14 @@ class PoleError(DomainError):
     """Argument sits on (or within margin of) a pole of the expression."""
 
 
+def _bernoulli_over(j: int, k: int) -> float:
+    # B_{2j} / k for an integer k, rounded once from the exact fraction.
+    num, den = _BERNOULLI[2 * j]
+    return num / (den * k)
+
+
 # B_{2j} / (2j)! for j = 1..6, used by the Euler-Maclaurin tail.
-_EM_BERN = (
-    1.0 / 12.0,                 # B_2  / 2!
-    -1.0 / 720.0,               # B_4  / 4!
-    1.0 / 30240.0,              # B_6  / 6!
-    -1.0 / 1209600.0,           # B_8  / 8!
-    1.0 / 47900160.0,           # B_10 / 10!
-    -691.0 / 1307674368000.0,   # B_12 / 12!
-)
+_EM_BERN = tuple(_bernoulli_over(j, math.factorial(2 * j)) for j in range(1, 7))
 
 
 def hurwitz_zeta(s: float, c: float) -> float:
@@ -98,15 +98,7 @@ def hurwitz_zeta(s: float, c: float) -> float:
 
 
 # B_{2j} / (2j) for j = 1..7, the asymptotic digamma coefficients.
-_DIGAMMA_BERN = (
-    1.0 / 12.0,
-    -1.0 / 120.0,
-    1.0 / 252.0,
-    -1.0 / 240.0,
-    1.0 / 132.0,
-    -691.0 / 32760.0,
-    1.0 / 12.0,
-)
+_DIGAMMA_BERN = tuple(_bernoulli_over(j, 2 * j) for j in range(1, 8))
 
 
 def _digamma_series(x: float) -> float:
@@ -283,16 +275,7 @@ def cot_partial_fraction_sum(b: float) -> float:
 
 
 # Stirling coefficients B_{2j} / (2j (2j-1)) for j = 1..8.
-_STIRLING = (
-    1.0 / 12.0,
-    -1.0 / 360.0,
-    1.0 / 1260.0,
-    -1.0 / 1680.0,
-    1.0 / 1188.0,
-    -691.0 / 360360.0,
-    1.0 / 156.0,
-    -3617.0 / 122400.0,
-)
+_STIRLING = tuple(_bernoulli_over(j, 2 * j * (2 * j - 1)) for j in range(1, 9))
 
 _LN_SQRT_2PI = 0.9189385332046727  # log(2*pi)/2
 

@@ -82,7 +82,7 @@ def _ti2_series(y: float) -> float:
 
 
 def ti2_via_quadrature(y: float, tol: float = 1e-12) -> float:
-    """Ti2(y) by adaptive quadrature of arctan(x)/x with endpoint limit 1 at 0.
+    """Ti2(y) by adaptive quadrature of arctan(x)/x, which takes its limit 1 at 0.
 
     Serves as the independent oracle for every other route.  Requires y >= 0
     (combine with oddness for negative arguments).
@@ -92,12 +92,7 @@ def ti2_via_quadrature(y: float, tol: float = 1e-12) -> float:
     if y == 0.0:
         return 0.0
     return integrate_adaptive(
-        lambda x: math.atan(x) / x,
-        0.0,
-        y,
-        tol,
-        limit_lo=1.0,
-        limit_hi=math.atan(y) / y,
+        lambda x: math.atan(x) / x if x != 0.0 else 1.0, 0.0, y, tol
     ).value
 
 

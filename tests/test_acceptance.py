@@ -184,8 +184,6 @@ def test_criterion_10_function_level_oracles():
             0.0,
             1.0,
             1e-11,
-            limit_lo=-xi,
-            limit_hi=math.exp(-xi) - 1.0,
         ).value
         checks[f"T({xi})"] = abs(expint_T(xi) - quad)
     worst = max(checks.values())

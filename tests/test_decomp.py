@@ -180,6 +180,13 @@ class TestHRoutes:
         A = 1e-6
         assert h_quadrature(A, 1.0) == pytest.approx(A / math.tan(1.0), rel=1e-5)
 
+    @pytest.mark.parametrize("A", [1e-310, 1e-318, 1e-322, 5e-324])
+    def test_subnormal_width_takes_the_limit_at_zero(self, A):
+        # Below ~1e-321 a Kronrod node rounds onto x = 0.
+        h = h_series(A, 1.0)
+        assert math.isfinite(h.value)
+        assert abs(h.value - A / math.tan(1.0)) <= 1e-13
+
     def test_domain(self):
         with pytest.raises(DomainError):
             h_quadrature(0.0, 1.0)

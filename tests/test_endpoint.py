@@ -47,6 +47,18 @@ class TestAuxIntegral:
             aux_closed_F(2.0, 1.5), abs=1e-10
         )
 
+    @pytest.mark.parametrize("b", [1e-310, 1e-318, 1e-322, 5e-324])
+    def test_subnormal_width_takes_the_limit_at_zero(self, b):
+        res = aux_integral_I(1.0, b)
+        assert math.isfinite(res.value)
+        assert abs(res.value - PI * b / 2.0) <= 1e-13
+
+    @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+    def test_b_within_an_ulp_of_pi(self, a):
+        # sin(beta) > 0 for every float beta < pi: no value at pi is needed.
+        b = math.nextafter(PI, 0.0)
+        assert aux_integral_I(a, b).value == pytest.approx(aux_closed_F(a, b), abs=1e-10)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             aux_integral_I(0.0, 1.0)

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import pytest
@@ -29,9 +30,9 @@ class TestIntegrateAdaptive:
         assert res.value == pytest.approx(0.5, abs=1e-13)
 
     def test_arctan_kernel_with_endpoint_limits(self):
-        # Removable singularity at 0; the declared limits make the call clean.
+        # Removable singularity at 0, where no Kronrod node falls.
         f = lambda b: math.atan((1.0 + math.cos(b)) / math.sin(b))
-        res = integrate_adaptive(f, 0.0, 2.0, 1e-11, limit_lo=PI / 2.0, limit_hi=0.0)
+        res = integrate_adaptive(f, 0.0, 2.0, 1e-11)
         assert res.value == pytest.approx(PI - 1.0, abs=2e-11)
         assert res.abs_error_estimate <= 1e-11
 
@@ -73,13 +74,49 @@ class TestIntegrateAdaptive:
             assert x != 0.0 and x != 1.0
             return math.sin(x) / x
 
-        res = integrate_adaptive(f, 0.0, 1.0, 1e-12, limit_lo=1.0, limit_hi=math.sin(1.0))
+        res = integrate_adaptive(f, 0.0, 1.0, 1e-12)
         assert res.value == pytest.approx(0.9460830703671830, abs=1e-12)
-        assert calls  # the limit substitution did not swallow the whole integrand
+        assert len(calls) == res.evaluations
+
+    def test_evaluations_count_the_integrand_calls(self):
+        for f, tol in ((math.exp, 1e-12), (lambda x: math.sin(50.0 / (x + 0.01)), 1e-9)):
+            calls = []
+
+            def counted(x):
+                calls.append(x)
+                return f(x)
+
+            res = integrate_adaptive(counted, 0.0, 1.0, tol)
+            assert res.evaluations == len(calls)
+            assert res.evaluations % 30 == 15  # 15 * (1 + 2 * splits)
+        assert res.evaluations > 1000  # the oscillating integrand split many times
+
+    def test_budget_error_counts_the_integrand_calls(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return math.sin(50.0 / (x + 0.01))
+
+        with pytest.raises(BudgetError) as err:
+            integrate_adaptive(f, 0.0, 1.0, 1e-14, max_subdivisions=3)
+        assert err.value.best.evaluations == len(calls) == 15 * 7
+
+    def test_endpoint_limit_keywords_are_gone(self):
+        # One path: integrands own their endpoint values, nothing is declared.
+        params = list(inspect.signature(integrate_adaptive).parameters)
+        assert params == ["f", "lo", "hi", "tol", "max_subdivisions"]
+        for end in ("lo", "hi"):
+            with pytest.raises(TypeError):
+                integrate_adaptive(lambda x: 1.0, 0.0, 1.0, 1e-12, **{f"limit_{end}": 1.0})
 
     def test_nan_raises_domain_error(self):
         with pytest.raises(DomainError):
             integrate_adaptive(lambda x: float("nan"), 0.0, 1.0, 1e-10)
+
+    def test_nan_at_one_node_raises_domain_error(self):
+        with pytest.raises(DomainError):
+            integrate_adaptive(lambda x: float("nan") if x > 0.99 else x, 0.0, 1.0, 1e-10)
 
     def test_budget_error_carries_best_estimate(self):
         f = lambda x: math.sin(50.0 / (x + 0.01))

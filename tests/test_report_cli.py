@@ -1,4 +1,6 @@
+import importlib
 import json
+import math
 import subprocess
 import sys
 
@@ -361,4 +363,28 @@ class TestCorollaryTolerances:
             return h._replace(value=h.value + 1e-11)
 
         monkeypatch.setattr(decomp, "h_series", shifted)
+        assert main(["verify", identity]) == 1
+
+    # identity -> (module, rhs route, 1e-11 shift of the route's result);
+    # b^2/4 grows by 1e-11 when b^2 grows by 4e-11.
+    _RHS_SHIFTS = {
+        "corollary1": (
+            "endpoint",
+            "solve_endpoint_b",
+            lambda sol: sol._replace(b=math.sqrt(sol.b * sol.b + 4e-11)),
+        ),
+        "corollary4": ("verify", "ti2_clausen_form", lambda v: v + 1e-11),
+        "remark1": ("decomp", "remark1_partial", lambda v: v + 1e-11),
+        "pointwise": ("decomp", "_xi_sum", lambda v: v + 1e-11),
+    }
+
+    @pytest.mark.parametrize("identity", list(_RHS_SHIFTS))
+    def test_error_of_1e11_in_rhs_fails_verify(self, identity, monkeypatch, capsys):
+        from ti2kit.cli import main
+
+        module, route, shift = self._RHS_SHIFTS[identity]
+        mod = importlib.import_module(f"ti2kit.{module}")
+        assert main(["verify", identity]) == 0
+        original = getattr(mod, route)
+        monkeypatch.setattr(mod, route, lambda *args: shift(original(*args)))
         assert main(["verify", identity]) == 1

@@ -1,13 +1,17 @@
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import central_difference
 from ti2kit.numerics import DomainError, integrate_adaptive
-from ti2kit.polylog import clausen2
+from ti2kit.polylog import _BERNOULLI, clausen2
 from ti2kit.special import (
+    _DIGAMMA_BERN,
+    _EM_BERN,
+    _STIRLING,
     EULER_GAMMA,
     PoleError,
     catalan_reference,
@@ -24,6 +28,22 @@ from ti2kit.special import (
 )
 
 PI = math.pi
+
+
+def test_bernoulli_coefficients_match_fractions():
+    # B_{2j} / k, rounded once from the exact fraction, for the
+    # Euler-Maclaurin (k = (2j)!), digamma (2j) and Stirling (2j (2j-1)) tables.
+    tables = (
+        (_EM_BERN, 6, lambda j: math.factorial(2 * j)),
+        (_DIGAMMA_BERN, 7, lambda j: 2 * j),
+        (_STIRLING, 8, lambda j: 2 * j * (2 * j - 1)),
+    )
+    for table, length, k in tables:
+        assert len(table) == length
+        for j, coeff in enumerate(table, start=1):
+            assert coeff == float(Fraction(*_BERNOULLI[2 * j]) / k(j)), j
+    assert _EM_BERN[5] == -691.0 / 1307674368000.0
+    assert _STIRLING[7] == -3617.0 / 122400.0
 
 
 def hurwitz_direct_oracle(s: float, c: float, n_terms: int = 100_000) -> float:
@@ -273,8 +293,6 @@ class TestExpintT:
             0.0,
             1.0,
             1e-11,
-            limit_lo=-xi,
-            limit_hi=math.exp(-xi) - 1.0,
         ).value
         assert abs(expint_T(xi) - quad) < 1e-10
 

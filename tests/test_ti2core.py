@@ -67,6 +67,12 @@ class TestTi2ViaQuadrature:
     def test_zero(self):
         assert ti2_via_quadrature(0.0) == 0.0
 
+    @pytest.mark.parametrize("y", [1e-310, 1e-318, 1e-322, 5e-324])
+    def test_subnormal_width_takes_the_limit_at_zero(self, y):
+        value = ti2_via_quadrature(y)
+        assert math.isfinite(value)
+        assert abs(value - y) <= 1e-13
+
     def test_at_one_matches_reference(self):
         assert ti2_via_quadrature(1.0) == pytest.approx(
             catalan_reference(1e-14), abs=1e-10
