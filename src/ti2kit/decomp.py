@@ -195,12 +195,15 @@ def default_ei_truncation(A: float) -> int:
 
 # h_series integrates below this A and sums the Ei series from it on.  Mean
 # h_series cost over 200 points stratified like perfbench's H pool (A
-# log-uniform in [0.01, 10], alpha uniform in [0.01, pi - 0.01]), 2 vCPUs,
-# Python 3.11: 18.8-21.4 us for every crossover in [1, 3], 25 us at 5,
-# 33 us for quadrature throughout, 978 us for the series throughout.  Of
-# that flat range the top is taken: the quadrature is the more accurate
-# route (worst 2.5e-16 against 3.4e-15 of |H| + 1, mpmath at 30 digits),
-# and A < 3 puts every corollary 2 and 3 grid point on it.
+# log-uniform in [0.01, 10], alpha uniform in [0.01, pi - 0.01]) on 21-point
+# Gauss-Kronrod panels, each point the best of 11, 2 vCPUs, Python 3.11;
+# the ranges span two runs on a host whose speed drifted by a third between
+# them: 16-22 us for every crossover in [1.5, 3] (3 within 6% of the least
+# in each run), 18-24 us at 1, 19-25 us at 5, 22-29 us for quadrature
+# throughout, about 1 ms for the series throughout.  Of that flat range the
+# top is taken: the quadrature is the more accurate route (worst 2.5e-16
+# against 3.4e-15 of |H| + 1, mpmath at 30 digits), and A < 3 puts every
+# corollary 2 and 3 grid point on it.
 _H_QUADRATURE_BELOW = 3.0
 _H_QUADRATURE_TOL = 1e-13
 

@@ -56,63 +56,72 @@ class SeriesResult(NamedTuple):
     truncated: bool = False
 
 
-# 15-point Kronrod extension of the 7-point Gauss rule (abscissae for [-1, 1]).
+# 21-point Kronrod extension of the 10-point Gauss rule, QUADPACK's QK21
+# (abscissae for [-1, 1], the centre last).
 _XGK = (
-    0.9914553711208126,
-    0.9491079123427585,
-    0.8648644233597691,
-    0.7415311855993944,
-    0.5860872354676911,
-    0.4058451513773972,
-    0.2077849550078985,
+    0.9956571630258081,
+    0.9739065285171717,
+    0.9301574913557082,
+    0.8650633666889845,
+    0.7808177265864169,
+    0.6794095682990244,
+    0.5627571346686047,
+    0.4333953941292472,
+    0.2943928627014602,
+    0.14887433898163122,
     0.0,
 )
 _WGK = (
-    0.022935322010529225,
-    0.06309209262997855,
-    0.10479001032225018,
-    0.14065325971552592,
-    0.1690047266392679,
-    0.19035057806478542,
-    0.20443294007529889,
-    0.20948214108472782,
+    0.011694638867371874,
+    0.032558162307964725,
+    0.054755896574351995,
+    0.07503967481091996,
+    0.0931254545836976,
+    0.10938715880229764,
+    0.12349197626206584,
+    0.13470921731147334,
+    0.14277593857706009,
+    0.14773910490133849,
+    0.1494455540029169,
 )
-# Gauss weights, paired with _XGK[1], _XGK[3], _XGK[5] and the centre node.
+# Gauss weights, paired with _XGK[1], _XGK[3], ..., _XGK[9]; the centre is
+# not a Gauss node.
 _WG = (
-    0.12948496616886969,
-    0.2797053914892767,
-    0.3818300505051189,
-    0.41795918367346935,
+    0.06667134430868814,
+    0.1494513491505806,
+    0.21908636251598204,
+    0.26926671930999635,
+    0.29552422471475287,
 )
 
 
-def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-    """One Gauss-Kronrod 15(7) panel on [a, b] -> (integral, error estimate).
+def _gk21(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
+    """One Gauss-Kronrod 21(10) panel on [a, b] -> (integral, error estimate).
 
-    Makes exactly 15 calls to ``f``.  A NaN from any node reaches the Kronrod
+    Makes exactly 21 calls to ``f``.  A NaN from any node reaches the Kronrod
     sum, which is checked once: :class:`DomainError` if it is NaN.
     """
     centr = 0.5 * (a + b)
     hlgth = 0.5 * (b - a)
 
     fc = f(centr)
-    resg = _WG[3] * fc
-    resk = _WGK[7] * fc
+    resg = 0.0
+    resk = _WGK[10] * fc
     pairs = []
-    for j in range(7):
+    for j in range(10):
         dx = hlgth * _XGK[j]
         f1 = f(centr - dx)
         f2 = f(centr + dx)
         pairs.append((f1, f2))
         resk += _WGK[j] * (f1 + f2)
         if j % 2 == 1:
-            resg += _WG[(j - 1) // 2] * (f1 + f2)
+            resg += _WG[j // 2] * (f1 + f2)
     if math.isnan(resk):
         raise DomainError(f"integrand returned NaN on [{a!r}, {b!r}]")
 
     reskh = resk * 0.5
-    resasc = _WGK[7] * abs(fc - reskh)
-    for j in range(7):
+    resasc = _WGK[10] * abs(fc - reskh)
+    for j in range(10):
         f1, f2 = pairs[j]
         resasc += _WGK[j] * (abs(f1 - reskh) + abs(f2 - reskh))
     resasc *= abs(hlgth)
@@ -139,9 +148,9 @@ def integrate_adaptive(
     1e-321 wide next to 0) for a node to round onto its end.  An integrand
     with a removable singularity at an endpoint returns its limit there.
 
-    Strategy: nested 15-point Gauss-Kronrod panels, always bisecting the
+    Strategy: nested 21-point Gauss-Kronrod panels, always bisecting the
     panel with the largest error estimate, up to ``max_subdivisions`` splits.
-    ``evaluations`` is 15 per panel, 15 * (1 + 2 * splits) in all.  Raises
+    ``evaluations`` is 21 per panel, 21 * (1 + 2 * splits) in all.  Raises
     :class:`BudgetError` (with the best estimate attached) if the budget
     runs out, and :class:`DomainError` if ``f`` returns NaN.
     """
@@ -150,7 +159,7 @@ def integrate_adaptive(
     if not tol > 0.0:
         raise DomainError(f"tolerance must be positive, got {tol}")
 
-    val, err = _gk15(f, lo, hi)
+    val, err = _gk21(f, lo, hi)
     total, toterr = val, err
     counter = 0  # heap tiebreaker, keeps ordering deterministic
     heap = [(-err, counter, lo, hi, val, err)]
@@ -161,7 +170,7 @@ def integrate_adaptive(
             raise BudgetError(
                 f"subdivision budget {max_subdivisions} exhausted "
                 f"(error estimate {toterr:.3e} > tol {tol:.3e})",
-                best=QuadratureResult(total, toterr, 15 * (1 + 2 * splits)),
+                best=QuadratureResult(total, toterr, 21 * (1 + 2 * splits)),
             )
         _, _, a, b, v, e = heapq.heappop(heap)
         mid = 0.5 * (a + b)
@@ -169,8 +178,8 @@ def integrate_adaptive(
             # Interval at floating-point resolution; its error is irreducible.
             continue
         splits += 1
-        v1, e1 = _gk15(f, a, mid)
-        v2, e2 = _gk15(f, mid, b)
+        v1, e1 = _gk21(f, a, mid)
+        v2, e2 = _gk21(f, mid, b)
         total += (v1 + v2) - v
         toterr += (e1 + e2) - e
         counter += 1
@@ -181,9 +190,9 @@ def integrate_adaptive(
     if toterr > tol:
         raise BudgetError(
             f"tolerance {tol:.3e} unreachable (error estimate {toterr:.3e})",
-            best=QuadratureResult(total, toterr, 15 * (1 + 2 * splits)),
+            best=QuadratureResult(total, toterr, 21 * (1 + 2 * splits)),
         )
-    return QuadratureResult(total, toterr, 15 * (1 + 2 * splits))
+    return QuadratureResult(total, toterr, 21 * (1 + 2 * splits))
 
 
 _BRACKET_FLOOR = 1e-14
@@ -197,13 +206,20 @@ def find_root_increasing(
     tol: float,
     *,
     derivative: Optional[Callable[[float], float]] = None,
+    second_derivative: Optional[Callable[[float], float]] = None,
+    start: Optional[float] = None,
     max_iterations: int = 200,
 ) -> float:
     """Solve ``g(b) = target`` for strictly increasing ``g`` on ``[lo, hi]``.
 
     Guaranteed-convergent bisection, optionally refined with safeguarded
     Newton steps when ``derivative`` is supplied (a Newton candidate is used
-    only while it stays inside the current bracket).  Stops as soon as
+    only while it stays inside the current bracket).  With
+    ``second_derivative`` as well the steps are Halley's,
+    ``(g - target) / g'`` divided by ``1 - (g - target) g'' / (2 g'^2)``;
+    a step whose divisor is not in (0, inf) falls back to Newton's.  The
+    first iterate is ``start`` when it lies strictly inside the bracket,
+    and the bracket midpoint otherwise.  Stops as soon as
     ``|g(b) - target| <= tol`` or the bracket width falls below 1e-14.
 
     Requires the strict bracketing ``g(lo) < target < g(hi)``; otherwise a
@@ -221,7 +237,7 @@ def find_root_increasing(
         )
 
     a, b = lo, hi
-    x = 0.5 * (a + b)
+    x = start if start is not None and lo < start < hi else 0.5 * (a + b)
     for _ in range(max_iterations):
         gx = g(x)
         if abs(gx - target) <= tol:
@@ -236,7 +252,12 @@ def find_root_increasing(
         if derivative is not None:
             d = derivative(x)
             if d > 0.0 and math.isfinite(d):
-                cand = x - (gx - target) / d
+                step = (gx - target) / d
+                if second_derivative is not None:
+                    div = 1.0 - 0.5 * step * second_derivative(x) / d
+                    if 0.0 < div < math.inf:
+                        step /= div
+                cand = x - step
                 if a < cand < b:
                     nxt = cand
         x = 0.5 * (a + b) if nxt is None else nxt

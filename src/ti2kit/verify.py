@@ -112,11 +112,13 @@ def _remark1(K: int, cfg: VerificationConfig, tol: float) -> IdentityReport:
 # name -> (default tolerance, points(cfg), check(point, cfg, tol)).
 # theorem1's points are the admissibility results of the admissible a, so
 # the check solves from the test it was filtered by instead of redoing it.
-# Default tolerances: 1e-9 for theorem1, where a quadrature to 1e-11 sits
-# on one side (worst residual 9.1-9.9e-13 over 2000 seeded admissible a,
-# which 1e-12 would barely hold), and 1e-12 for the rest, each set from a
-# measured worst residual.  Truncated series carry their own tail bounds on
-# top.  corollary2 and corollary3 sum their pole series to
+# Default tolerances: 1e-12, each set from a measured worst residual.
+# Truncated series carry their own tail bounds on top.  theorem1's worst
+# residual is set by its root solve, not by its quadrature of I(a, b) to
+# 1e-11: over 3000 seeded admissible a (two seeds, a in [0.45, 19]) it was
+# 1.09e-14 with the solve at 1e-14, where the worst solve residual was
+# 9.99e-15; on the first seed the quadrature at 1e-13 gave 1.13e-14.
+# corollary2 and corollary3 sum their pole series to
 # the end: over 4000 seeded corollary2 points (A log-stratified in [0.05, 2],
 # alpha uniform in [0.2, 3]) the worst residual was 2.4e-15, and over
 # corollary3's n = 2..12 it was 1.1e-16, so 1e-12 leaves a factor of about
@@ -126,7 +128,7 @@ def _remark1(K: int, cfg: VerificationConfig, tol: float) -> IdentityReport:
 # same way, and a 1e-11 error in K(1) fails.
 _IDENTITIES = {
     "theorem1": (
-        1e-9,
+        1e-12,
         lambda cfg: [r for r in map(endpoint.admissibility, cfg.a_grid) if r.admissible],
         lambda adm, cfg, tol: endpoint._theorem1(adm, tol),
     ),

@@ -235,7 +235,7 @@ class TestHSeriesDefaultRoute:
 
     def test_route_and_counts_switch_at_crossover(self):
         below = h_series(math.nextafter(_H_QUADRATURE_BELOW, 0.0), 1.0)
-        assert below.terms_used % 15 == 0  # GK15 panels: integrand evaluations
+        assert below.terms_used % 21 == 0  # GK21 panels: integrand evaluations
         assert below.tail_bound <= 1e-13
         at = h_series(_H_QUADRATURE_BELOW, 1.0)
         assert at.terms_used <= default_ei_truncation(_H_QUADRATURE_BELOW)

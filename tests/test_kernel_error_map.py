@@ -12,6 +12,7 @@ import random
 import pytest
 
 from ti2kit.polylog import clausen2, li2
+from ti2kit.special import ei_negative, log_gamma
 from ti2kit.ti2core import SERIES_CUTOFF, ti2
 
 mpmath = pytest.importorskip("mpmath")
@@ -61,3 +62,35 @@ def test_clausen2_error_over_a_period():
         ref = mpmath.clsin(2, x)
         worst = max(worst, float(abs(clausen2(x) - ref) / (abs(ref) + 1)))
     assert worst <= 1e-15
+
+
+def test_log_gamma_relative_error():
+    # Worst measured: 3.1e-14 relative just above 2.5, where the upward
+    # shift to x >= 10 starts (40000 x in [0.5, 3] over two seeds), and
+    # 3.4e-16 within 1e-3 of the zeros at 1 and 2, on the Taylor series.
+    rng = random.Random(14)
+    xs = [_log_uniform(rng, 1e-3, 1e3) for _ in range(300)]
+    xs += [rng.uniform(0.5, 3.0) for _ in range(300)]
+    near_zeros = [z + rng.uniform(-1e-3, 1e-3) for z in (1.0, 2.0) for _ in range(100)]
+    worst = {}
+    for band, points in (("all", xs), ("near zeros", near_zeros)):
+        worst[band] = 0.0
+        for x in points:
+            ref = mpmath.loggamma(x)
+            worst[band] = max(worst[band], float(abs((log_gamma(x) - ref) / ref)))
+    assert worst["all"] <= 1e-13
+    assert worst["near zeros"] <= 1e-15
+
+
+def test_ei_negative_relative_error():
+    # Worst measured: 1.2e-14 relative, on the continued fraction just above
+    # its 1.5 cutoff (40000 x log-uniform in [1e-3, 700] and 40000 in
+    # [1, 2]); 7.4e-15 on (2, 6], where the old series lost 1e-11.
+    rng = random.Random(15)
+    xs = [_log_uniform(rng, 1e-3, 700.0) for _ in range(300)]
+    xs += [rng.uniform(2.0, 6.0) for _ in range(300)]
+    worst = 0.0
+    for x in xs:
+        ref = mpmath.ei(-mpmath.mpf(x))
+        worst = max(worst, float(abs((ei_negative(x) - ref) / ref)))
+    assert worst <= 3.5e-14

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ti2kit import numerics
 from ti2kit.numerics import (
     BracketError,
     BudgetError,
@@ -18,12 +19,50 @@ from ti2kit.numerics import (
 PI = math.pi
 
 
+class TestGK21Rule:
+    """QUADPACK's 21-point Kronrod rule and its embedded 10-point Gauss rule."""
+
+    @staticmethod
+    def _moment(d):
+        # (Kronrod, Gauss) sums of x^d over [-1, 1]; the centre is Kronrod-only.
+        kronrod = numerics._WGK[10] * (1.0 if d == 0 else 0.0)
+        gauss = 0.0
+        for j in range(10):
+            pair = numerics._XGK[j] ** d + (-numerics._XGK[j]) ** d
+            kronrod += numerics._WGK[j] * pair
+            if j % 2 == 1:
+                gauss += numerics._WG[j // 2] * pair
+        return kronrod, gauss
+
+    def test_kronrod_exact_to_degree_31(self):
+        for d in range(32):
+            exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
+            assert abs(self._moment(d)[0] - exact) <= 1e-15, d
+
+    def test_gauss_exact_to_degree_19_and_not_20(self):
+        for d in range(20):
+            exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
+            assert abs(self._moment(d)[1] - exact) <= 1e-15, d
+        assert abs(self._moment(20)[1] - 2.0 / 21.0) > 1e-7
+
+    def test_gauss_nodes_and_weights_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            for j in range(5):
+                x = numerics._XGK[2 * j + 1]
+                root = mpmath.findroot(lambda t: mpmath.legendre(10, t), x)
+                slope = mpmath.diff(lambda t: mpmath.legendre(10, t), root)
+                weight = 2 / ((1 - root**2) * slope**2)
+                assert abs(x - root) <= 1e-16, j
+                assert abs(numerics._WG[j] - weight) <= 1e-16, j
+
+
 class TestIntegrateAdaptive:
     def test_constant(self):
         res = integrate_adaptive(lambda x: 1.0, 0.0, 1.0, 1e-12)
         assert res.value == pytest.approx(1.0, abs=1e-13)
         assert res.abs_error_estimate >= 0.0
-        assert res.evaluations >= 15
+        assert res.evaluations >= 21
 
     def test_linear(self):
         res = integrate_adaptive(lambda x: x, 0.0, 1.0, 1e-12)
@@ -88,7 +127,7 @@ class TestIntegrateAdaptive:
 
             res = integrate_adaptive(counted, 0.0, 1.0, tol)
             assert res.evaluations == len(calls)
-            assert res.evaluations % 30 == 15  # 15 * (1 + 2 * splits)
+            assert res.evaluations % 42 == 21  # 21 * (1 + 2 * splits)
         assert res.evaluations > 1000  # the oscillating integrand split many times
 
     def test_budget_error_counts_the_integrand_calls(self):
@@ -100,7 +139,7 @@ class TestIntegrateAdaptive:
 
         with pytest.raises(BudgetError) as err:
             integrate_adaptive(f, 0.0, 1.0, 1e-14, max_subdivisions=3)
-        assert err.value.best.evaluations == len(calls) == 15 * 7
+        assert err.value.best.evaluations == len(calls) == 21 * 7
 
     def test_endpoint_limit_keywords_are_gone(self):
         # One path: integrands own their endpoint values, nothing is declared.
@@ -171,6 +210,48 @@ class TestFindRootIncreasing:
         plain = find_root_increasing(g, 0.0, 2.0, 3.0, 1e-13)
         refined = find_root_increasing(g, 0.0, 2.0, 3.0, 1e-13, derivative=dg)
         assert abs(plain - refined) < 1e-12
+
+    def test_halley_steps_from_a_start(self):
+        calls = []
+
+        def g(x):
+            calls.append(x)
+            return x * math.exp(x)
+
+        dg = lambda x: (1.0 + x) * math.exp(x)
+        d2g = lambda x: (2.0 + x) * math.exp(x)
+        newton = find_root_increasing(g, 0.0, 2.0, 3.0, 1e-14, derivative=dg)
+        n_newton = len(calls)
+        calls.clear()
+        halley = find_root_increasing(
+            g, 0.0, 2.0, 3.0, 1e-14, derivative=dg, second_derivative=d2g, start=1.2
+        )
+        assert abs(halley * math.exp(halley) - 3.0) <= 1e-14
+        assert abs(halley - newton) < 1e-14
+        assert calls[2] == 1.2
+        assert len(calls) < n_newton
+
+    @pytest.mark.parametrize("start", [None, 0.0, 2.0, -1.0, math.nan])
+    def test_start_missing_or_outside_the_open_bracket_takes_the_midpoint(self, start):
+        calls = []
+
+        def g(x):
+            calls.append(x)
+            return x * x * x + x
+
+        find_root_increasing(g, 0.0, 2.0, 3.0, 1e-13, start=start)
+        assert calls[2] == 1.0
+
+    @pytest.mark.parametrize("d2", [math.nan, math.inf, -math.inf])
+    def test_halley_divisor_outside_zero_to_inf_falls_back_to_newton(self, d2):
+        # 1 - step g''/(2 g') is NaN or infinite at every step.
+        g = lambda x: x * math.exp(x)
+        dg = lambda x: (1.0 + x) * math.exp(x)
+        newton = find_root_increasing(g, 0.0, 2.0, 3.0, 1e-13, derivative=dg)
+        fallback = find_root_increasing(
+            g, 0.0, 2.0, 3.0, 1e-13, derivative=dg, second_derivative=lambda x: d2
+        )
+        assert fallback == newton
 
 
 class TestSumSeries:

@@ -368,6 +368,11 @@ class TestCorollaryTolerances:
     # identity -> (module, rhs route, 1e-11 shift of the route's result);
     # b^2/4 grows by 1e-11 when b^2 grows by 4e-11.
     _RHS_SHIFTS = {
+        "theorem1": (
+            "endpoint",
+            "aux_integral_I",
+            lambda quad: quad._replace(value=quad.value + 1e-11),
+        ),
         "corollary1": (
             "endpoint",
             "solve_endpoint_b",
