@@ -5,121 +5,107 @@ Ti2(y) = integral_0^y arctan(x)/x dx and its connections to the complex
 dilogarithm, the Clausen function, Hurwitz zeta, and the exponential
 integral -- plus a verification harness that certifies each supported
 identity as an LHS-vs-RHS residual within declared tolerances.
+
+Importing the package loads none of its modules.  Each public name is
+imported from its module on first access (PEP 562) and then kept here, so
+``from ti2kit import ti2`` loads only ``ti2core`` and what it imports.
 """
 
-from .decomp import (
-    catalan_family,
-    corollary2_series,
-    h_quadrature,
-    h_series,
-    k1_closed,
-    lemma1_catalan,
-    pointwise_identity,
-    remark1_partial,
-    s_r,
-    xi_k,
-)
-from .endpoint import (
-    AdmissibilityResult,
-    EndpointSolution,
-    admissibility,
-    aux_closed_F,
-    aux_integral_I,
-    catalan_via_endpoint,
-    phi,
-    phi_derivative,
-    psi,
-    solve_endpoint_b,
-    theorem1_identity,
-)
-from .numerics import (
-    BracketError,
-    BudgetError,
-    DomainError,
-    QuadratureResult,
-    SeriesResult,
-    find_root_increasing,
-    integrate_adaptive,
-    sum_series,
-)
-from .polylog import BranchCutError, clausen2, li2, li2_derivative, li2_upper_boundary
-from .report import IdentityReport, render_json, render_table, write_reports
-from .special import (
-    EULER_GAMMA,
-    PoleError,
-    catalan_reference,
-    cot_partial_fraction_sum,
-    digamma,
-    digamma_gap,
-    ei_negative,
-    expint_T,
-    hurwitz_zeta,
-    kummer_sine_log_sum,
-    log_gamma,
-    loggamma_im_gap,
-)
-from .ti2core import ti2, ti2_clausen_form, ti2_proposition_form, ti2_via_quadrature
-from .verify import IDENTITY_NAMES, VerificationConfig, run_all, run_identity
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AdmissibilityResult",
-    "BracketError",
-    "BranchCutError",
-    "BudgetError",
-    "DomainError",
-    "EULER_GAMMA",
-    "EndpointSolution",
-    "IDENTITY_NAMES",
-    "IdentityReport",
-    "PoleError",
-    "QuadratureResult",
-    "SeriesResult",
-    "VerificationConfig",
-    "admissibility",
-    "aux_closed_F",
-    "aux_integral_I",
-    "catalan_family",
-    "catalan_reference",
-    "catalan_via_endpoint",
-    "clausen2",
-    "corollary2_series",
-    "cot_partial_fraction_sum",
-    "digamma",
-    "digamma_gap",
-    "ei_negative",
-    "expint_T",
-    "find_root_increasing",
-    "h_quadrature",
-    "h_series",
-    "hurwitz_zeta",
-    "integrate_adaptive",
-    "k1_closed",
-    "kummer_sine_log_sum",
-    "lemma1_catalan",
-    "li2",
-    "li2_derivative",
-    "li2_upper_boundary",
-    "log_gamma",
-    "loggamma_im_gap",
-    "phi",
-    "phi_derivative",
-    "pointwise_identity",
-    "psi",
-    "remark1_partial",
-    "render_json",
-    "render_table",
-    "run_all",
-    "run_identity",
-    "s_r",
-    "solve_endpoint_b",
-    "sum_series",
-    "theorem1_identity",
-    "ti2",
-    "ti2_clausen_form",
-    "ti2_proposition_form",
-    "ti2_via_quadrature",
-    "write_reports",
-    "xi_k",
-]
+# module -> the public names it defines.
+_EXPORTS = {
+    "decomp": (
+        "catalan_family",
+        "corollary2_series",
+        "h_quadrature",
+        "h_series",
+        "k1_closed",
+        "lemma1_catalan",
+        "pointwise_identity",
+        "remark1_partial",
+        "s_r",
+        "xi_k",
+    ),
+    "endpoint": (
+        "AdmissibilityResult",
+        "EndpointSolution",
+        "admissibility",
+        "aux_closed_F",
+        "aux_integral_I",
+        "catalan_via_endpoint",
+        "phi",
+        "phi_derivative",
+        "psi",
+        "solve_endpoint_b",
+        "theorem1_identity",
+    ),
+    "numerics": (
+        "BracketError",
+        "BudgetError",
+        "DomainError",
+        "QuadratureResult",
+        "SeriesResult",
+        "find_root_increasing",
+        "integrate_adaptive",
+        "sum_series",
+    ),
+    "polylog": ("BranchCutError", "clausen2", "li2", "li2_derivative", "li2_upper_boundary"),
+    "report": ("IdentityReport", "render_json", "render_table", "write_reports"),
+    "special": (
+        "EULER_GAMMA",
+        "PoleError",
+        "catalan_reference",
+        "cot_partial_fraction_sum",
+        "digamma",
+        "digamma_gap",
+        "ei_negative",
+        "expint_T",
+        "hurwitz_zeta",
+        "kummer_sine_log_sum",
+        "log_gamma",
+        "loggamma_im_gap",
+    ),
+    "ti2core": ("ti2", "ti2_clausen_form", "ti2_proposition_form", "ti2_via_quadrature"),
+    "verify": ("IDENTITY_NAMES", "VerificationConfig", "run_all", "run_identity"),
+}
+
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        # Importing a submodule binds it in this namespace.
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_EXPORTS})
+
+
+class _LazyModule:
+    """A module global that stands in for ``name`` until first used.
+
+    The first attribute access imports the module and rebinds the global in
+    ``namespace`` to it, so every later use is a plain module attribute
+    lookup.  ``name`` is absolute, or relative to this package with a
+    leading dot.
+    """
+
+    def __init__(self, namespace: dict, name: str):
+        self._namespace = namespace
+        self._name = name
+
+    def __getattr__(self, attr: str):
+        module = importlib.import_module(self._name, __name__)
+        self._namespace[self._name.lstrip(".")] = module
+        return getattr(module, attr)

@@ -20,14 +20,18 @@ import re
 import sys
 from typing import Optional, Sequence
 
-from .decomp import h_series, k1_closed
-from .endpoint import phi, psi, solve_endpoint_b
+from . import _LazyModule
 from .numerics import BracketError, DomainError
-from .polylog import clausen2, li2
-from .report import write_reports
-from .special import catalan_reference, ei_negative, hurwitz_zeta
-from .ti2core import ti2
-from .verify import IDENTITY_NAMES, VerificationConfig, run_identity
+
+# A process imports only the modules its command runs: each of these is
+# imported on first use, and is a plain module from then on.
+decomp = _LazyModule(globals(), ".decomp")
+endpoint = _LazyModule(globals(), ".endpoint")
+polylog = _LazyModule(globals(), ".polylog")
+report = _LazyModule(globals(), ".report")
+special = _LazyModule(globals(), ".special")
+ti2core = _LazyModule(globals(), ".ti2core")
+verify = _LazyModule(globals(), ".verify")
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -37,17 +41,17 @@ EXIT_IO = 4
 
 # compute functions: name -> (arity, callable returning float or complex)
 _COMPUTE_FNS = {
-    "ti2": (1, lambda a: ti2(a[0])),
-    "li2": (2, lambda a: li2(complex(a[0], a[1]))),
-    "clausen2": (1, lambda a: clausen2(a[0])),
-    "hurwitz": (2, lambda a: hurwitz_zeta(a[0], a[1])),
-    "ei": (1, lambda a: ei_negative(a[0])),
-    "catalan": (0, lambda a: catalan_reference(1e-14)),
-    "psi": (1, lambda a: psi(a[0])),
-    "phi": (2, lambda a: phi(a[0], a[1])),
-    "b-of-a": (1, lambda a: solve_endpoint_b(a[0]).b),
-    "H": (2, lambda a: h_series(a[0], a[1]).value),
-    "K1": (0, lambda a: k1_closed()),
+    "ti2": (1, lambda a: ti2core.ti2(a[0])),
+    "li2": (2, lambda a: polylog.li2(complex(a[0], a[1]))),
+    "clausen2": (1, lambda a: polylog.clausen2(a[0])),
+    "hurwitz": (2, lambda a: special.hurwitz_zeta(a[0], a[1])),
+    "ei": (1, lambda a: special.ei_negative(a[0])),
+    "catalan": (0, lambda a: special.catalan_reference(1e-14)),
+    "psi": (1, lambda a: endpoint.psi(a[0])),
+    "phi": (2, lambda a: endpoint.phi(a[0], a[1])),
+    "b-of-a": (1, lambda a: endpoint.solve_endpoint_b(a[0]).b),
+    "H": (2, lambda a: decomp.h_series(a[0], a[1]).value),
+    "K1": (0, lambda a: decomp.k1_closed()),
 }
 
 
@@ -81,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("args", nargs="*", type=float, help="numeric arguments")
 
     p_verify = sub.add_parser("verify", help="run identity verifications")
-    p_verify.add_argument("identity", help=f"one of {', '.join(IDENTITY_NAMES)} or 'all'")
+    p_verify.add_argument("identity", help="an identity name, or 'all'")
     p_verify.add_argument("--a", action="append", type=float, default=None)
     p_verify.add_argument("--theta", action="append", type=float, default=None)
     p_verify.add_argument("--n", action="append", type=int, default=None)
@@ -112,7 +116,7 @@ def _parse_config_file(path: str) -> dict[str, str]:
 _CONFIG_KEYS = {"K", "tol", "format", "out"}
 
 
-def _apply_config(cfg: VerificationConfig, entries: dict[str, str], identity: str) -> None:
+def _apply_config(cfg: verify.VerificationConfig, entries: dict[str, str], identity: str) -> None:
     for key, value in entries.items():
         if key not in _CONFIG_KEYS:
             raise ValueError(f"unknown config key {key!r}")
@@ -126,8 +130,8 @@ def _apply_config(cfg: VerificationConfig, entries: dict[str, str], identity: st
             cfg.out = value
 
 
-def _set_tolerance(cfg: VerificationConfig, identity: str, tol: float) -> None:
-    names = IDENTITY_NAMES if identity == "all" else (identity,)
+def _set_tolerance(cfg: verify.VerificationConfig, identity: str, tol: float) -> None:
+    names = verify.IDENTITY_NAMES if identity == "all" else (identity,)
     for name in names:
         cfg.tolerances[name] = tol
 
@@ -154,12 +158,12 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     identity = args.identity
-    if identity != "all" and identity not in IDENTITY_NAMES:
+    if identity != "all" and identity not in verify.IDENTITY_NAMES:
         print(f"error: unknown identity {identity!r}; expected one of "
-              f"{', '.join(IDENTITY_NAMES)} or 'all'", file=sys.stderr)
+              f"{', '.join(verify.IDENTITY_NAMES)} or 'all'", file=sys.stderr)
         return EXIT_USAGE
 
-    cfg = VerificationConfig()
+    cfg = verify.VerificationConfig()
     try:
         if args.config is not None:
             _apply_config(cfg, _parse_config_file(args.config), identity)
@@ -197,13 +201,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return EXIT_USAGE
 
     try:
-        reports = run_identity(identity, cfg)
+        reports = verify.run_identity(identity, cfg)
     except (DomainError, BracketError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 
     try:
-        write_reports(reports, cfg.format, destination=cfg.out)
+        report.write_reports(reports, cfg.format, destination=cfg.out)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

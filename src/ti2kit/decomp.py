@@ -115,10 +115,18 @@ def xi_k(k: int, alpha: float, x: float) -> float:
     return _xi_term(k, alpha, x)
 
 
+# Above this x, _xi_term divides through by x: x * x overflows above
+# 1.34e154, and 2 alpha x above 9e307 / alpha, which made the term inf / inf.
+_XI_LARGE_X = 1e150
+
+
 def _xi_term(k: int, alpha: float, x: float) -> float:
     # (k pi)^2 - alpha^2 as a product: PI - alpha is exact near alpha = pi.
     kpi = k * PI
-    return math.atan(2.0 * alpha * x / (x * x + (kpi - alpha) * (kpi + alpha)))
+    c = (kpi - alpha) * (kpi + alpha)
+    if x > _XI_LARGE_X:
+        return math.atan(2.0 * alpha / (x + c / x))
+    return math.atan(2.0 * alpha * x / (x * x + c))
 
 
 # Pole corrections summed one by one before the Stirling tail takes over.

@@ -9,9 +9,13 @@ identical runs produce byte-identical output.
 
 from __future__ import annotations
 
-import json
 import math
 from typing import NamedTuple, Optional, Sequence, TextIO
+
+from . import _LazyModule
+
+# Imported by the first JSON render; table output never loads it.
+json = _LazyModule(globals(), "json")
 
 __all__ = ["IdentityReport", "render_json", "render_table", "write_reports"]
 

@@ -12,10 +12,15 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-from . import decomp, endpoint
+from . import _LazyModule
 from .report import IdentityReport
-from .special import catalan_reference
 from .ti2core import METHOD_CLAUSEN_FORM, ti2, ti2_clausen_form, ti2_method
+
+# Imported by the first row that uses them, so ``verify theorem1`` loads
+# neither decomp nor special.
+decomp = _LazyModule(globals(), ".decomp")
+endpoint = _LazyModule(globals(), ".endpoint")
+special = _LazyModule(globals(), ".special")
 
 __all__ = ["IDENTITY_NAMES", "VerificationConfig", "run_identity", "run_all"]
 
@@ -61,8 +66,10 @@ class VerificationConfig:
         for name, tol in self.tolerances.items():
             if name not in IDENTITY_NAMES:
                 raise ValueError(f"unknown identity {name!r} in tolerances")
-            if not tol > 0.0:
-                raise ValueError(f"tolerance for {name!r} must be positive, got {tol!r}")
+            if not 0.0 < tol < math.inf:
+                raise ValueError(
+                    f"tolerance for {name!r} must be finite and positive, got {tol!r}"
+                )
         if self.K < 1:
             raise ValueError(f"truncation K must be >= 1, got {self.K!r}")
         if self.format not in ("json", "table"):
@@ -74,7 +81,7 @@ def _corollary1(_point, cfg: VerificationConfig, tol: float) -> IdentityReport:
     return IdentityReport.build(
         name="corollary1",
         params={"a": 1.0, "b": sol.b},
-        lhs=catalan_reference(1e-14),
+        lhs=special.catalan_reference(1e-14),
         rhs=sol.b * sol.b / 4.0 - 0.25 * PI * math.log(2.0),
         tolerance=tol,
         method_lhs="alternating-series-acceleration",
@@ -100,7 +107,7 @@ def _remark1(K: int, cfg: VerificationConfig, tol: float) -> IdentityReport:
     return IdentityReport.build(
         name="remark1",
         params={"K": float(K)},
-        lhs=catalan_reference(1e-14),
+        lhs=special.catalan_reference(1e-14),
         rhs=decomp.remark1_partial(K) + ti2(1.0 / (2 * K + 1)),
         tolerance=tol,
         method_lhs="alternating-series-acceleration",

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import time
 
 import numpy as np
@@ -64,6 +65,20 @@ class TestXiK:
                 ratio = xi_k(k, alpha, x) / (2.0 * alpha * x / (k * PI) ** 2)
                 assert abs(ratio - 1.0) < 0.01
 
+    @pytest.mark.parametrize("x", [1e154, 1e200, 1e308, sys.float_info.max])
+    def test_far_abscissa_against_mpmath(self, x):
+        # 2 alpha x overflows above 9e307 / alpha and x * x above 1.34e154;
+        # neither may turn the term into inf / inf.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for k in (1, 20):
+                for alpha in (0.5, 1.0, 3.1):
+                    X, a = mpmath.mpf(x), mpmath.mpf(alpha)
+                    ref = mpmath.atan(2 * a * X / (X * X + (k * mpmath.pi) ** 2 - a * a))
+                    value = xi_k(k, alpha, x)
+                    # The smallest references are subnormal: allow one of their ulps.
+                    assert abs(value - ref) <= 4e-16 * ref + 5e-324, (k, alpha, x)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             xi_k(0, 1.0, 1.0)
@@ -97,6 +112,13 @@ class TestPointwiseIdentity:
         assert report.lhs - truncated == pytest.approx(envelope, rel=1e-3)
         assert report.tail_bound is None
         assert report.abs_residual <= 1e-13
+        assert report.passed
+
+    @pytest.mark.parametrize("x", [1e154, 1e200, 1e308, sys.float_info.max])
+    def test_far_abscissa_is_finite_and_passes(self, x):
+        report = pointwise_identity(1.0, x)
+        assert report.rhs == pytest.approx(PI / 2.0, abs=1e-15)
+        assert report.abs_residual <= 1e-15
         assert report.passed
 
     def test_default_grid(self):

@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -117,6 +118,11 @@ class TestVerifyRunners:
     def test_unknown_identity(self):
         with pytest.raises(KeyError):
             run_identity("theorem9")
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-9])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        with pytest.raises(ValueError, match="finite and positive"):
+            VerificationConfig(tolerances={"lemma1": tol}).validate()
 
     def test_run_all_passes_and_orders(self):
         reports = run_all(VerificationConfig())
@@ -323,6 +329,31 @@ class TestCli:
         res = run_cli("verify", "remark1", "--config", str(cfg))
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-9"])
+    def test_non_finite_or_non_positive_tol_flag_exits_2(self, tol, fmt):
+        res = run_cli("verify", "lemma1", "--tol", tol, "--format", fmt)
+        assert res.returncode == 2
+        assert "finite and positive" in res.stderr
+        assert res.stdout == ""
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_non_finite_tol_config_key_exits_2(self, tmp_path, tol, fmt):
+        cfg = tmp_path / "ti2kit.cfg"
+        cfg.write_text(f"tol={tol}\nformat={fmt}\n")
+        res = run_cli("verify", "lemma1", "--config", str(cfg))
+        assert res.returncode == 2
+        assert "finite and positive" in res.stderr
+        assert res.stdout == ""
+
+    def test_pointwise_at_largest_abscissa_passes(self):
+        res = run_cli("verify", "pointwise", "--alpha", "1", "--A", "1e308", "--format", "json")
+        assert res.returncode == 0, res.stderr
+        (report,) = json.loads(res.stdout)
+        assert report["pass"] is True
+        assert report["abs_residual"] <= 1e-15
+
     def test_verify_all_json_deterministic(self):
         first = run_cli("verify", "all", "--format", "json")
         second = run_cli("verify", "all", "--format", "json")
@@ -346,6 +377,112 @@ class TestImportFootprint:
         )
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == "[]"
+
+    # argv -> modules the process must not load: each command imports only
+    # the modules it runs.
+    _UNLOADED = {
+        ("compute", "ti2", "1"): (
+            "ti2kit.decomp", "ti2kit.endpoint", "ti2kit.special",
+            "ti2kit.verify", "ti2kit.report", "json",
+        ),
+        ("compute", "b-of-a", "2"): ("ti2kit.decomp", "ti2kit.special", "ti2kit.verify"),
+        ("verify", "theorem1"): ("ti2kit.decomp", "ti2kit.special", "json"),
+        ("verify", "all"): ("json",),
+    }
+
+    @pytest.mark.parametrize("argv", list(_UNLOADED), ids=" ".join)
+    def test_command_loads_only_what_it_runs(self, argv):
+        unwanted = self._UNLOADED[argv]
+        probe = (
+            "import contextlib, io, sys, ti2kit.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = ti2kit.cli.main({list(argv)!r})\n"
+            f"print(code, sorted(m for m in {unwanted!r} if m in sys.modules))"
+        )
+        res = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "0 []"
+
+    def test_json_output_loads_json(self):
+        probe = (
+            "import contextlib, io, sys, ti2kit.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "    code = ti2kit.cli.main(['verify', 'remark1', '--format', 'json'])\n"
+            "print(code, 'json' in sys.modules, len(__import__('json').loads(out.getvalue())))"
+        )
+        res = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "0 True 1"
+
+
+class TestPackageApi:
+    def test_every_export_is_its_modules_object(self):
+        import ti2kit
+
+        for name in ti2kit.__all__:
+            home = importlib.import_module(f"ti2kit.{ti2kit._HOME[name]}")
+            value = getattr(ti2kit, name)
+            assert value is getattr(home, name), name
+            # Functions and classes are looked up where they are defined.
+            assert getattr(value, "__module__", home.__name__) == home.__name__, name
+
+    def test_star_import_binds_every_export(self):
+        import ti2kit
+
+        namespace: dict = {}
+        exec("from ti2kit import *", namespace)
+        assert set(ti2kit.__all__) <= set(namespace)
+        assert namespace["ti2"] is ti2kit.ti2core.ti2
+
+    def test_dir_lists_every_export_and_module(self):
+        import ti2kit
+
+        listed = dir(ti2kit)
+        assert set(ti2kit.__all__) <= set(listed)
+        assert {"decomp", "endpoint", "numerics", "verify"} <= set(listed)
+        assert listed == sorted(listed)
+
+    def test_unknown_attribute_raises_attribute_error(self):
+        import ti2kit
+
+        with pytest.raises(AttributeError, match="no_such_name"):
+            ti2kit.no_such_name
+        assert not hasattr(ti2kit, "_private_helper")
+        with pytest.raises(ImportError):
+            exec("from ti2kit import no_such_name", {})
+
+    def test_fresh_package_imports_no_module_until_used(self):
+        probe = (
+            "import sys, ti2kit\n"
+            "before = sorted(m for m in sys.modules if m.startswith('ti2kit.'))\n"
+            "from ti2kit import li2\n"
+            "after = sorted(m for m in sys.modules if m.startswith('ti2kit.'))\n"
+            "print(before, after, ti2kit.li2 is li2, 'li2' in vars(ti2kit))"
+        )
+        res = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "[] ['ti2kit.numerics', 'ti2kit.polylog'] True True"
+
+    def test_lazy_globals_are_plain_modules_after_first_use(self, capsys):
+        # A stand-in left in place would re-enter the import system on every
+        # access, on the hot path of each verify row.
+        from ti2kit import cli, report, verify
+
+        for argv in (["verify", "all", "--format", "json"], ["compute", "li2", "1", "0"],
+                     ["compute", "ti2", "1"], ["compute", "ei", "1"],
+                     ["compute", "psi", "1"], ["compute", "K1"]):
+            assert cli.main(argv) == 0
+        lazy = {cli: ("decomp", "endpoint", "polylog", "report", "special", "ti2core", "verify"),
+                verify: ("decomp", "endpoint", "special"), report: ("json",)}
+        for module, names in lazy.items():
+            for name in names:
+                assert isinstance(vars(module)[name], types.ModuleType), (module, name)
 
 
 class TestCorollaryTolerances:
