@@ -345,15 +345,24 @@ def _pole_bracket(A: float, alpha: float) -> SeriesResult:
     )
 
 
+# corollary2's largest A.  The bracket sum's K0 ~ 4A/pi direct terms make
+# its cost linear in A: 0.22 s at A = 1e4 (residual 4.4e-14), 2.3 s at 1e5.
+_COROLLARY2_MAX_A = 1e4
+
+
 def corollary2_series(A: float, alpha: float, *, tolerance: float = 1e-12) -> IdentityReport:
     """Check Ti2(A/alpha) against H(A, alpha) plus the full bracket sum.
 
+    A must lie in (0, 1e4]; a larger or non-finite A raises
+    :class:`DomainError` rather than summing ~4A/pi brackets directly.
     The reported tail adds the bracket sum's Hurwitz n-series bound to the
     tail bound of h_series (its quadrature error estimate below A = 3).
     """
     _check_alpha(alpha)
-    if not A > 0.0:
-        raise DomainError(f"corollary2_series requires A > 0, got {A!r}")
+    if not 0.0 < A <= _COROLLARY2_MAX_A:
+        raise DomainError(
+            f"corollary2_series requires 0 < A <= {_COROLLARY2_MAX_A:g}, got {A!r}"
+        )
     h = h_series(A, alpha)
     pole = _pole_bracket(A, alpha)
     return IdentityReport.build(

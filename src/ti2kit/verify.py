@@ -27,6 +27,11 @@ __all__ = ["IDENTITY_NAMES", "VerificationConfig", "run_identity", "run_all"]
 PI = math.pi
 
 
+# remark1 sums K terms directly, ~2 us each: K = 1e5 takes 0.23 s, and is
+# the largest K its tolerance was measured at (see _IDENTITIES).
+_MAX_K = 100_000
+
+
 _ALPHA_X_GRID = tuple(
     (a, x) for a in (0.4, 1.0, 1.6, 2.2, 2.8) for x in (0.8, 1.6, 2.4, 3.2, 4.0)
 )
@@ -70,8 +75,8 @@ class VerificationConfig:
                 raise ValueError(
                     f"tolerance for {name!r} must be finite and positive, got {tol!r}"
                 )
-        if self.K < 1:
-            raise ValueError(f"truncation K must be >= 1, got {self.K!r}")
+        if not 1 <= self.K <= _MAX_K:
+            raise ValueError(f"truncation K must be in 1..{_MAX_K}, got {self.K!r}")
         if self.format not in ("json", "table"):
             raise ValueError(f"format must be 'json' or 'table', got {self.format!r}")
 

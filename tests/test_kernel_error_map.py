@@ -1,7 +1,7 @@
 """Kernel error map: worst error against mpmath at 40 digits over seeded samples.
 
 Each bound is about three times the worst error measured over a larger
-seeded sample of the same domain (recorded in ROADMAP item 4), so a change
+seeded sample of the same domain (recorded in ROADMAP item 3), so a change
 of regime or switchover that costs accuracy fails here.
 """
 
@@ -11,8 +11,8 @@ import random
 
 import pytest
 
-from ti2kit.polylog import clausen2, li2
-from ti2kit.special import ei_negative, log_gamma
+from ti2kit.polylog import clausen2, li2, li2_upper_boundary
+from ti2kit.special import ei_negative, hurwitz_zeta, log_gamma
 from ti2kit.ti2core import SERIES_CUTOFF, ti2
 
 mpmath = pytest.importorskip("mpmath")
@@ -51,6 +51,69 @@ def test_li2_error_at_every_argument():
         ref = mpmath.polylog(2, mpmath.mpc(z.real, z.imag))
         worst = max(worst, float(abs(li2(z) - ref) / (abs(ref) + 1)))
     assert worst <= 1.3e-15
+
+
+def test_li2_real_axis_relative_error():
+    # Worst measured: 5.0e-16 relative near x = 0.54, just past the
+    # reflection at 1/2 (60000 x over two seeds, same three bands).
+    rng = random.Random(16)
+    xs = [-_log_uniform(rng, 1e-8, 30.0) for _ in range(100)]
+    xs += [_log_uniform(rng, 1e-8, 1.0) for _ in range(100)]
+    xs += [rng.uniform(0.4, 1.0) for _ in range(100)]
+    # Both sides of the inversion and reflection switchovers.
+    xs += [-1.0 - 2e-8, -1.0 - 1e-8, -1.0, 0.5, math.nextafter(0.5, 1.0), math.nextafter(1.0, 0.0)]
+    worst = 0.0
+    for x in xs:
+        ref = mpmath.polylog(2, x)
+        worst = max(worst, float(abs((li2(x).real - ref) / ref)))
+    assert worst <= 1.5e-15
+
+
+def test_li2_relative_error_across_the_power_series_edge():
+    # |z| in [0.2, 0.3] straddles the power series' edge at 1/4.  Worst
+    # measured: 1.1e-15 relative at |z| = 0.24, on the power-series side
+    # (40000 z over two seeds).
+    rng = random.Random(17)
+    worst = 0.0
+    for _ in range(300):
+        z = cmath.rect(rng.uniform(0.2, 0.3), rng.uniform(-math.pi, math.pi))
+        ref = mpmath.polylog(2, mpmath.mpc(z.real, z.imag))
+        worst = max(worst, float(abs((li2(z) - ref) / ref)))
+    assert worst <= 3e-15
+
+
+def test_li2_upper_boundary_real_part():
+    # Worst measured: 7.8e-16 of |ref| + 1 near x = 12.4 (40000 x in
+    # (1, 100] over two seeds, half log-uniform).
+    rng = random.Random(18)
+    xs = [_log_uniform(rng, 1.0 + 1e-12, 100.0) for _ in range(100)]
+    xs += [rng.uniform(1.0, 100.0) for _ in range(100)] + [100.0]
+    worst = 0.0
+    for x in xs:
+        ref = mpmath.polylog(2, x).real
+        worst = max(worst, float(abs(li2_upper_boundary(x).real - ref) / (abs(ref) + 1)))
+    assert worst <= 2.2e-15
+
+
+def test_hurwitz_zeta_relative_error():
+    # s - 1 log-uniform in [1e-3, 49], c log-uniform in [1e-3, 1e4].  mpmath
+    # itself loses digits at large s and c (at 200 digits its zeta(51, 1e4)
+    # is off by 2.9e-13), so a point counts only where 40 and 60 digits
+    # agree to 1e-25; about 6% do not.  Worst measured: 1.1e-15 relative
+    # at s = 2.9, c = 1.8 (10000 points over two seeds).
+    rng = random.Random(19)
+    worst, kept = 0.0, 0
+    for _ in range(300):
+        s, c = 1.0 + _log_uniform(rng, 1e-3, 49.0), _log_uniform(rng, 1e-3, 1e4)
+        ref = mpmath.zeta(s, c)
+        with mpmath.workdps(60):
+            ref60 = mpmath.zeta(s, c)
+        if abs(ref - ref60) > 1e-25 * abs(ref60):
+            continue
+        kept += 1
+        worst = max(worst, float(abs((hurwitz_zeta(s, c) - ref60) / ref60)))
+    assert kept >= 250
+    assert worst <= 3.3e-15
 
 
 def test_clausen2_error_over_a_period():

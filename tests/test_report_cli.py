@@ -7,6 +7,7 @@ import types
 
 import pytest
 
+from ti2kit import cli
 from ti2kit.cli import _build_parser
 from ti2kit.report import IdentityReport, render_json, render_table
 from ti2kit.verify import IDENTITY_NAMES, VerificationConfig, run_all, run_identity
@@ -346,6 +347,39 @@ class TestCli:
         assert res.returncode == 2
         assert "finite and positive" in res.stderr
         assert res.stdout == ""
+
+    @pytest.mark.parametrize("A", ["1e308", "inf", "1e200", "10000.000001"])
+    def test_corollary2_rejects_an_A_it_cannot_sum(self, A, capsys):
+        # The bracket sum's direct terms grow as 4A/pi: A = 1e200 would
+        # never finish, and a non-finite A has no term count.
+        assert cli.main(["verify", "corollary2", "--A", A, "--alpha", "1"]) == 3
+        out, err = capsys.readouterr()
+        assert "requires 0 < A <= 10000" in err
+        assert out == ""
+
+    def test_corollary2_at_largest_A_passes(self, capsys):
+        assert cli.main(["verify", "corollary2", "--A", "1e4", "--alpha", "1"]) == 0
+        assert " ok" in capsys.readouterr().out
+
+    def test_remark1_K_above_ceiling_flag_exits_2(self, capsys):
+        assert cli.main(["verify", "remark1", "--K", "1000000000"]) == 2
+        out, err = capsys.readouterr()
+        assert "truncation K must be in 1..100000" in err
+        assert out == ""
+
+    def test_remark1_K_above_ceiling_config_key_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "ti2kit.cfg"
+        cfg.write_text("K=100001\n")
+        assert cli.main(["verify", "remark1", "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert "truncation K must be in 1..100000" in err
+        assert out == ""
+
+    def test_remark1_at_K_ceiling_passes(self, tmp_path, capsys):
+        cfg = tmp_path / "ti2kit.cfg"
+        cfg.write_text("K=100000\n")
+        assert cli.main(["verify", "remark1", "--config", str(cfg)]) == 0
+        assert " ok" in capsys.readouterr().out
 
     def test_pointwise_at_largest_abscissa_passes(self):
         res = run_cli("verify", "pointwise", "--alpha", "1", "--A", "1e308", "--format", "json")
