@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from .numerics import DomainError
-from .polylog import _BERNOULLI
+from .polylog import _BERNOULLI, _log1p
 
 __all__ = [
     "EULER_GAMMA",
@@ -159,9 +159,9 @@ def loggamma_im_gap(x: float, y: float, h: float) -> float:
         Im[(w - 1/2) log1p(2h/w) + 2h log(w + 2h)] + Im[B(w + 2h) - B(w)],
 
     B(z) = sum_j B_{2j}/(2j (2j-1) z^{2j-1}), so that the two O(|w| log |w|)
-    Stirling leads never meet.  log1p(u) at u = 2h/w is taken from real
-    parts, (1/2) log1p(2 Re u + |u|^2) + i atan2(Im u, 1 + Re u), which
-    keeps its digits when |u| is small.  The cost does not depend on x or y.
+    Stirling leads never meet.  log1p(2h/w) is the dilogarithm's complex
+    log1p (polylog), taken from real parts, which keeps its digits when
+    2h/|w| is small.  The cost does not depend on x or y.
     """
     if not (h >= 0.0 and x - h >= 12.0):
         raise DomainError(
@@ -169,10 +169,8 @@ def loggamma_im_gap(x: float, y: float, h: float) -> float:
         )
     w = complex(x - h, y)
     gap = 2.0 * h
-    u = gap / w
-    log1p_re = 0.5 * math.log1p(2.0 * u.real + u.real * u.real + u.imag * u.imag)
-    log1p_im = math.atan2(u.imag, 1.0 + u.real)
-    lead = (w.real - 0.5) * log1p_im + w.imag * log1p_re + gap * math.atan2(y, x + h)
+    lg = _log1p(gap / w)
+    lead = (w.real - 0.5) * lg.imag + w.imag * lg.real + gap * math.atan2(y, x + h)
     return lead + (_stirling_series(w + gap) - _stirling_series(w)).imag
 
 

@@ -17,7 +17,7 @@ from conftest import (
 from ti2kit.numerics import DomainError, integrate_adaptive
 from ti2kit.polylog import (
     _BERNOULLI,
-    _LOG_SERIES_COEFF,
+    _SERIES_COEFF,
     BranchCutError,
     clausen2,
     li2,
@@ -30,11 +30,12 @@ PI2_6 = PI * PI / 6.0
 
 
 def test_log_series_coefficients_match_fractions():
-    # B_k / ((k+1) k!) with B_k rounded once from the exact fraction.
-    for k, coeff in enumerate(_LOG_SERIES_COEFF):
-        b = Fraction(*_BERNOULLI[k]) if k in _BERNOULLI else Fraction(0)
-        assert coeff == float(b) / ((k + 1) * math.factorial(k)), k
-    assert len(_LOG_SERIES_COEFF) == 35
+    # B_k / (k+1)! for k = 24, 22, ..., 2, each rounded once from the exact
+    # fraction.
+    ks = range(24, 0, -2)
+    assert len(_SERIES_COEFF) == len(ks)
+    for k, coeff in zip(ks, _SERIES_COEFF):
+        assert coeff == float(Fraction(*_BERNOULLI[k]) / math.factorial(k + 1)), k
     assert Fraction(*_BERNOULLI[12]) == Fraction(-691, 2730)
 
 
