@@ -177,9 +177,11 @@ def li2_derivative(z: complex) -> complex:
         raise BranchCutError(f"derivative undefined on [1, oo), got {z.real!r}")
     if z == 0:
         return complex(1.0, 0.0)
-    if abs(z) < 1e-8:
-        # -Log(1-z)/z = 1 + z/2 + z^2/3 + ...; avoids cancellation near 0.
-        return 1.0 + z / 2.0 + z * z / 3.0
+    if abs(z) <= 0.5:
+        # Log(1 - z) from real parts: cmath.log would round 1 - z first and
+        # lose about 1e-16/|z| of the quotient.  _log1p squares |z|, so the
+        # large arguments stay on cmath.log.
+        return -_log1p(-z) / z
     return -cmath.log(1.0 - z) / z
 
 

@@ -30,6 +30,9 @@ __all__ = [
 ]
 
 PI = math.pi
+# pi - PI, rounded: PI - x is exact for x in [PI/2, PI], and adding this
+# recovers pi - x to about one ulp.
+_PI_LO = 1.2246467991473532e-16
 
 # Euler-Mascheroni constant, full binary64 precision.
 EULER_GAMMA = 0.5772156649015329
@@ -423,9 +426,18 @@ def _sine_log_sum(alpha: float) -> float:
     minus the same series at 1 - a, taken at a = alpha/pi, gives
 
         sum = (pi/2) [log Gamma(a) - log Gamma(1 - a)] - (pi/2 - alpha)(gamma + log 2 pi).
+
+    The sum is odd about pi/2, so alpha > pi/2 is taken as minus the sum at
+    pi - alpha, formed from pi's two parts.  At alpha itself, the rounding of
+    a = alpha/pi would cost 1 - a about 4e-17/(pi - alpha) of its digits,
+    which log Gamma(1 - a) passes on to the sum.
     """
-    return (PI / 2.0) * _log_gamma_reflection_gap(alpha / PI) - (PI / 2.0 - alpha) * (
-        EULER_GAMMA + math.log(2.0 * PI)
+    sign = 1.0
+    if alpha > PI / 2.0:
+        sign, alpha = -1.0, (PI - alpha) + _PI_LO
+    return sign * (
+        (PI / 2.0) * _log_gamma_reflection_gap(alpha / PI)
+        - (PI / 2.0 - alpha) * (EULER_GAMMA + math.log(2.0 * PI))
     )
 
 

@@ -2,7 +2,9 @@
 
 Four independent routes to the same function:
 
-* the defining power series / imaginary part of the dilogarithm at i*y,
+* the defining power series for |y| <= 0.99 (a fixed-degree Horner
+  polynomial per band up to 1/2, a term-by-term loop above) and the
+  imaginary part of the dilogarithm at i*y beyond,
 * direct adaptive quadrature of arctan(x)/x (the oracle route),
 * the closed form arctan(a) log(a) + Im Li2(1 + i a) - (pi/4) log(1 + a^2),
 * the Clausen reduction at tangent arguments.
@@ -37,7 +39,7 @@ METHOD_PROPOSITION_FORM = "proposition-form"
 METHOD_CLAUSEN_FORM = "clausen-form"
 
 # The power series has radius 1; beyond 0.99 its term count degrades, so the
-# dilogarithm route takes over (worst case stays under 2000 terms).
+# dilogarithm route takes over (the loop takes 1252 terms at y = 0.99).
 SERIES_CUTOFF = 0.99
 
 
@@ -49,7 +51,11 @@ def ti2_method(y: float) -> str:
 def ti2(y: float) -> float:
     """Inverse tangent integral Ti2(y); odd in y, Ti2(1) = Catalan's constant.
 
-    |y| <= 0.99: power series sum (-1)^n y^{2n+1} / (2n+1)^2.
+    |y| <= 1/2:  power series sum (-1)^n y^{2n+1} / (2n+1)^2, cut at a fixed
+                 N = 7, 9, 12 or 23 terms for |y| <= 1/16, 1/8, 1/4 or 1/2
+                 and summed by Horner's rule in y^2.
+    |y| <= 0.99: the same series term by term, until a term drops below
+                 1e-18 of the sum.
     |y| >  0.99: Im Li2(i y), which the dilogarithm handles at any size via
     its functional equations.  Oddness is implemented by reflection, so
     ti2(-y) == -ti2(y) exactly.
@@ -65,7 +71,34 @@ def ti2(y: float) -> float:
     return li2(complex(0.0, y)).imag
 
 
+# (-1)^n / (2n+1)^2 for n = 0..22, each correctly rounded (int / int).
+_SERIES_COEFF = tuple((-1) ** n / (2 * n + 1) ** 2 for n in range(23))
+
+# (top of band, N): on 0 < y <= top the series keeps its first N terms, the
+# least N whose first omitted term y^(2N+1) / (2N+1)^2 at the top is below
+# 1e-17 of Ti2(top).  Each band carries its coefficients n = N-1 .. 1 in
+# Horner order.
+_HORNER_BANDS = tuple(
+    (top, _SERIES_COEFF[n - 1 : 0 : -1])
+    for top, n in ((0.0625, 7), (0.125, 9), (0.25, 12), (0.5, 23))
+)
+
+
 def _ti2_series(y: float) -> float:
+    # 0 < y <= SERIES_CUTOFF.  Up to 1/2: y + y * sum_{1<=n<N} (-1)^n y^2n / (2n+1)^2
+    # by Horner's rule in y^2, with N fixed per band.  Adding the leading y
+    # last keeps the error within 1.1e-16 relative (1.5e-16 with the 1 in p).
+    if y <= 0.5:
+        for top, coeffs in _HORNER_BANDS:
+            if y <= top:
+                break
+        u = y * y
+        p = 0.0
+        for c in coeffs:
+            p = p * u + c
+        return y + y * (u * p)
+    # (1/2, 0.99]: term by term until a term drops below 1e-18 of the sum;
+    # 1252 terms at y = 0.99.
     total = 0.0
     yp = y  # y^{2n+1}
     y2 = y * y

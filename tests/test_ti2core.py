@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -7,6 +8,8 @@ from ti2kit.numerics import DomainError
 from ti2kit.polylog import li2
 from ti2kit.special import catalan_reference
 from ti2kit.ti2core import (
+    _HORNER_BANDS,
+    _SERIES_COEFF,
     ti2,
     ti2_clausen_form,
     ti2_proposition_form,
@@ -55,6 +58,22 @@ class TestTi2:
                 abs(u - v) for u, v in itertools.combinations(routes, 2)
             )
             assert worst < 1e-9
+
+    def test_horner_band_degrees_are_the_least_that_meet_the_rule(self):
+        # N terms on (previous top, top]: the first omitted term at the top is
+        # below 1e-17 of Ti2(top), and the term before it is not.
+        assert [top for top, _ in _HORNER_BANDS] == [0.0625, 0.125, 0.25, 0.5]
+        assert [len(coeffs) + 1 for _, coeffs in _HORNER_BANDS] == [7, 9, 12, 23]
+        for top, coeffs in _HORNER_BANDS:
+            n = len(coeffs) + 1
+            term = lambda k: top ** (2 * k + 1) / (2 * k + 1) ** 2
+            assert term(n) < 1e-17 * ti2(top) <= term(n - 1), top
+            assert coeffs == _SERIES_COEFF[n - 1 : 0 : -1]
+
+    def test_series_coefficients_are_correctly_rounded(self):
+        assert len(_SERIES_COEFF) == 23
+        for n, c in enumerate(_SERIES_COEFF):
+            assert c == float(Fraction((-1) ** n, (2 * n + 1) ** 2)), n
 
     def test_rejects_non_finite(self):
         with pytest.raises(DomainError):
