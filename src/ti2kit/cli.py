@@ -1,13 +1,28 @@
 """Command-line surface: compute single values, run identity verifications.
 
-    ti2kit compute <fn> <args...>
-    ti2kit verify <identity|all> [--a --theta --n --A --alpha --K
-                                  --tol --format json|table --out PATH
-                                  --config PATH]
+usage: ti2kit compute <fn> [<x> ...]
+       ti2kit verify <identity|all> [--<option> <value> ...]
+       ti2kit [compute | verify] -h | --help
 
---K is Remark 1's partial-sum depth; Lemma 1's Hurwitz series, the pole
-sums of corollaries 2 and 3 and the pointwise identity are summed to the
-end and take no depth.
+compute prints one value to 15 significant digits; <fn> and its arguments
+are one of: ti2 y, li2 re im (prints re im), clausen2 t, hurwitz s c, ei x,
+catalan, psi a, phi a b, b-of-a a, H A alpha, K1.
+
+verify runs theorem1, corollary1, corollary2, corollary3, corollary4,
+remark1, lemma1, pointwise, or all of them, and reports every grid point.
+Options are spelled out in full, as --opt value or --opt=value, before or
+after the identity; a value that starts with "-" must be a negative number.
+
+  --a, --theta, --n, --A, --alpha X   grid points, repeatable (--A and
+                                      --alpha pairwise)
+  --K N            remark1's partial-sum depth
+  --tol X          tolerance of every identity run
+  --format json|table
+  --out PATH       write the reports to PATH
+  --config PATH    key=value defaults (keys K, tol, format, out); flags win
+
+Lemma 1's Hurwitz series, the pole sums of corollaries 2 and 3 and the
+pointwise identity are summed to the end and take no depth.
 
 Exit codes: 0 all checks passed, 1 some check failed or no check ran,
 2 usage/config error, 3 domain error, 4 I/O error.
@@ -15,9 +30,9 @@ Exit codes: 0 all checks passed, 1 some check failed or no check ran,
 
 from __future__ import annotations
 
-import argparse
 import re
 import sys
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 from . import _LazyModule
@@ -65,38 +80,74 @@ def _format_value(v) -> str:
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    # argparse exits 2 on its own errors, matching the usage-error contract.
-    # Its own negative-number pattern misses exponent notation, so "-6.02e-05"
-    # would be read as an unknown option; no option here looks like a number,
-    # so every negative literal can be taken as a value.  Subparsers are
-    # built from this class too.
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = _NEGATIVE_NUMBER
+class _UsageError(Exception):
+    """A malformed command line; main prints it under the usage lines."""
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _ArgumentParser(prog="ti2kit", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
+# verify's options: name -> (conversion, repeats).  A repeating option keeps
+# every value in order, any other its last one; an option not given is None.
+# VerificationConfig.validate checks --format.
+_VERIFY_OPTIONS = {
+    "a": (float, True),
+    "theta": (float, True),
+    "n": (int, True),
+    "A": (float, True),
+    "alpha": (float, True),
+    "K": (int, False),
+    "tol": (float, False),
+    "format": (str, False),
+    "out": (str, False),
+    "config": (str, False),
+}
 
-    p_compute = sub.add_parser("compute", help="evaluate one function and print it")
-    p_compute.add_argument("function", help=f"one of {', '.join(_COMPUTE_FNS)}")
-    p_compute.add_argument("args", nargs="*", type=float, help="numeric arguments")
 
-    p_verify = sub.add_parser("verify", help="run identity verifications")
-    p_verify.add_argument("identity", help="an identity name, or 'all'")
-    p_verify.add_argument("--a", action="append", type=float, default=None)
-    p_verify.add_argument("--theta", action="append", type=float, default=None)
-    p_verify.add_argument("--n", action="append", type=int, default=None)
-    p_verify.add_argument("--A", action="append", type=float, default=None)
-    p_verify.add_argument("--alpha", action="append", type=float, default=None)
-    p_verify.add_argument("--K", type=int, default=None, help="remark1 partial-sum depth")
-    p_verify.add_argument("--tol", type=float, default=None)
-    p_verify.add_argument("--format", choices=("json", "table"), default=None)
-    p_verify.add_argument("--out", default=None)
-    p_verify.add_argument("--config", default=None, help="key=value defaults file")
-    return parser
+def _is_option(token: str) -> bool:
+    # No option looks like a number, so every negative literal is a value.
+    return token.startswith("-") and not _NEGATIVE_NUMBER.match(token)
+
+
+def _parse_args(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """The command line as a namespace, or None when it asks for help.
+
+    ``command`` is compute, with ``function`` and float ``args``, or verify,
+    with ``identity`` and one attribute per ``_VERIFY_OPTIONS`` entry.
+    Raises _UsageError for anything else.
+    """
+    args = SimpleNamespace(**dict.fromkeys(_VERIFY_OPTIONS))
+    words = []
+    tokens = iter(argv)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return None
+        if not _is_option(token):
+            words.append(token)
+            continue
+        name, has_value, value = token[2:].partition("=")
+        if words[:1] != ["verify"] or not token.startswith("--") or name not in _VERIFY_OPTIONS:
+            raise _UsageError(f"unrecognized argument {token!r}")
+        if not has_value:
+            value = next(tokens, None)
+            if value is None or _is_option(value):
+                raise _UsageError(f"argument --{name}: expected one value")
+        convert, repeats = _VERIFY_OPTIONS[name]
+        try:
+            value = convert(value)
+        except ValueError as exc:
+            raise _UsageError(f"argument --{name}: {exc}") from None
+        setattr(args, name, (getattr(args, name) or []) + [value] if repeats else value)
+
+    args.command, *rest = words or [None]
+    if args.command == "compute" and rest:
+        args.function, *values = rest
+        try:
+            args.args = [float(v) for v in values]
+        except ValueError as exc:
+            raise _UsageError(f"compute {args.function}: {exc}") from None
+    elif args.command == "verify" and len(rest) == 1:
+        args.identity = rest[0]
+    else:
+        raise _UsageError(f"expected a command and its arguments as above, got {words}")
+    return args
 
 
 def _parse_config_file(path: str) -> dict[str, str]:
@@ -136,7 +187,7 @@ def _set_tolerance(cfg: verify.VerificationConfig, identity: str, tol: float) ->
         cfg.tolerances[name] = tol
 
 
-def _cmd_compute(args: argparse.Namespace) -> int:
+def _cmd_compute(args: SimpleNamespace) -> int:
     fn = args.function
     if fn not in _COMPUTE_FNS:
         print(f"error: unknown function {fn!r}; expected one of "
@@ -156,7 +207,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> int:
     identity = args.identity
     if identity != "all" and identity not in verify.IDENTITY_NAMES:
         print(f"error: unknown identity {identity!r}; expected one of "
@@ -200,10 +251,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    try:
-        reports = verify.run_identity(identity, cfg)
-    except (DomainError, BracketError) as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
+    # One identity's domain error leaves the other reports of `all` standing.
+    reports, domain_error = [], False
+    for name in verify.IDENTITY_NAMES if identity == "all" else (identity,):
+        try:
+            reports += verify.run_identity(name, cfg)
+        except (DomainError, BracketError) as exc:
+            print(f"domain error: {name}: {exc}", file=sys.stderr)
+            domain_error = True
+    if domain_error and not reports:
         return EXIT_DOMAIN
 
     try:
@@ -212,6 +268,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
 
+    if domain_error:
+        return EXIT_DOMAIN
     if not reports:
         # all([]) is true: an empty run must not read as a pass.
         print(f"error: no check ran: no grid point of {identity!r} was admissible",
@@ -221,8 +279,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
+    except _UsageError as exc:
+        usage = __doc__.split("\n\n")[1]  # the docstring's usage lines
+        print(f"{usage}\nti2kit: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    if args is None:
+        print(__doc__, end="")
+        return EXIT_OK
     if args.command == "compute":
         return _cmd_compute(args)
     return _cmd_verify(args)

@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import math
 
+from . import _LazyModule
 from .numerics import (
     DomainError,
     QuadratureResult,
@@ -63,7 +64,6 @@ from .numerics import (
     integrate_adaptive,
     sum_series,
 )
-from .report import IdentityReport
 from .special import (
     EULER_GAMMA,
     _sine_log_sum,
@@ -75,6 +75,10 @@ from .special import (
     loggamma_im_gap,
 )
 from .ti2core import ti2
+
+# Imported by the first report built, so ``compute H`` and ``K1`` never
+# load it.
+report = _LazyModule(globals(), ".report")
 
 __all__ = [
     "xi_k",
@@ -148,7 +152,9 @@ def _xi_sum(alpha: float, x: float) -> float:
     return direct + loggamma_im_gap(_XI_DIRECT_TERMS + 1.0, x / PI, alpha / PI)
 
 
-def pointwise_identity(alpha: float, x: float, *, tolerance: float = 1e-12) -> IdentityReport:
+def pointwise_identity(
+    alpha: float, x: float, *, tolerance: float = 1e-12
+) -> report.IdentityReport:
     """Residual of arctan(x/alpha) against the full pole decomposition.
 
     The infinite pole sum costs the same at every x (see _xi_sum); the
@@ -160,7 +166,7 @@ def pointwise_identity(alpha: float, x: float, *, tolerance: float = 1e-12) -> I
         raise DomainError(f"pointwise_identity requires x >= 0, got {x!r}")
     lhs = math.atan(x / alpha)
     principal = math.atan(math.cos(alpha) / math.sin(alpha) * math.tanh(x))
-    return IdentityReport.build(
+    return report.IdentityReport.build(
         name="pointwise",
         params={"alpha": alpha, "x": x},
         lhs=lhs,
@@ -350,7 +356,9 @@ def _pole_bracket(A: float, alpha: float) -> SeriesResult:
 _COROLLARY2_MAX_A = 1e4
 
 
-def corollary2_series(A: float, alpha: float, *, tolerance: float = 1e-12) -> IdentityReport:
+def corollary2_series(
+    A: float, alpha: float, *, tolerance: float = 1e-12
+) -> report.IdentityReport:
     """Check Ti2(A/alpha) against H(A, alpha) plus the full bracket sum.
 
     A must lie in (0, 1e4]; a larger or non-finite A raises
@@ -365,7 +373,7 @@ def corollary2_series(A: float, alpha: float, *, tolerance: float = 1e-12) -> Id
         )
     h = h_series(A, alpha)
     pole = _pole_bracket(A, alpha)
-    return IdentityReport.build(
+    return report.IdentityReport.build(
         name="corollary2",
         params={"A": A, "alpha": alpha},
         lhs=ti2(A / alpha),
@@ -393,7 +401,7 @@ def remark1_partial(K: int) -> float:
     return total
 
 
-def catalan_family(n: int, *, tolerance: float = 1e-12) -> IdentityReport:
+def catalan_family(n: int, *, tolerance: float = 1e-12) -> report.IdentityReport:
     """The n-th Catalan decomposition: A = alpha = pi/n, n >= 2.
 
         G = H(pi/n, pi/n) + sum_k [ Ti2(1/(n k - 1)) - Ti2(1/(n k + 1)) ]
@@ -406,7 +414,7 @@ def catalan_family(n: int, *, tolerance: float = 1e-12) -> IdentityReport:
         raise DomainError(f"catalan_family requires n >= 2, got {n!r}")
     h = h_series(PI / n, PI / n)
     pole = _pole_bracket(PI / n, PI / n)
-    return IdentityReport.build(
+    return report.IdentityReport.build(
         name="corollary3",
         params={"n": float(n)},
         lhs=catalan_reference(1e-14),
@@ -445,7 +453,7 @@ def k1_closed() -> float:
     return h_series(1.0, 1.0, default_ei_truncation(1.0)).value
 
 
-def lemma1_catalan(*, tolerance: float = 1e-12) -> IdentityReport:
+def lemma1_catalan(*, tolerance: float = 1e-12) -> report.IdentityReport:
     """Assemble G from K(1), S_1, and the alternating Hurwitz series summed to the end:
 
         G = K(1) + (1 - cot 1) + sum_{n>=1} (-1)^n/(2n+1)^2 * S_{2n+1}.
@@ -458,7 +466,7 @@ def lemma1_catalan(*, tolerance: float = 1e-12) -> IdentityReport:
     """
     k1 = h_series(1.0, 1.0, default_ei_truncation(1.0))
     ser = _hurwitz_n_series(1.0, 1.0, 0)
-    return IdentityReport.build(
+    return report.IdentityReport.build(
         name="lemma1",
         params={},
         lhs=catalan_reference(1e-14),

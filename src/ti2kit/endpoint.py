@@ -35,6 +35,7 @@ import cmath
 import math
 from typing import NamedTuple
 
+from . import _LazyModule
 from .numerics import (
     DomainError,
     QuadratureResult,
@@ -42,8 +43,11 @@ from .numerics import (
     integrate_adaptive,
 )
 from .polylog import li2, li2_upper_boundary
-from .report import IdentityReport
 from .ti2core import METHOD_QUADRATURE, ti2, ti2_method
+
+# Imported by the first report built, so ``compute psi``, ``phi`` and
+# ``b-of-a`` never load it.
+report = _LazyModule(globals(), ".report")
 
 __all__ = [
     "AdmissibilityResult",
@@ -301,7 +305,7 @@ def _solve(
     return EndpointSolution(a=a, b=b, residual=abs(phi_b - adm.psi), iterations=evals)
 
 
-def theorem1_identity(a: float, tolerance: float = 1e-12) -> IdentityReport:
+def theorem1_identity(a: float, tolerance: float = 1e-12) -> report.IdentityReport:
     """Check Ti2(a) against the tunable-endpoint right-hand side.
 
     LHS: Ti2(a) by its own series/dilogarithm route.  RHS: with b = b(a)
@@ -315,7 +319,7 @@ def theorem1_identity(a: float, tolerance: float = 1e-12) -> IdentityReport:
     return _theorem1(admissibility(a), tolerance)
 
 
-def _theorem1(adm: AdmissibilityResult, tolerance: float) -> IdentityReport:
+def _theorem1(adm: AdmissibilityResult, tolerance: float) -> report.IdentityReport:
     # theorem1_identity for an admissibility result already in hand.
     a = adm.a
     sol = _solve(adm, _SOLVER_TOL)
@@ -327,7 +331,7 @@ def _theorem1(adm: AdmissibilityResult, tolerance: float) -> IdentityReport:
         + sol.b * sol.b / 2.0
         - 0.25 * PI * math.log1p(a * a)
     )
-    return IdentityReport.build(
+    return report.IdentityReport.build(
         name="theorem1",
         params={"a": a, "b": sol.b},
         lhs=ti2(a),

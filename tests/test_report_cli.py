@@ -8,7 +8,7 @@ import types
 import pytest
 
 from ti2kit import cli
-from ti2kit.cli import _build_parser
+from ti2kit.cli import _parse_args
 from ti2kit.report import IdentityReport, render_json, render_table
 from ti2kit.verify import IDENTITY_NAMES, VerificationConfig, run_all, run_identity
 
@@ -193,11 +193,52 @@ class TestCli:
         assert float(im_s) == pytest.approx(series.imag, rel=1e-13, abs=0.0)
 
     def test_verify_flags_take_negative_exponent_notation(self):
-        args = _build_parser().parse_args(
+        args = _parse_args(
             ["verify", "corollary2", "--A", "-2.5E+1", "--alpha", "-3e0",
              "--a", "-1e-3", "--tol", "-1.5e-9"]
         )
         assert (args.A, args.alpha, args.a, args.tol) == ([-25.0], [-3.0], [-0.001], -1.5e-9)
+
+    @pytest.mark.parametrize("argv", [
+        ["-h"], ["--help"], ["compute", "-h"], ["compute", "--help"],
+        ["verify", "-h"], ["verify", "--help"], ["verify", "theorem1", "--help"],
+    ], ids=" ".join)
+    def test_help_prints_the_module_docstring(self, argv, capsys):
+        assert cli.main(argv) == 0
+        out, err = capsys.readouterr()
+        assert out == cli.__doc__
+        assert err == ""
+
+    @pytest.mark.parametrize("argv", [
+        [], ["nosuch"], ["compute"], ["verify"], ["verify", "theorem1", "extra"],
+        ["verify", "remark1", "--K"], ["verify", "remark1", "--K", "2.5"],
+        ["verify", "remark1", "--form", "json"], ["--a", "2", "verify", "theorem1"],
+        ["compute", "ti2", "-inf"], ["compute", "ti2", "abc"], ["compute", "ti2", "--a", "1"],
+    ], ids=lambda argv: " ".join(argv) or "no-arguments")
+    def test_malformed_command_lines_exit_2_with_usage(self, argv, capsys):
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: ti2kit compute")
+        assert "\nti2kit: error: " in err
+
+    def test_unknown_format_exits_2(self, capsys):
+        assert cli.main(["verify", "remark1", "--format", "xml"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "'xml'" in err
+
+    @pytest.mark.parametrize("argv, reference", [
+        (["verify", "theorem1", "--a=2"], ["verify", "theorem1", "--a", "2"]),
+        (["verify", "--a", "2", "theorem1"], ["verify", "theorem1", "--a", "2"]),
+        (["verify", "--format=json", "theorem1", "--a", "3", "--a=2"],
+         ["verify", "theorem1", "--a", "3", "--a", "2", "--format", "json"]),
+    ], ids=lambda argv: " ".join(argv))
+    def test_option_spellings_and_places_agree(self, argv, reference, capsys):
+        assert cli.main(reference) == 0
+        expected = capsys.readouterr().out
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == expected
 
     def test_option_like_arguments_stay_usage_errors(self):
         res = run_cli("compute", "ti2", "-x")
@@ -357,6 +398,17 @@ class TestCli:
         assert "requires 0 < A <= 10000" in err
         assert out == ""
 
+    def test_domain_error_in_all_keeps_the_other_reports(self, capsys):
+        # --A is corollary2's A and pointwise's abscissa: 1e5 is out of
+        # corollary2's domain only.
+        argv = ["verify", "all", "--alpha", "1", "--A", "1e5", "--format", "json"]
+        assert cli.main(argv) == 3
+        out, err = capsys.readouterr()
+        names = [r["name"] for r in json.loads(out)]
+        assert set(names) == set(IDENTITY_NAMES) - {"corollary2"}
+        assert "corollary2" in err and "requires 0 < A <= 10000" in err
+        assert cli.main(["verify", "pointwise", "--alpha", "1", "--A", "1e5"]) == 0
+
     def test_corollary2_at_largest_A_passes(self, capsys):
         assert cli.main(["verify", "corollary2", "--A", "1e4", "--alpha", "1"]) == 0
         assert " ok" in capsys.readouterr().out
@@ -419,7 +471,12 @@ class TestImportFootprint:
             "ti2kit.decomp", "ti2kit.endpoint", "ti2kit.special",
             "ti2kit.verify", "ti2kit.report", "json",
         ),
-        ("compute", "b-of-a", "2"): ("ti2kit.decomp", "ti2kit.special", "ti2kit.verify"),
+        ("compute", "b-of-a", "2"): (
+            "ti2kit.decomp", "ti2kit.special", "ti2kit.verify", "ti2kit.report",
+        ),
+        ("compute", "K1"): ("ti2kit.endpoint", "ti2kit.verify", "ti2kit.report"),
+        ("compute", "li2", "0.05", "0.05"): ("argparse", "gettext", "locale"),
+        ("verify", "theorem1", "--a", "2", "--format", "json"): ("argparse", "gettext", "locale"),
         ("verify", "theorem1"): ("ti2kit.decomp", "ti2kit.special", "json"),
         ("verify", "all"): ("json",),
     }
@@ -506,14 +563,15 @@ class TestPackageApi:
     def test_lazy_globals_are_plain_modules_after_first_use(self, capsys):
         # A stand-in left in place would re-enter the import system on every
         # access, on the hot path of each verify row.
-        from ti2kit import cli, report, verify
+        from ti2kit import cli, decomp, endpoint, report, verify
 
         for argv in (["verify", "all", "--format", "json"], ["compute", "li2", "1", "0"],
                      ["compute", "ti2", "1"], ["compute", "ei", "1"],
                      ["compute", "psi", "1"], ["compute", "K1"]):
             assert cli.main(argv) == 0
         lazy = {cli: ("decomp", "endpoint", "polylog", "report", "special", "ti2core", "verify"),
-                verify: ("decomp", "endpoint", "special"), report: ("json",)}
+                verify: ("decomp", "endpoint", "special"), report: ("json",),
+                decomp: ("report",), endpoint: ("report",)}
         for module, names in lazy.items():
             for name in names:
                 assert isinstance(vars(module)[name], types.ModuleType), (module, name)
