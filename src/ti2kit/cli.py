@@ -1,4 +1,17 @@
-"""Command-line surface: compute single values, run identity verifications.
+from __future__ import annotations
+
+import re
+import sys
+from types import SimpleNamespace
+from typing import Optional, Sequence
+
+from . import _LazyModule
+from .numerics import BracketError, DomainError
+
+# The help text is an assigned constant, not a docstring, so that python -OO
+# (which strips docstrings) still has the usage lines main prints.  It is the
+# module docstring as well.
+HELP = """Command-line surface: compute single values, run identity verifications.
 
 usage: ti2kit compute <fn> [<x> ...]
        ti2kit verify <identity|all> [--<option> <value> ...]
@@ -27,16 +40,7 @@ pointwise identity are summed to the end and take no depth.
 Exit codes: 0 all checks passed, 1 some check failed or no check ran,
 2 usage/config error, 3 domain error, 4 I/O error.
 """
-
-from __future__ import annotations
-
-import re
-import sys
-from types import SimpleNamespace
-from typing import Optional, Sequence
-
-from . import _LazyModule
-from .numerics import BracketError, DomainError
+__doc__ = HELP
 
 # A process imports only the modules its command runs: each of these is
 # imported on first use, and is a plain module from then on.
@@ -282,11 +286,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _parse_args(sys.argv[1:] if argv is None else argv)
     except _UsageError as exc:
-        usage = __doc__.split("\n\n")[1]  # the docstring's usage lines
+        usage = HELP.split("\n\n")[1]  # the usage lines
         print(f"{usage}\nti2kit: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args is None:
-        print(__doc__, end="")
+        print(HELP, end="")
         return EXIT_OK
     if args.command == "compute":
         return _cmd_compute(args)

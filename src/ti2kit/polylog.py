@@ -24,9 +24,10 @@ that region |w| <= pi/3, so the terms shrink by (|w|/2pi)^2 < 0.03 per step.
 w is taken from real parts by a complex log1p, never from a rounded 1 - z,
 so its relative error does not grow as |z| shrinks.  Against 40-digit mpmath
 the relative error stays within 3.4e-16 for |z| <= 1/4 and 5.1e-16 up to
-|z| = 1 (seeded samples of 1500-10000 z per band).  Real arguments x <= 1
-take the same inversion and reflection in float arithmetic and the same
-series in real w, within 3.7e-16 relative.
+|z| = 1 (seeded samples of 1500-10000 z per band).  Real arguments take the
+same inversion and reflection in float arithmetic and the same series in
+real w, within 3.7e-16 relative; above 1 that gives the real part of the
+boundary value on the cut.
 
 All logarithms are principal.
 """
@@ -48,6 +49,7 @@ __all__ = [
 
 PI = math.pi
 _PI2_6 = PI * PI / 6.0
+_PI2_3 = PI * PI / 3.0
 
 
 class BranchCutError(DomainError):
@@ -105,13 +107,20 @@ def _series(w):
 
 
 def _li2_real(x: float) -> float:
-    # Real x <= 1, x != 0, 1: the complex route's inversion and reflection in
-    # float arithmetic, then the series in w = -log1p(-x).
+    # Re Li2(x) for finite real x: the complex route's inversion and
+    # reflection in float arithmetic, then the series in w = -log1p(-x).
+    # Above 1 it is the real part pi^2/3 - log^2(x)/2 - Li2(1/x) of the
+    # boundary value, the same from either side of the cut.
+    if x > 0.5:
+        if x >= 1.0:
+            if x == 1.0:
+                return _PI2_6
+            lx = math.log(x)
+            return _PI2_3 - 0.5 * lx * lx - _li2_real(1.0 / x)
+        return _PI2_6 - math.log(x) * math.log1p(-x) - _li2_real(1.0 - x)
     if x < -_INVERSION_THRESHOLD:
         lg = math.log(-x)
         return -_li2_real(1.0 / x) - _PI2_6 - 0.5 * lg * lg
-    if x > 0.5:
-        return _PI2_6 - math.log(x) * math.log1p(-x) - _li2_real(1.0 - x)
     return _series(-math.log1p(-x))
 
 
@@ -165,9 +174,7 @@ def li2_upper_boundary(x: float) -> complex:
     """
     if not x > 1.0:
         raise DomainError(f"li2_upper_boundary requires x > 1, got {x!r}")
-    lx = math.log(x)
-    re = PI * PI / 3.0 - 0.5 * lx * lx - _li2_any(complex(1.0 / x, 0.0)).real
-    return complex(re, PI * lx)
+    return complex(_li2_real(x), PI * math.log(x))
 
 
 def li2_derivative(z: complex) -> complex:

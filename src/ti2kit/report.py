@@ -57,19 +57,8 @@ class IdentityReport(NamedTuple):
     ) -> "IdentityReport":
         residual = abs(lhs - rhs)
         budget = tolerance + (tail_bound if tail_bound is not None else 0.0)
-        return cls(
-            name=name,
-            params=dict(params),
-            lhs=lhs,
-            rhs=rhs,
-            abs_residual=residual,
-            tolerance=tolerance,
-            passed=residual <= budget,
-            method_lhs=method_lhs,
-            method_rhs=method_rhs,
-            tail_bound=tail_bound,
-            terms_used=terms_used,
-        )
+        return cls(name, dict(params), lhs, rhs, residual, tolerance, residual <= budget,
+                   method_lhs, method_rhs, tail_bound, terms_used)
 
 
 def _real(x: float) -> str:

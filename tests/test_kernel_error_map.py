@@ -20,7 +20,17 @@ from ti2kit.special import (
     log_gamma,
     loggamma_im_gap,
 )
-from ti2kit.ti2core import _HORNER_BANDS, SERIES_CUTOFF, ti2
+from ti2kit.ti2core import (
+    _HORNER_BANDS,
+    INVERSION_FROM,
+    METHOD_IMAGINARY_DILOG,
+    METHOD_INVERSION,
+    METHOD_SERIES,
+    SERIES_CUTOFF,
+    _ti2_series,
+    ti2,
+    ti2_method,
+)
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -63,6 +73,47 @@ def test_ti2_horner_bands_relative_error():
     ys += [-y for y in ys] + [5e-324]
     refs = (mpmath.polylog(2, mpmath.mpc(0, y)).imag for y in ys)
     assert _worst(float(abs((ti2(y) - ref) / ref)) for y, ref in zip(ys, refs)) <= 5e-16
+
+
+def test_ti2_inversion_relative_error():
+    # From y = 2 on, Ti2(y) = Ti2(1/y) + (pi/2) log y with Ti2(1/y) on the
+    # Horner bands; both terms are positive.  The switchover at 2 from both
+    # sides, 1e308 (1/y near the subnormals) and the negatives.  Worst
+    # measured: 3.1e-16 relative (40000 y uniform in [2, 20], 100000
+    # log-uniform in [2, 1e300] over five seeds).
+    rng = random.Random(24)
+    ys = [_log_uniform(rng, 2.0, 1e300) for _ in range(1000)]
+    ys += [rng.uniform(2.0, 20.0) for _ in range(500)]
+    ys += [INVERSION_FROM, math.nextafter(INVERSION_FROM, 0.0),
+           math.nextafter(INVERSION_FROM, 3.0), 1e308]
+    ys += [-y for y in ys]
+    refs = (mpmath.polylog(2, mpmath.mpc(0, y)).imag for y in ys)
+    assert _worst(float(abs((ti2(y) - ref) / ref)) for y, ref in zip(ys, refs)) <= 5e-16
+
+
+_TI2_ROUTES = {
+    METHOD_SERIES: _ti2_series,
+    METHOD_IMAGINARY_DILOG: lambda y: li2(complex(0.0, y)).imag,
+    METHOD_INVERSION: lambda y: _ti2_series(1.0 / y) + math.pi / 2.0 * math.log(y),
+}
+
+
+@pytest.mark.parametrize(
+    "edge, below, above",
+    [
+        (0.5, METHOD_SERIES, METHOD_SERIES),  # Horner bands, then the term loop
+        (SERIES_CUTOFF, METHOD_SERIES, METHOD_IMAGINARY_DILOG),
+        (INVERSION_FROM, METHOD_IMAGINARY_DILOG, METHOD_INVERSION),
+    ],
+)
+def test_ti2_method_names_the_route_taken(edge, below, above):
+    # Each switchover belongs to the route below it, except 2, which the
+    # inversion takes.
+    at = above if edge == INVERSION_FROM else below
+    for y, method in ((math.nextafter(edge, 0.0), below), (edge, at),
+                      (math.nextafter(edge, 3.0), above)):
+        assert ti2_method(y) == ti2_method(-y) == method, y
+        assert ti2(y) == -ti2(-y) == _TI2_ROUTES[method](y), y
 
 
 def test_li2_derivative_relative_error():

@@ -222,6 +222,21 @@ class TestCli:
         assert err.startswith("usage: ti2kit compute")
         assert "\nti2kit: error: " in err
 
+    @pytest.mark.parametrize("argv, code", [(["nosuch"], 2), (["-h"], 0)], ids=["nosuch", "-h"])
+    def test_usage_text_survives_stripped_docstrings(self, argv, code):
+        # python -OO strips docstrings, which once held the usage text.
+        res = subprocess.run(
+            [sys.executable, "-OO", "-m", "ti2kit.cli", *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert res.returncode == code, res.stderr
+        if code:
+            assert res.stderr.startswith("usage: ti2kit compute")
+        else:
+            assert res.stdout == cli.HELP
+
     def test_unknown_format_exits_2(self, capsys):
         assert cli.main(["verify", "remark1", "--format", "xml"]) == 2
         out, err = capsys.readouterr()
