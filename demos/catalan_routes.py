@@ -16,7 +16,6 @@ import math
 
 from ti2kit import (
     catalan_reference,
-    catalan_via_endpoint,
     lemma1_catalan,
     remark1_partial,
     solve_endpoint_b,
@@ -37,7 +36,8 @@ def main():
     print(f"endpoint route: solved b(1) = {sol.b:.15f}")
     print(f"  (= sqrt(4G + pi log 2); {sol.iterations} evaluations, "
           f"residual {sol.residual:.1e})")
-    routes.append(("endpoint  b(1)^2/4 - (pi/4) log 2", catalan_via_endpoint(1e-13)))
+    endpoint = sol.b * sol.b / 4.0 - 0.25 * PI * math.log(2.0)
+    routes.append(("endpoint  b(1)^2/4 - (pi/4) log 2", endpoint))
 
     K = 100
     telescoped = remark1_partial(K) + ti2(1.0 / (2 * K + 1))

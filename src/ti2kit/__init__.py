@@ -15,12 +15,11 @@ import importlib
 
 __version__ = "1.0.0"
 
-# module -> the public names it defines.
+# module -> the public names it defines; each module's __all__ is its entry.
 _EXPORTS = {
     "decomp": (
         "catalan_family",
         "corollary2_series",
-        "h_quadrature",
         "h_series",
         "k1_closed",
         "lemma1_catalan",
@@ -35,7 +34,6 @@ _EXPORTS = {
         "admissibility",
         "aux_closed_F",
         "aux_integral_I",
-        "catalan_via_endpoint",
         "phi",
         "phi_derivative",
         "psi",
@@ -59,16 +57,19 @@ _EXPORTS = {
         "PoleError",
         "catalan_reference",
         "cot_partial_fraction_sum",
-        "digamma",
         "digamma_gap",
         "ei_negative",
-        "expint_T",
         "hurwitz_zeta",
-        "kummer_sine_log_sum",
         "log_gamma",
         "loggamma_im_gap",
     ),
-    "ti2core": ("ti2", "ti2_clausen_form", "ti2_proposition_form", "ti2_via_quadrature"),
+    "ti2core": (
+        "ti2",
+        "ti2_clausen_form",
+        "ti2_method",
+        "ti2_proposition_form",
+        "ti2_via_quadrature",
+    ),
     "verify": ("IDENTITY_NAMES", "VerificationConfig", "run_all", "run_identity"),
 }
 

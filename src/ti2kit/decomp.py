@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import math
 
-from . import _LazyModule
+from . import _EXPORTS, _LazyModule
 from .numerics import (
     DomainError,
     QuadratureResult,
@@ -80,18 +80,7 @@ from .ti2core import ti2
 # load it.
 report = _LazyModule(globals(), ".report")
 
-__all__ = [
-    "xi_k",
-    "pointwise_identity",
-    "h_quadrature",
-    "h_series",
-    "corollary2_series",
-    "remark1_partial",
-    "catalan_family",
-    "s_r",
-    "k1_closed",
-    "lemma1_catalan",
-]
+__all__ = _EXPORTS["decomp"]
 
 PI = math.pi
 
@@ -155,15 +144,15 @@ def _xi_sum(alpha: float, x: float) -> float:
 def pointwise_identity(
     alpha: float, x: float, *, tolerance: float = 1e-12
 ) -> report.IdentityReport:
-    """Residual of arctan(x/alpha) against the full pole decomposition.
+    """Residual of arctan(x/alpha) against the full pole decomposition, 0 <= x < inf.
 
     The infinite pole sum costs the same at every x (see _xi_sum); the
     Stirling remainder of its tail is below 1e-19, so no tail bound is
     reported and ``tolerance`` is the whole budget.
     """
     _check_alpha(alpha)
-    if not x >= 0.0:
-        raise DomainError(f"pointwise_identity requires x >= 0, got {x!r}")
+    if not 0.0 <= x < math.inf:
+        raise DomainError(f"pointwise_identity requires 0 <= x < inf, got {x!r}")
     lhs = math.atan(x / alpha)
     principal = math.atan(math.cos(alpha) / math.sin(alpha) * math.tanh(x))
     return report.IdentityReport.build(
@@ -189,17 +178,6 @@ def _h_integral(A: float, alpha: float, tol: float) -> QuadratureResult:
         return math.atan(cot * math.tanh(x)) / x
 
     return integrate_adaptive(f, 0.0, A, tol)
-
-
-def h_quadrature(A: float, alpha: float, tol: float = 1e-11) -> float:
-    """H(A, alpha) = integral_0^A arctan(cot(alpha) tanh x)/x dx by quadrature.
-
-    The integrand takes its limit cot(alpha) at x = 0 and is smooth on [0, A].
-    """
-    _check_alpha(alpha)
-    if not A > 0.0:
-        raise DomainError(f"h_quadrature requires A > 0, got {A!r}")
-    return _h_integral(A, alpha, tol).value
 
 
 def default_ei_truncation(A: float) -> int:
@@ -248,11 +226,11 @@ def h_series(A: float, alpha: float, J: int | None = None) -> SeriesResult:
     ``terms_used`` is the number of Ei terms and ``tail_bound`` the
     truncation bound, geometric because |Ei(-xi)| <= e^{-xi}/xi gives
     e^{-2JA}/(2 A J^2 (1 - e^{-2A})).  Without ``J`` the depth is
-    ceil(16.1/A).
+    ceil(16.1/A).  A must be finite; H is finite up to the largest float.
     """
     _check_alpha(alpha)
-    if not A > 0.0:
-        raise DomainError(f"h_series requires A > 0, got {A!r}")
+    if not 0.0 < A < math.inf:
+        raise DomainError(f"h_series requires 0 < A < inf, got {A!r}")
     if J is None:
         if A < _H_QUADRATURE_BELOW:
             quad = _h_integral(A, alpha, _H_QUADRATURE_TOL)
@@ -272,9 +250,12 @@ def h_series(A: float, alpha: float, J: int | None = None) -> SeriesResult:
         tol=1e-15,
         max_terms=J,
     )
+    # 2A overflows from A = 8.99e307, where log 2A is taken as log A + log 2.
+    two_a = 2.0 * A
+    log_two_a = math.log(two_a) if two_a < math.inf else math.log(A) + math.log(2.0)
     value = (
         ser.value
-        + (PI / 2.0 - alpha) * (EULER_GAMMA + math.log(2.0 * A))
+        + (PI / 2.0 - alpha) * (EULER_GAMMA + log_two_a)
         + _sine_log_sum(alpha)
     )
     return SeriesResult(

@@ -15,24 +15,25 @@ phi_a(b) = psi(a) has a unique solution b(a) in (0, pi), and then
              - (pi/4) log(a^2 + 1).
 
 At a = 1 everything collapses: phi_1(b) = b^2/4, b(1) = sqrt(4G + pi log 2),
-and G = b(1)^2/4 - (pi/4) log 2, which is the Catalan evaluation this module
-exposes.  The identity check here deliberately evaluates I by quadrature
-while the solver works on the dilogarithm closed form, so the comparison is
-a genuine two-route test rather than algebra cancelling itself.
+and G = b(1)^2/4 - (pi/4) log 2, the Catalan evaluation that verify's
+corollary1 checks.  The identity check here deliberately evaluates I by
+quadrature while the solver works on the dilogarithm closed form, so the
+comparison is a genuine two-route test rather than algebra cancelling itself.
+
+Every dilogarithm here takes polylog's complex route (Li2(1 + i a),
+Li2(-a e^{ib})) or its real one (Li2(-a), Re Li2(a)) without the public
+wrapper's argument checks; ``_check_a`` is the guard.
 
 Cost of one solve of b(a): the admissibility test (psi(a) and phi_a(pi),
 three dilogarithms, Li2(-a) among them and kept), then one Li2(-a e^{ib})
 per interior root step; phi_a(0) = 0 and phi_a(pi) come free, and the
-residual reuses the value at the returned root.  The test takes psi(a) on
-the complex dilogarithm route and Li2(-a) and Re Li2(a) on the real one,
-without the public wrapper's argument checks (``_check_a`` is the guard
-here).  The steps are Halley's, from the root of the cubic Hermite
-interpolant of phi_a on [0, pi], and each forms w = a e^{ib} once for
-phi_a, phi_a' = Arg(1 + w) and phi_a'' = Re(w / (1 + w)).  A solve to 1e-14
-takes 2-4 interior steps (3.1 on average over seeded admissible a).  A
-theorem1 check tests admissibility once.  At a = 3 the test costs about
-4.5 us, the solve 13 us and the whole check 35 us (timeit, best of 7, on
-a 2-vCPU host).
+residual reuses the value at the returned root.  The steps are Halley's,
+from the root of the cubic Hermite interpolant of phi_a on [0, pi], and
+each forms w = a e^{ib} once for phi_a, phi_a' = Arg(1 + w) and
+phi_a'' = Re(w / (1 + w)).  A solve to 1e-14 takes 2-4 interior steps (3.1
+on average over seeded admissible a).  A theorem1 check tests admissibility
+once.  At a = 3 the test costs about 4.5 us, the solve 13 us and the whole
+check 35 us (timeit, best of 7, on a 2-vCPU host).
 """
 
 from __future__ import annotations
@@ -41,33 +42,21 @@ import cmath
 import math
 from typing import NamedTuple
 
-from . import _LazyModule
+from . import _EXPORTS, _LazyModule
 from .numerics import (
     DomainError,
     QuadratureResult,
     find_root_increasing,
     integrate_adaptive,
 )
-from .polylog import _li2_any, _li2_real, li2
+from .polylog import _li2_any, _li2_real
 from .ti2core import METHOD_QUADRATURE, ti2, ti2_method
 
 # Imported by the first report built, so ``compute psi``, ``phi`` and
 # ``b-of-a`` never load it.
 report = _LazyModule(globals(), ".report")
 
-__all__ = [
-    "AdmissibilityResult",
-    "EndpointSolution",
-    "aux_integral_I",
-    "aux_closed_F",
-    "psi",
-    "phi",
-    "phi_derivative",
-    "admissibility",
-    "solve_endpoint_b",
-    "theorem1_identity",
-    "catalan_via_endpoint",
-]
+__all__ = _EXPORTS["endpoint"]
 
 PI = math.pi
 
@@ -143,15 +132,15 @@ def aux_closed_F(a: float, b: float) -> float:
     return (
         PI * b / 2.0
         - b * b / 2.0
-        - li2(complex(-a, 0.0)).real
-        + li2(-a * cmath.exp(1j * b)).real
+        - _li2_real(-a)
+        + _li2_any(-a * cmath.exp(1j * b)).real
     )
 
 
 def psi(a: float) -> float:
     """psi(a) = Im Li2(1 + i a); positive for a > 0."""
     _check_a(a, "psi")
-    return li2(complex(1.0, a)).imag
+    return _li2_any(complex(1.0, a)).imag
 
 
 def phi(a: float, b: float) -> float:
@@ -165,10 +154,10 @@ def phi(a: float, b: float) -> float:
         raise DomainError(f"phi requires 0 <= b <= pi, got b={b!r}")
     if b == 0.0:
         return 0.0
-    li2_minus_a = li2(complex(-a, 0.0)).real
+    li2_minus_a = _li2_real(-a)
     if b >= PI - _PI_SNAP:
         return _li2_real(a) - li2_minus_a
-    return li2(-a * cmath.exp(1j * b)).real - li2_minus_a
+    return _li2_any(-a * cmath.exp(1j * b)).real - li2_minus_a
 
 
 def phi_derivative(a: float, b: float) -> float:
@@ -336,16 +325,3 @@ def _theorem1(adm: AdmissibilityResult, tolerance: float) -> report.IdentityRepo
         method_rhs=f"{METHOD_QUADRATURE}+root-solve",
         terms_used=sol.iterations,
     )
-
-
-def catalan_via_endpoint(tol: float = 1e-12) -> float:
-    """Catalan's constant as b(1)^2/4 - (pi/4) log 2 with b(1) root-solved.
-
-    The target psi(1) is computed from Li2(1 + i) directly -- never from the
-    constant being evaluated -- so the route is independent of the
-    alternating-series reference it gets compared against.
-    """
-    if not tol > 0.0:
-        raise DomainError(f"catalan_via_endpoint requires tol > 0, got {tol!r}")
-    sol = solve_endpoint_b(1.0, tol)
-    return sol.b * sol.b / 4.0 - 0.25 * PI * math.log(2.0)

@@ -14,6 +14,10 @@ import heapq
 import math
 from typing import Callable, NamedTuple, Optional
 
+from . import _EXPORTS
+
+__all__ = _EXPORTS["numerics"]
+
 
 class DomainError(ValueError):
     """An argument lies outside the mathematical domain of an operation."""

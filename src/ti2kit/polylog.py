@@ -37,15 +37,10 @@ from __future__ import annotations
 import cmath
 import math
 
+from . import _EXPORTS
 from .numerics import DomainError
 
-__all__ = [
-    "BranchCutError",
-    "li2",
-    "li2_upper_boundary",
-    "li2_derivative",
-    "clausen2",
-]
+__all__ = _EXPORTS["polylog"]
 
 PI = math.pi
 _PI2_6 = PI * PI / 6.0

@@ -12,12 +12,12 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional, Sequence, TextIO
 
-from . import _LazyModule
+from . import _EXPORTS, _LazyModule
 
 # Imported by the first JSON render; table output never loads it.
 json = _LazyModule(globals(), "json")
 
-__all__ = ["IdentityReport", "render_json", "render_table", "write_reports"]
+__all__ = _EXPORTS["report"]
 
 
 class IdentityReport(NamedTuple):

@@ -11,23 +11,11 @@ from __future__ import annotations
 
 import math
 
+from . import _EXPORTS
 from .numerics import DomainError
 from .polylog import _BERNOULLI, _log1p
 
-__all__ = [
-    "EULER_GAMMA",
-    "PoleError",
-    "hurwitz_zeta",
-    "digamma",
-    "digamma_gap",
-    "loggamma_im_gap",
-    "ei_negative",
-    "expint_T",
-    "cot_partial_fraction_sum",
-    "log_gamma",
-    "catalan_reference",
-    "kummer_sine_log_sum",
-]
+__all__ = _EXPORTS["special"]
 
 PI = math.pi
 # pi - PI, rounded: PI - x is exact for x in [PI/2, PI], and adding this
@@ -53,7 +41,7 @@ _EM_BERN = tuple(_bernoulli_over(j, math.factorial(2 * j)) for j in range(1, 7))
 
 
 def hurwitz_zeta(s: float, c: float) -> float:
-    """Hurwitz zeta  zeta(s, c) = sum_{k>=0} (k + c)^{-s}  for s > 1, c > 0.
+    """Hurwitz zeta  zeta(s, c) = sum_{k>=0} (k + c)^{-s}  for finite s > 1, c > 0.
 
     Direct summation of the first M = max(0, ceil(2s + 30 - c)) terms plus
     the Euler-Maclaurin tail at x = M + c
@@ -69,20 +57,24 @@ def hurwitz_zeta(s: float, c: float) -> float:
     The direct sum stops sooner, with no tail, at the first n with
     y = n + c >= c (1e17 F)^{1/s}, F = 1 + x/(s-1), if that n is below M:
     the rest, at most y^{-s} (1 + y/(s-1)), is then below 1e-17 c^{-s} <=
-    1e-17 zeta(s, c).  That is 2 terms at s = 41, c = 1 - 1/pi.
+    1e-17 zeta(s, c).  That is 2 terms at s = 41, c = 1 - 1/pi.  At least
+    one term is summed: from s = 3.6e17 (at c = 1) the root rounds to 1 and n
+    to 0, and the first term is then all of zeta(s, c) that binary64 holds.
     """
-    if not s > 1.0:
-        raise DomainError(f"hurwitz_zeta requires s > 1, got s={s!r}")
-    if not c > 0.0:
-        raise DomainError(f"hurwitz_zeta requires c > 0, got c={c!r}")
+    if not 1.0 < s < math.inf:
+        raise DomainError(f"hurwitz_zeta requires 1 < s < inf, got s={s!r}")
+    if not 0.0 < c < math.inf:
+        raise DomainError(f"hurwitz_zeta requires 0 < c < inf, got c={c!r}")
 
-    m = max(0, math.ceil(2.0 * s + 30.0 - c))
+    # 2s overflows from s = 8.99e307; from s = 1e300 on (1e17 F)^{1/s}
+    # rounds to 1 whatever M is, so there M is taken at s = 1e300.
+    m = max(0, math.ceil(2.0 * min(s, 1e300) + 30.0 - c))
     x = m + c
     # Compared as a float first: the bound is inf as s -> 1.
     stop = c * ((1e17 * (1.0 + x / (s - 1.0))) ** (1.0 / s) - 1.0)
     short = stop < m
     total = 0.0
-    for k in range(math.ceil(stop) if short else m):
+    for k in range(max(1, math.ceil(stop)) if short else m):
         total += (k + c) ** (-s)
     if short:
         return total
@@ -113,25 +105,6 @@ def _digamma_series(x: float) -> float:
         total += coeff * xp
         xp *= x2
     return total
-
-
-def digamma(x: float) -> float:
-    """Digamma psi(x) = d/dx log Gamma(x) for x > 0: upward recursion, then asymptotics.
-
-    The recursion psi(x) = psi(x+1) - 1/x shifts small arguments to x >= 12,
-    where the asymptotic series
-
-        psi(x) = log x - 1/(2x) - sum_{j=1}^{7} B_{2j} / (2j x^{2j})
-
-    has its first omitted term below 1e-17.
-    """
-    if not x > 0.0:
-        raise DomainError(f"digamma requires x > 0, got {x!r}")
-    shift = 0.0
-    while x < 12.0:
-        shift -= 1.0 / x
-        x += 1.0
-    return shift + math.log(x) - 0.5 / x - _digamma_series(x)
 
 
 def digamma_gap(x: float, h: float) -> float:
@@ -193,13 +166,16 @@ def ei_negative(x: float) -> float:
         Ei(-x) = -e^{-x} / (x + 1 - 1^2/(x + 3 - 2^2/(x + 5 - ...))).
 
     Satisfies |Ei(-x)| <= e^{-x}/x; the result underflows to -0.0 for
-    x above about 745.
+    x above about 745, inf included.
     """
     if not x > 0.0:
         raise DomainError(f"ei_negative requires x > 0, got {x!r}")
     if x <= _EI_SERIES_CUTOFF:
         return EULER_GAMMA + math.log(x) + _ei_series_sum(x)
-    return -math.exp(-x) / _e1_lentz_cf(x)
+    # Once e^{-x} underflows the quotient is -0.0 without the continued
+    # fraction, which at x = inf would be inf / inf.
+    e = math.exp(-x)
+    return -e / _e1_lentz_cf(x) if e else -0.0
 
 
 def _ei_series_sum(x: float) -> float:
@@ -239,26 +215,6 @@ def _e1_lentz_cf(x: float) -> float:
         if abs(delta - 1.0) < 1e-16:
             break
     return f
-
-
-# expint_T sums its own series further out than ei_negative: the bracket
-# Ei(-xi) - gamma - log(xi) is the series itself, so there is nothing to
-# cancel against up to here.
-_EXPINT_T_SERIES_CUTOFF = 6.0
-
-
-def expint_T(xi: float) -> float:
-    """T(xi) = Ei(-xi) - gamma - log(xi) = integral_0^1 (e^{-xi*x} - 1)/x dx.
-
-    Negative for all xi > 0 and -> 0 as xi -> 0+.  For xi <= 6 the defining
-    series of the bracket is summed directly (no cancellation against
-    gamma + log xi); beyond that the three pieces are O(1) and safe.
-    """
-    if not xi > 0.0:
-        raise DomainError(f"expint_T requires xi > 0, got {xi!r}")
-    if xi <= _EXPINT_T_SERIES_CUTOFF:
-        return _ei_series_sum(xi)
-    return ei_negative(xi) - EULER_GAMMA - math.log(xi)
 
 
 _POLE_MARGIN = 1e-10
@@ -337,7 +293,7 @@ def _log_gamma_two_plus(e: float) -> float:
 
 
 def log_gamma(x: float) -> float:
-    """log Gamma(x) for x > 0, to better than 1e-13 relative.
+    """log Gamma(x) for 0 < x < inf, to better than 1e-13 relative.
 
     On [1/2, 5/2], around the zeros at 1 and 2, the Taylor series of
     log Gamma(2 + e) is summed at e = x - 2, or at e = x - 1 less log1p(e);
@@ -345,8 +301,8 @@ def log_gamma(x: float) -> float:
     to zero.  Elsewhere the recursion log Gamma(x) = log Gamma(x+1) - log(x)
     shifts the argument to x >= 10, where the Stirling series takes over.
     """
-    if not x > 0.0:
-        raise DomainError(f"log_gamma requires x > 0, got {x!r}")
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"log_gamma requires 0 < x < inf, got {x!r}")
     if 0.5 <= x <= 2.5:
         if x >= 1.5:
             return _log_gamma_two_plus(x - 2.0)
@@ -440,14 +396,3 @@ def _sine_log_sum(alpha: float) -> float:
         - (PI / 2.0 - alpha) * (EULER_GAMMA + math.log(2.0 * PI))
     )
 
-
-def kummer_sine_log_sum() -> float:
-    """Closed form of the conditionally convergent sum_{j>=1} sin(2j) log(j) / j.
-
-    The sine-log sum at alpha = 1 (see _sine_log_sum), equal to
-    pi*logGamma(1/pi) + (1 - pi/2)(gamma + log 2pi) - (pi/2) log(pi/sin 1).
-    The raw series converges only by virtue of the sin oscillation, so the
-    closed form is the exposed value; a slow Abel-summation oracle backs it
-    in tests.
-    """
-    return _sine_log_sum(1.0)

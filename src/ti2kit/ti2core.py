@@ -18,18 +18,11 @@ from __future__ import annotations
 
 import math
 
+from . import _EXPORTS
 from .numerics import DomainError, integrate_adaptive
 from .polylog import clausen2, li2
 
-__all__ = [
-    "SERIES_CUTOFF",
-    "INVERSION_FROM",
-    "ti2_method",
-    "ti2",
-    "ti2_via_quadrature",
-    "ti2_proposition_form",
-    "ti2_clausen_form",
-]
+__all__ = _EXPORTS["ti2core"]
 
 PI = math.pi
 
@@ -151,11 +144,11 @@ def ti2_proposition_form(a: float) -> float:
     """
     if not a > 0.0:
         raise DomainError(f"ti2_proposition_form requires a > 0, got {a!r}")
-    return (
-        math.atan(a) * math.log(a)
-        + li2(complex(1.0, a)).imag
-        - 0.25 * PI * math.log1p(a * a)
-    )
+    log_a = math.log(a)
+    # a * a overflows from a = 1.34e154; above 1e150, log1p(a^2) is 2 log a
+    # to within a^-2 < 1e-300.
+    log1p_a2 = math.log1p(a * a) if a <= 1e150 else 2.0 * log_a
+    return math.atan(a) * log_a + li2(complex(1.0, a)).imag - 0.25 * PI * log1p_a2
 
 
 _THETA_MARGIN = 1e-6

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-from . import _LazyModule
+from . import _EXPORTS, _LazyModule
 from .report import IdentityReport
 from .ti2core import METHOD_CLAUSEN_FORM, ti2, ti2_clausen_form, ti2_method
 
@@ -22,7 +22,7 @@ decomp = _LazyModule(globals(), ".decomp")
 endpoint = _LazyModule(globals(), ".endpoint")
 special = _LazyModule(globals(), ".special")
 
-__all__ = ["IDENTITY_NAMES", "VerificationConfig", "run_identity", "run_all"]
+__all__ = _EXPORTS["verify"]
 
 PI = math.pi
 

@@ -12,8 +12,8 @@ import sys
 
 from conftest import central_difference
 from ti2kit.decomp import (
+    _h_integral,
     catalan_family,
-    h_quadrature,
     h_series,
     k1_closed,
     lemma1_catalan,
@@ -24,7 +24,6 @@ from ti2kit.decomp import (
 from ti2kit.endpoint import (
     aux_closed_F,
     aux_integral_I,
-    catalan_via_endpoint,
     phi,
     phi_derivative,
     solve_endpoint_b,
@@ -32,8 +31,9 @@ from ti2kit.endpoint import (
 )
 from ti2kit.numerics import integrate_adaptive
 from ti2kit.polylog import clausen2, li2
-from ti2kit.special import catalan_reference, expint_T, hurwitz_zeta
+from ti2kit.special import EULER_GAMMA, catalan_reference, ei_negative, hurwitz_zeta
 from ti2kit.ti2core import ti2, ti2_clausen_form
+from ti2kit.verify import run_identity
 
 PI = math.pi
 G_REFERENCE_DIGITS = 0.9159655941772190
@@ -48,7 +48,7 @@ def _report(criterion: int, label: str, ok: bool, detail: str = ""):
 def test_criterion_01_catalan_cross_route_agreement():
     routes = {
         "reference": catalan_reference(1e-14),
-        "endpoint": catalan_via_endpoint(1e-13),
+        "endpoint": run_identity("corollary1")[0].rhs,
         "telescoped": remark1_partial(100) + ti2(1.0 / 201.0),
         "clausen": ti2_clausen_form(PI / 4.0),
         "hurwitz-assembly": lemma1_catalan().rhs,
@@ -155,7 +155,8 @@ def test_criterion_09_hurwitz_ei_internals():
         direct = float(np.sum((kk * PI - 1.0) ** (-r) - (kk * PI + 1.0) ** (-r)))
         s_direct_ok = s_direct_ok and abs(s_r(r) - direct) < 1e-10
 
-    closed, quad, fourier = k1_closed(), h_quadrature(1.0, 1.0), h_series(1.0, 1.0, 30).value
+    closed, fourier = k1_closed(), h_series(1.0, 1.0, 30).value
+    quad = _h_integral(1.0, 1.0, 1e-11).value
     k1_ok = (
         abs(closed - quad) < 1e-8
         and abs(closed - fourier) < 1e-8
@@ -185,7 +186,8 @@ def test_criterion_10_function_level_oracles():
             1.0,
             1e-11,
         ).value
-        checks[f"T({xi})"] = abs(expint_T(xi) - quad)
+        expint_t = ei_negative(xi) - EULER_GAMMA - math.log(xi)
+        checks[f"T({xi})"] = abs(expint_t - quad)
     worst = max(checks.values())
     _report(10, "function-level oracles", worst < 1e-10, f"worst {worst:.2e}")
 

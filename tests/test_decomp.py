@@ -9,6 +9,7 @@ import pytest
 from ti2kit.decomp import (
     _H_QUADRATURE_BELOW,
     _XI_DIRECT_TERMS,
+    _h_integral,
     _hurwitz_n_series,
     _pole_bracket,
     _pole_direct_terms,
@@ -17,7 +18,6 @@ from ti2kit.decomp import (
     catalan_family,
     corollary2_series,
     default_ei_truncation,
-    h_quadrature,
     h_series,
     k1_closed,
     lemma1_catalan,
@@ -27,7 +27,13 @@ from ti2kit.decomp import (
     xi_k,
 )
 from ti2kit.numerics import DomainError
-from ti2kit.special import catalan_reference, hurwitz_zeta, loggamma_im_gap
+from ti2kit.special import (
+    EULER_GAMMA,
+    _sine_log_sum,
+    catalan_reference,
+    hurwitz_zeta,
+    loggamma_im_gap,
+)
 from ti2kit.ti2core import ti2
 
 PI = math.pi
@@ -121,6 +127,12 @@ class TestPointwiseIdentity:
         assert report.abs_residual <= 1e-15
         assert report.passed
 
+    @pytest.mark.parametrize("x", [math.inf, -1.0, math.nan])
+    def test_domain(self, x):
+        # At inf the rhs was nan, which the JSON writer refused.
+        with pytest.raises(DomainError):
+            pointwise_identity(1.0, x)
+
     def test_default_grid(self):
         for alpha in (0.4, 1.0, 1.6, 2.2, 2.8):
             for x in (0.8, 1.6, 2.4, 3.2, 4.0):
@@ -173,21 +185,21 @@ class TestPointwiseStirlingTail:
 
 class TestHRoutes:
     def test_quadrature_vanishes_at_half_pi(self):
-        assert abs(h_quadrature(1.0, PI / 2.0)) < 1e-13
-        assert abs(h_quadrature(3.0, PI / 2.0)) < 1e-13
+        assert abs(_h_integral(1.0, PI / 2.0, 1e-11).value) < 1e-13
+        assert abs(_h_integral(3.0, PI / 2.0, 1e-11).value) < 1e-13
 
     def test_series_vanishes_at_half_pi(self):
         assert abs(h_series(1.0, PI / 2.0).value) < 1e-13
 
     def test_two_route_agreement_at_unit_point(self):
-        hq = h_quadrature(1.0, 1.0)
+        hq = _h_integral(1.0, 1.0, 1e-11).value
         hs = h_series(1.0, 1.0, 20)
         assert abs(hq - hs.value) < 1e-9
 
     def test_two_route_agreement_grid(self):
         for A in (0.5, 1.0, 2.0):
             for alpha in (0.5, 1.0, 2.0, 2.5):
-                hq = h_quadrature(A, alpha)
+                hq = _h_integral(A, alpha, 1e-11).value
                 hs = h_series(A, alpha, 40)
                 assert abs(hq - hs.value) < 1e-9, (A, alpha)
 
@@ -195,12 +207,12 @@ class TestHRoutes:
         # Truncate aggressively and check the quadrature value stays inside.
         for J in (3, 5, 8):
             hs = h_series(1.0, 1.0, J)
-            assert abs(hs.value - h_quadrature(1.0, 1.0)) <= hs.tail_bound + 1e-9
+            assert abs(hs.value - _h_integral(1.0, 1.0, 1e-11).value) <= hs.tail_bound + 1e-9
 
     def test_small_interval_limit(self):
         # H(A, alpha) ~ A cot(alpha) as A -> 0.
         A = 1e-6
-        assert h_quadrature(A, 1.0) == pytest.approx(A / math.tan(1.0), rel=1e-5)
+        assert _h_integral(A, 1.0, 1e-11).value == pytest.approx(A / math.tan(1.0), rel=1e-5)
 
     @pytest.mark.parametrize("A", [1e-310, 1e-318, 1e-322, 5e-324])
     def test_subnormal_width_takes_the_limit_at_zero(self, A):
@@ -211,9 +223,20 @@ class TestHRoutes:
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            h_quadrature(0.0, 1.0)
+            h_series(0.0, 1.0)
         with pytest.raises(DomainError):
             h_series(1.0, PI)
+        with pytest.raises(DomainError):
+            h_series(math.inf, 1.0)
+
+    @pytest.mark.parametrize("A", [8.9e307, 1e308, sys.float_info.max])
+    @pytest.mark.parametrize("alpha", [1.0, PI / 2.0, 2.5])
+    def test_huge_A_is_finite(self, A, alpha):
+        # 2A overflows from 8.99e307, which made log 2A and Ei(-2A) give nan;
+        # there H is (pi/2 - alpha)(gamma + log 2A) + the sine-log sum.
+        h = h_series(A, alpha).value
+        lead = (PI / 2.0 - alpha) * (EULER_GAMMA + math.log(A) + math.log(2.0))
+        assert h == pytest.approx(lead + _sine_log_sum(alpha), rel=1e-15, abs=1e-15)
 
 
 def _h_reference(mpmath, A: float, alpha: float):
@@ -440,7 +463,7 @@ class TestK1:
 
     def test_triple_agreement(self):
         closed = k1_closed()
-        quad = h_quadrature(1.0, 1.0)
+        quad = _h_integral(1.0, 1.0, 1e-11).value
         fourier = h_series(1.0, 1.0, 30).value
         assert abs(closed - quad) < 1e-8
         assert abs(closed - fourier) < 1e-9
@@ -453,7 +476,7 @@ class TestK1:
         # K(1) = -sum sin(2j)/j Ei(-2j) + (pi/2 - 1)(gamma + log 2)
         #        + [sine-log sum]; the gamma coefficients cancel between the
         #        last two pieces, leaving the compressed closed form.
-        from ti2kit.special import EULER_GAMMA, ei_negative, kummer_sine_log_sum
+        from ti2kit.special import ei_negative
 
         ei_part = -sum(
             math.sin(2.0 * j) / j * ei_negative(2.0 * j) for j in range(1, 19)
@@ -461,7 +484,7 @@ class TestK1:
         assembled = (
             ei_part
             + (PI / 2.0 - 1.0) * (EULER_GAMMA + math.log(2.0))
-            + kummer_sine_log_sum()
+            + _sine_log_sum(1.0)
         )
         assert k1_closed() == pytest.approx(assembled, abs=1e-13)
 

@@ -10,7 +10,6 @@ from ti2kit.endpoint import (
     admissibility,
     aux_closed_F,
     aux_integral_I,
-    catalan_via_endpoint,
     phi,
     phi_derivative,
     psi,
@@ -160,6 +159,18 @@ class TestPsiPhi:
     def test_positive_upper_half_plane(self):
         assert phi_derivative(0.5, 3.0) > 0.0
 
+    def test_same_values_as_the_public_li2(self):
+        # psi, phi and F skip li2's argument checks and nothing else.
+        rng = random.Random(17)
+        for _ in range(2000):
+            a = math.exp(rng.uniform(math.log(1e-6), math.log(1e6)))
+            b = rng.uniform(1e-9, PI - 1e-9)
+            li2_minus_a = li2(complex(-a, 0.0)).real
+            re_li2_w = li2(-a * cmath.exp(1j * b)).real
+            assert psi(a) == li2(complex(1.0, a)).imag, a
+            assert phi(a, b) == re_li2_w - li2_minus_a, (a, b)
+            assert aux_closed_F(a, b) == PI * b / 2.0 - b * b / 2.0 - li2_minus_a + re_li2_w, (a, b)
+
 
 class TestAdmissibility:
     def test_a_one_admissible(self):
@@ -293,7 +304,7 @@ class TestSolveCost:
         """A one-item list counting the dilogarithms the solve calls.
 
         Admissibility and the root steps call polylog's complex and real
-        routes directly; ``li2`` stays counted in case a call moves back.
+        routes directly; endpoint has no other dilogarithm.
         """
         calls = [0]
 
@@ -304,7 +315,7 @@ class TestSolveCost:
 
             return wrapper
 
-        for name in ("li2", "_li2_any", "_li2_real"):
+        for name in ("_li2_any", "_li2_real"):
             monkeypatch.setattr(endpoint, name, counted(getattr(endpoint, name)))
         return calls
 
@@ -406,8 +417,9 @@ class TestTheorem1Identity:
 
 class TestCatalanViaEndpoint:
     def test_against_reference(self):
-        got = catalan_via_endpoint(1e-13)
-        assert abs(got - catalan_reference(1e-14)) < 1e-10
+        # corollary1's rhs, b(1)^2/4 - (pi/4) log 2 with b(1) solved to 1e-13.
+        (c1,) = run_identity("corollary1")
+        assert abs(c1.rhs - catalan_reference(1e-14)) < 1e-10
 
     def test_intermediate_b_squared(self, catalan_oracle):
         sol = solve_endpoint_b(1.0, 1e-13)

@@ -525,6 +525,10 @@ class TestImportFootprint:
         assert res.stdout.strip() == "0 True 1"
 
 
+# The package's modules, each with its public names in ti2kit._EXPORTS.
+MODULES = ("decomp", "endpoint", "numerics", "polylog", "report", "special", "ti2core", "verify")
+
+
 class TestPackageApi:
     def test_every_export_is_its_modules_object(self):
         import ti2kit
@@ -543,6 +547,21 @@ class TestPackageApi:
         exec("from ti2kit import *", namespace)
         assert set(ti2kit.__all__) <= set(namespace)
         assert namespace["ti2"] is ti2kit.ti2core.ti2
+
+    @pytest.mark.parametrize("module", MODULES)
+    def test_star_import_of_a_module_binds_its_exports(self, module):
+        import ti2kit
+
+        namespace: dict = {}
+        exec(f"from ti2kit.{module} import *", namespace)
+        del namespace["__builtins__"]
+        assert sorted(namespace) == sorted(ti2kit._EXPORTS[module])
+
+    def test_package_exports(self):
+        import ti2kit
+
+        assert sorted(ti2kit._EXPORTS) == list(MODULES)
+        assert len(ti2kit.__all__) == 54
 
     def test_dir_lists_every_export_and_module(self):
         import ti2kit

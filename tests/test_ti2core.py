@@ -1,5 +1,7 @@
 import itertools
 import math
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -119,6 +121,15 @@ class TestTi2PropositionForm:
         assert ti2_proposition_form(2.0) == pytest.approx(
             ti2_via_quadrature(2.0), abs=1e-10
         )
+
+    def test_large_a_against_ti2(self):
+        # a * a overflows from a = 1.34e154, where log1p(a^2) made the form
+        # -inf; ti2(1e200) is 723.378.
+        rng = random.Random(11)
+        top = math.log(sys.float_info.max)
+        grid = [math.exp(rng.uniform(0.0, top)) for _ in range(4000)]
+        for a in grid + [1e150, math.nextafter(1e150, 2e150), 1.34e154, 1e200, sys.float_info.max]:
+            assert abs(ti2_proposition_form(a) - ti2(a)) <= 1e-15 * ti2(a), a
 
     def test_domain(self):
         with pytest.raises(DomainError):
