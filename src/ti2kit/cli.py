@@ -171,26 +171,6 @@ def _parse_config_file(path: str) -> dict[str, str]:
 _CONFIG_KEYS = {"K", "tol", "format", "out"}
 
 
-def _apply_config(cfg: verify.VerificationConfig, entries: dict[str, str], identity: str) -> None:
-    for key, value in entries.items():
-        if key not in _CONFIG_KEYS:
-            raise ValueError(f"unknown config key {key!r}")
-        if key == "K":
-            cfg.K = int(value)
-        elif key == "tol":
-            _set_tolerance(cfg, identity, float(value))
-        elif key == "format":
-            cfg.format = value
-        elif key == "out":
-            cfg.out = value
-
-
-def _set_tolerance(cfg: verify.VerificationConfig, identity: str, tol: float) -> None:
-    names = verify.IDENTITY_NAMES if identity == "all" else (identity,)
-    for name in names:
-        cfg.tolerances[name] = tol
-
-
 def _cmd_compute(args: SimpleNamespace) -> int:
     fn = args.function
     if fn not in _COMPUTE_FNS:
@@ -217,16 +197,23 @@ def _cmd_verify(args: SimpleNamespace) -> int:
         print(f"error: unknown identity {identity!r}; expected one of "
               f"{', '.join(verify.IDENTITY_NAMES)} or 'all'", file=sys.stderr)
         return EXIT_USAGE
+    names = verify.IDENTITY_NAMES if identity == "all" else (identity,)
 
-    cfg = verify.VerificationConfig()
+    # Each --config entry, converted as its flag would be, sets its option
+    # unless a flag did: flags win.
     try:
-        if args.config is not None:
-            _apply_config(cfg, _parse_config_file(args.config), identity)
+        entries = {} if args.config is None else _parse_config_file(args.config)
+        for key, value in entries.items():
+            if key not in _CONFIG_KEYS:
+                raise ValueError(f"unknown config key {key!r}")
+            value = _VERIFY_OPTIONS[key][0](value)
+            if getattr(args, key) is None:
+                setattr(args, key, value)
     except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    # Flags override config-file entries.
+    cfg = verify.VerificationConfig()
     if args.a is not None:
         cfg.a_grid = tuple(args.a)
     if args.theta is not None:
@@ -243,7 +230,8 @@ def _cmd_verify(args: SimpleNamespace) -> int:
     if args.K is not None:
         cfg.K = args.K
     if args.tol is not None:
-        _set_tolerance(cfg, identity, args.tol)
+        for name in names:
+            cfg.tolerances[name] = args.tol
     if args.format is not None:
         cfg.format = args.format
     if args.out is not None:
@@ -257,7 +245,7 @@ def _cmd_verify(args: SimpleNamespace) -> int:
 
     # One identity's domain error leaves the other reports of `all` standing.
     reports, domain_error = [], False
-    for name in verify.IDENTITY_NAMES if identity == "all" else (identity,):
+    for name in names:
         try:
             reports += verify.run_identity(name, cfg)
         except (DomainError, BracketError) as exc:

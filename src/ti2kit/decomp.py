@@ -27,11 +27,10 @@ H(A, alpha) has two routes, chosen by A.  Below A = 3 (_H_QUADRATURE_BELOW)
 the integrand arctan(cot(alpha) tanh x)/x is integrated by adaptive
 Gauss-Kronrod quadrature; it is analytic in the strip |Im x| < min(alpha,
 pi - alpha), so the rule converges fast there.  From A = 3 on, H is the
-exponential-integral series of the Fourier expansion, ceil(16.1/A) <= 6
-terms.  Below A = 3 that series grows as 1/A and loses digits to
-cancellation (1395 terms and 1.2e-12 relative at A = 0.01); there it serves
-only when a depth J is asked for, and for Lemma 1's K(1), whose statement
-it is.
+exponential-integral series of the Fourier expansion, at most 5 terms.
+Below A = 3 that series grows as 1/A and loses digits to cancellation
+(1395 terms and 1.2e-12 relative at A = 0.01); there it serves only
+Lemma 1's K(1), whose statement it is.
 
 Corollary 2's bracket sum (and the Catalan family's, its A = alpha = pi/n
 case) is summed over every k with a fixed number of Ti2 calls.  The first
@@ -180,11 +179,6 @@ def _h_integral(A: float, alpha: float, tol: float) -> QuadratureResult:
     return integrate_adaptive(f, 0.0, A, tol)
 
 
-def default_ei_truncation(A: float) -> int:
-    """Truncation depth making the exponential-integral tail < 1e-14."""
-    return max(1, math.ceil(7.0 * math.log(10.0) / A))
-
-
 # h_series integrates below this A and sums the Ei series from it on.  Mean
 # h_series cost over 200 points stratified like perfbench's H pool (A
 # log-uniform in [0.01, 10], alpha uniform in [0.01, pi - 0.01]) on 21-point
@@ -200,55 +194,58 @@ _H_QUADRATURE_BELOW = 3.0
 _H_QUADRATURE_TOL = 1e-13
 
 
-def h_series(A: float, alpha: float, J: int | None = None) -> SeriesResult:
+def h_series(A: float, alpha: float) -> SeriesResult:
     """H(A, alpha) = integral_0^A arctan(cot(alpha) tanh x)/x dx, by one of two routes.
 
-    With the default ``J=None``, A below 3 is integrated by adaptive
-    Gauss-Kronrod quadrature to absolute tolerance 1e-13 (the
-    exponential-integral series would need ceil(16.1/A) terms there and
-    lose digits to cancellation).  On that route ``terms_used`` is the
-    number of integrand evaluations and ``tail_bound`` the quadrature's
-    error estimate.
+    A below 3 is integrated by adaptive Gauss-Kronrod quadrature to absolute
+    tolerance 1e-13 (the exponential-integral series would need
+    ceil(16.1/A) terms there and lose digits to cancellation).  On that
+    route ``terms_used`` is the number of integrand evaluations and
+    ``tail_bound`` the quadrature's error estimate.
 
-    From A = 3 on, or at any A when a depth ``J`` is given, H is summed by
-    termwise integration of the Fourier expansion.
-    arctan(cot(alpha) tanh x) = -sum_j sin(2 j alpha)/j (e^{-2jx} - 1)
-    integrates termwise to -sum_j sin(2 j alpha)/j * T(2 j A) with
-    T(xi) = Ei(-xi) - gamma - log(xi).  The gamma and log pieces of T make
-    that series only conditionally convergent, so they are summed in closed
-    form first (the sawtooth sum_j sin(2 j alpha)/j = pi/2 - alpha and the
-    sine-log sum via Kummer's log-gamma Fourier series), leaving
+    From A = 3 on, H is summed by termwise integration of the Fourier
+    expansion.  arctan(cot(alpha) tanh x) = -sum_j sin(2 j alpha)/j
+    (e^{-2jx} - 1) integrates termwise to -sum_j sin(2 j alpha)/j * T(2 j A)
+    with T(xi) = Ei(-xi) - gamma - log(xi).  The gamma and log pieces of T
+    make that series only conditionally convergent, so they are summed in
+    closed form first (the sawtooth sum_j sin(2 j alpha)/j = pi/2 - alpha
+    and the sine-log sum via Kummer's log-gamma Fourier series), leaving
 
-        H = -sum_{j<=J} sin(2 j alpha)/j * Ei(-2 j A)
+        H = -sum_j sin(2 j alpha)/j * Ei(-2 j A)
             + (pi/2 - alpha)(gamma + log 2A) + sum_j sin(2 j alpha) log(j)/j.
 
-    The Ei sum stops at J terms or once its tail bound falls below 1e-15;
+    The Ei sum stops once its tail bound falls below 1e-15, within 5 terms;
     ``terms_used`` is the number of Ei terms and ``tail_bound`` the
     truncation bound, geometric because |Ei(-xi)| <= e^{-xi}/xi gives
-    e^{-2JA}/(2 A J^2 (1 - e^{-2A})).  Without ``J`` the depth is
-    ceil(16.1/A).  A must be finite; H is finite up to the largest float.
+    e^{-2nA}/(2 A n^2 (1 - e^{-2A})) after n terms.  A must be finite; H is
+    finite up to the largest float.
     """
     _check_alpha(alpha)
     if not 0.0 < A < math.inf:
         raise DomainError(f"h_series requires 0 < A < inf, got {A!r}")
-    if J is None:
-        if A < _H_QUADRATURE_BELOW:
-            quad = _h_integral(A, alpha, _H_QUADRATURE_TOL)
-            return SeriesResult(
-                value=quad.value,
-                terms_used=quad.evaluations,
-                tail_bound=quad.abs_error_estimate,
-            )
-        J = default_ei_truncation(A)
-    if J < 1:
-        raise DomainError(f"h_series requires J >= 1, got {J!r}")
+    if A < _H_QUADRATURE_BELOW:
+        quad = _h_integral(A, alpha, _H_QUADRATURE_TOL)
+        return SeriesResult(
+            value=quad.value,
+            terms_used=quad.evaluations,
+            tail_bound=quad.abs_error_estimate,
+        )
+    return _h_ei_series(A, alpha)
 
+
+# The Ei sum's term budget.  Its tail bound falls below 1e-15 within 64
+# terms for every A >= 0.25: 5 terms at A = 3, 15 at K(1)'s A = 1.
+_H_EI_MAX_TERMS = 64
+
+
+def _h_ei_series(A: float, alpha: float) -> SeriesResult:
+    # h_series' exponential-integral route, which K(1) takes at A = 1.
     geom = 1.0 - math.exp(-2.0 * A)
     ser = sum_series(
         lambda j: -math.sin(2.0 * j * alpha) / j * ei_negative(2.0 * j * A),
         lambda k: math.exp(-2.0 * k * A) / (2.0 * A * k * k * geom),
         tol=1e-15,
-        max_terms=J,
+        max_terms=_H_EI_MAX_TERMS,
     )
     # 2A overflows from A = 8.99e307, where log 2A is taken as log A + log 2.
     two_a = 2.0 * A
@@ -258,12 +255,7 @@ def h_series(A: float, alpha: float, J: int | None = None) -> SeriesResult:
         + (PI / 2.0 - alpha) * (EULER_GAMMA + log_two_a)
         + _sine_log_sum(alpha)
     )
-    return SeriesResult(
-        value=value,
-        terms_used=ser.terms_used,
-        tail_bound=ser.tail_bound,
-        truncated=ser.truncated,
-    )
+    return ser._replace(value=value)
 
 
 def _pole_tail(A: float, alpha: float, m: int) -> SeriesResult:
@@ -427,11 +419,11 @@ def k1_closed() -> float:
         K(1) = -sum_j sin(2j)/j Ei(-2j) + (pi/2 - 1)(gamma + log 2)
                + sum_j sin(2j) log(j)/j,
 
-    which is h_series' exponential-integral route at A = alpha = 1, asked
-    for by its depth because this form is Lemma 1's statement.  The sum
+    which is h_series' exponential-integral route taken at A = alpha = 1,
+    below its crossover, because this form is Lemma 1's statement.  The sum
     stops once its tail bound falls below 1e-15 (15 terms).
     """
-    return h_series(1.0, 1.0, default_ei_truncation(1.0)).value
+    return _h_ei_series(1.0, 1.0).value
 
 
 def lemma1_catalan(*, tolerance: float = 1e-12) -> report.IdentityReport:
@@ -445,7 +437,7 @@ def lemma1_catalan(*, tolerance: float = 1e-12) -> report.IdentityReport:
     G by about 2e-2 (the tests pin it).  ``terms_used`` counts the n-series
     terms (20); the tail bound adds its bound to K(1)'s Ei-series bound.
     """
-    k1 = h_series(1.0, 1.0, default_ei_truncation(1.0))
+    k1 = _h_ei_series(1.0, 1.0)
     ser = _hurwitz_n_series(1.0, 1.0, 0)
     return report.IdentityReport.build(
         name="lemma1",

@@ -61,7 +61,7 @@ __all__ = _EXPORTS["endpoint"]
 PI = math.pi
 
 # Strict-inequality margin for the admissibility test; values inside the
-# margin are flagged as boundary cases and excluded from solves.
+# margin are excluded from solves.
 ADMISSIBILITY_MARGIN = 1e-12
 
 # phi takes its b = pi value at every b within this distance of pi.
@@ -84,7 +84,6 @@ class AdmissibilityResult(NamedTuple):
     phi_pi: float
     li2_minus_a: float
     admissible: bool
-    boundary: bool = False
 
 
 class EndpointSolution(NamedTuple):
@@ -171,9 +170,7 @@ def phi_derivative(a: float, b: float) -> float:
 def admissibility(a: float) -> AdmissibilityResult:
     """Test 0 < psi(a) < phi_a(pi) with strict margin 1e-12.
 
-    Points failing a strict inequality by less than the margin are reported
-    as boundary cases (not admissible, but distinguishable from clear
-    failures in scans).
+    Points within the margin of either inequality are not admissible.
     """
     _check_a(a, "admissibility")
     # psi(a) and phi_a(pi) = Re Li2(a) - Li2(-a), with Re Li2(a) the
@@ -182,21 +179,14 @@ def admissibility(a: float) -> AdmissibilityResult:
     li2_minus_a = _li2_real(-a)
     q = _li2_real(a) - li2_minus_a
     admissible = p > ADMISSIBILITY_MARGIN and q - p > ADMISSIBILITY_MARGIN
-    boundary = not admissible and (
-        abs(p) <= ADMISSIBILITY_MARGIN or abs(q - p) <= ADMISSIBILITY_MARGIN
-    )
-    return AdmissibilityResult(a, p, q, li2_minus_a, admissible, boundary)
+    return AdmissibilityResult(a, p, q, li2_minus_a, admissible)
 
 
-def solve_endpoint_b(
-    a: float, tol: float = 1e-12, *, use_derivative: bool = True
-) -> EndpointSolution:
+def solve_endpoint_b(a: float, tol: float = 1e-12) -> EndpointSolution:
     """Solve phi_a(b) = psi(a) for the unique b in (0, pi).
 
     Requires ``a`` admissible; the bracket (0, pi) is then strict on both
     sides and monotonicity of phi_a makes bisection sufficient.
-    ``use_derivative=False`` gives the bisection-only run, from pi/2, used
-    for dual-solver cross-checks.
 
     Refinement starts at the root of the cubic Hermite interpolant of phi_a
     on [0, pi] and takes Halley steps with phi_a'(b) = Arg(1 + a e^{ib}) and
@@ -209,7 +199,7 @@ def solve_endpoint_b(
     dilogarithm calls (one more if the solver stops on a bracket midpoint
     it never evaluated, whose residual then needs one).
     """
-    return _solve(admissibility(a), tol, use_derivative)
+    return _solve(admissibility(a), tol)
 
 
 def _hermite_start(adm: AdmissibilityResult) -> float:
@@ -237,9 +227,7 @@ def _hermite_start(adm: AdmissibilityResult) -> float:
     return PI * min(max(t, 0.0), 1.0)
 
 
-def _solve(
-    adm: AdmissibilityResult, tol: float, use_derivative: bool = True
-) -> EndpointSolution:
+def _solve(adm: AdmissibilityResult, tol: float) -> EndpointSolution:
     # solve_endpoint_b for an admissibility result already in hand: phi_a
     # with Li2(-a) and phi_a(pi) taken from the test.  g counts the
     # solver's evaluations and keeps the last one, which is the residual's
@@ -270,21 +258,18 @@ def _solve(
         last = (b, phi_a(b))
         return last[1]
 
-    if use_derivative:
-        # The solver asks for phi_a' = Arg(1 + w) and phi_a'' = Re(w / (1 + w))
-        # only at the interior point it last evaluated, so w is that point's.
-        b = find_root_increasing(
-            g,
-            0.0,
-            PI,
-            adm.psi,
-            tol,
-            derivative=lambda b: math.atan2(w.imag, 1.0 + w.real),
-            second_derivative=lambda b: (w / (1.0 + w)).real,
-            start=_hermite_start(adm),
-        )
-    else:
-        b = find_root_increasing(g, 0.0, PI, adm.psi, tol)
+    # The solver asks for phi_a' = Arg(1 + w) and phi_a'' = Re(w / (1 + w))
+    # only at the interior point it last evaluated, so w is that point's.
+    b = find_root_increasing(
+        g,
+        0.0,
+        PI,
+        adm.psi,
+        tol,
+        derivative=lambda b: math.atan2(w.imag, 1.0 + w.real),
+        second_derivative=lambda b: (w / (1.0 + w)).real,
+        start=_hermite_start(adm),
+    )
     phi_b = last[1] if last[0] == b else phi_a(b)
     return EndpointSolution(a, b, abs(phi_b - adm.psi), evals)
 

@@ -201,6 +201,8 @@ def integrate_adaptive(
 
 _BRACKET_FLOOR = 1e-14
 
+_ROOT_MAX_ITERATIONS = 200
+
 
 def find_root_increasing(
     g: Callable[[float], float],
@@ -212,7 +214,6 @@ def find_root_increasing(
     derivative: Optional[Callable[[float], float]] = None,
     second_derivative: Optional[Callable[[float], float]] = None,
     start: Optional[float] = None,
-    max_iterations: int = 200,
 ) -> float:
     """Solve ``g(b) = target`` for strictly increasing ``g`` on ``[lo, hi]``.
 
@@ -227,7 +228,8 @@ def find_root_increasing(
     ``|g(b) - target| <= tol`` or the bracket width falls below 1e-14.
 
     Requires the strict bracketing ``g(lo) < target < g(hi)``; otherwise a
-    :class:`BracketError` is raised.
+    :class:`BracketError` is raised.  Raises :class:`BudgetError` (with the
+    bracket midpoint attached) if 200 steps do not meet either condition.
     """
     if not tol > 0.0:
         raise DomainError(f"tolerance must be positive, got {tol}")
@@ -242,7 +244,7 @@ def find_root_increasing(
 
     a, b = lo, hi
     x = start if start is not None and lo < start < hi else 0.5 * (a + b)
-    for _ in range(max_iterations):
+    for _ in range(_ROOT_MAX_ITERATIONS):
         gx = g(x)
         if abs(gx - target) <= tol:
             return x
@@ -266,7 +268,7 @@ def find_root_increasing(
                     nxt = cand
         x = 0.5 * (a + b) if nxt is None else nxt
     raise BudgetError(
-        f"root iteration budget {max_iterations} exhausted", best=0.5 * (a + b)
+        f"root iteration budget {_ROOT_MAX_ITERATIONS} exhausted", best=0.5 * (a + b)
     )
 
 

@@ -10,7 +10,7 @@ identical runs produce byte-identical output.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional, Sequence, TextIO
+from typing import NamedTuple, Optional, Sequence
 
 from . import _EXPORTS, _LazyModule
 
@@ -113,12 +113,9 @@ def render_table(reports: Sequence[IdentityReport]) -> str:
 
 
 def write_reports(
-    reports: Sequence[IdentityReport],
-    fmt: str,
-    destination: Optional[str] = None,
-    stream: Optional[TextIO] = None,
+    reports: Sequence[IdentityReport], fmt: str, destination: Optional[str] = None
 ) -> None:
-    """Render ``reports`` as ``fmt`` ("json" or "table") to a path or stream.
+    """Render ``reports`` as ``fmt`` ("json" or "table") to a path or stdout.
 
     Exit-code policy lives with the caller; this function only raises OSError
     on unwritable destinations.
@@ -132,8 +129,6 @@ def write_reports(
     if destination is not None:
         with open(destination, "w", encoding="utf-8") as fh:
             fh.write(text)
-    elif stream is not None:
-        stream.write(text)
     else:
         import sys
 

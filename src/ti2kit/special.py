@@ -74,8 +74,12 @@ def hurwitz_zeta(s: float, c: float) -> float:
     stop = c * ((1e17 * (1.0 + x / (s - 1.0))) ** (1.0 / s) - 1.0)
     short = stop < m
     total = 0.0
-    for k in range(max(1, math.ceil(stop)) if short else m):
-        total += (k + c) ** (-s)
+    try:
+        for k in range(max(1, math.ceil(stop)) if short else m):
+            total += (k + c) ** (-s)
+    except OverflowError:
+        # (k + c)^{-s} for k + c < 1: zeta(s, c) is past the float range.
+        raise DomainError(f"hurwitz_zeta({s!r}, {c!r}) overflows binary64") from None
     if short:
         return total
 

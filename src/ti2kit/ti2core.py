@@ -122,18 +122,18 @@ def _ti2_series(y: float) -> float:
     return total
 
 
-def ti2_via_quadrature(y: float, tol: float = 1e-12) -> float:
+def ti2_via_quadrature(y: float) -> float:
     """Ti2(y) by adaptive quadrature of arctan(x)/x, which takes its limit 1 at 0.
 
-    Serves as the independent oracle for every other route.  Requires y >= 0
-    (combine with oddness for negative arguments).
+    Serves, to absolute tolerance 1e-12, as the independent oracle for every
+    other route.  Requires y >= 0 (combine with oddness for negative arguments).
     """
     if not y >= 0.0:
         raise DomainError(f"ti2_via_quadrature requires y >= 0, got {y!r}")
     if y == 0.0:
         return 0.0
     return integrate_adaptive(
-        lambda x: math.atan(x) / x if x != 0.0 else 1.0, 0.0, y, tol
+        lambda x: math.atan(x) / x if x != 0.0 else 1.0, 0.0, y, 1e-12
     ).value
 
 

@@ -96,13 +96,16 @@ def _corollary1(_point, cfg: VerificationConfig, tol: float) -> IdentityReport:
 
 
 def _corollary4(theta: float, cfg: VerificationConfig, tol: float) -> IdentityReport:
+    # The rhs first: it checks theta, and math.tan(inf) raises ValueError.
+    rhs = ti2_clausen_form(theta)
+    t = math.tan(theta)
     return IdentityReport.build(
         name="corollary4",
         params={"theta": theta},
-        lhs=ti2(math.tan(theta)),
-        rhs=ti2_clausen_form(theta),
+        lhs=ti2(t),
+        rhs=rhs,
         tolerance=tol,
-        method_lhs=ti2_method(math.tan(theta)),
+        method_lhs=ti2_method(t),
         method_rhs=METHOD_CLAUSEN_FORM,
     )
 

@@ -12,9 +12,9 @@ import sys
 
 from conftest import central_difference
 from ti2kit.decomp import (
+    _h_ei_series,
     _h_integral,
     catalan_family,
-    h_series,
     k1_closed,
     lemma1_catalan,
     pointwise_identity,
@@ -155,7 +155,7 @@ def test_criterion_09_hurwitz_ei_internals():
         direct = float(np.sum((kk * PI - 1.0) ** (-r) - (kk * PI + 1.0) ** (-r)))
         s_direct_ok = s_direct_ok and abs(s_r(r) - direct) < 1e-10
 
-    closed, fourier = k1_closed(), h_series(1.0, 1.0, 30).value
+    closed, fourier = k1_closed(), _h_ei_series(1.0, 1.0).value
     quad = _h_integral(1.0, 1.0, 1e-11).value
     k1_ok = (
         abs(closed - quad) < 1e-8

@@ -9,6 +9,7 @@ import pytest
 from ti2kit.decomp import (
     _H_QUADRATURE_BELOW,
     _XI_DIRECT_TERMS,
+    _h_ei_series,
     _h_integral,
     _hurwitz_n_series,
     _pole_bracket,
@@ -17,7 +18,6 @@ from ti2kit.decomp import (
     _xi_sum,
     catalan_family,
     corollary2_series,
-    default_ei_truncation,
     h_series,
     k1_closed,
     lemma1_catalan,
@@ -193,21 +193,15 @@ class TestHRoutes:
 
     def test_two_route_agreement_at_unit_point(self):
         hq = _h_integral(1.0, 1.0, 1e-11).value
-        hs = h_series(1.0, 1.0, 20)
+        hs = _h_ei_series(1.0, 1.0)
         assert abs(hq - hs.value) < 1e-9
 
     def test_two_route_agreement_grid(self):
         for A in (0.5, 1.0, 2.0):
             for alpha in (0.5, 1.0, 2.0, 2.5):
                 hq = _h_integral(A, alpha, 1e-11).value
-                hs = h_series(A, alpha, 40)
+                hs = _h_ei_series(A, alpha)
                 assert abs(hq - hs.value) < 1e-9, (A, alpha)
-
-    def test_series_tail_bound_is_honest(self):
-        # Truncate aggressively and check the quadrature value stays inside.
-        for J in (3, 5, 8):
-            hs = h_series(1.0, 1.0, J)
-            assert abs(hs.value - _h_integral(1.0, 1.0, 1e-11).value) <= hs.tail_bound + 1e-9
 
     def test_small_interval_limit(self):
         # H(A, alpha) ~ A cot(alpha) as A -> 0.
@@ -253,7 +247,7 @@ def _h_reference(mpmath, A: float, alpha: float):
 
 
 class TestHSeriesDefaultRoute:
-    """h_series without J: quadrature below _H_QUADRATURE_BELOW, the Ei series from it on."""
+    """h_series: quadrature below _H_QUADRATURE_BELOW, the Ei series from it on."""
 
     def test_against_mpmath(self):
         # One seeded point per (log A, alpha) stratum, the corners, both
@@ -283,9 +277,9 @@ class TestHSeriesDefaultRoute:
         assert below.terms_used % 21 == 0  # GK21 panels: integrand evaluations
         assert below.tail_bound <= 1e-13
         at = h_series(_H_QUADRATURE_BELOW, 1.0)
-        assert at.terms_used <= default_ei_truncation(_H_QUADRATURE_BELOW)
+        assert at.terms_used <= 6
         assert at.tail_bound <= 1e-15
-        assert at.value == h_series(_H_QUADRATURE_BELOW, 1.0, 100).value
+        assert at == _h_ei_series(_H_QUADRATURE_BELOW, 1.0)
 
     @pytest.mark.parametrize("A, alpha", [(1e-6, 1.0), (0.01, 0.01)])
     def test_small_A_costs_under_a_millisecond(self, A, alpha):
@@ -464,7 +458,7 @@ class TestK1:
     def test_triple_agreement(self):
         closed = k1_closed()
         quad = _h_integral(1.0, 1.0, 1e-11).value
-        fourier = h_series(1.0, 1.0, 30).value
+        fourier = _h_ei_series(1.0, 1.0).value
         assert abs(closed - quad) < 1e-8
         assert abs(closed - fourier) < 1e-9
         assert abs(quad - fourier) < 1e-8

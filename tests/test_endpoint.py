@@ -253,8 +253,8 @@ class TestSolveEndpoint:
     def test_dual_solver_agreement(self):
         for a in (0.5, 1.0, 2.0):
             refined = solve_endpoint_b(a, 1e-12)
-            bisected = solve_endpoint_b(a, 1e-12, use_derivative=False)
-            assert abs(refined.b - bisected.b) < 1e-10
+            bisected, _, _ = _reference_solve(a, 1e-12, False)
+            assert abs(refined.b - bisected) < 1e-10
 
     def test_unique_sign_change_on_grid(self):
         # phi_a(b) - psi(a) crosses zero exactly once on a 100-point grid.
@@ -338,13 +338,6 @@ class TestSolveCost:
         assert len(reports) == 1 and reports[0].passed
         assert calls == 1
 
-    def test_bisection_bit_identical_to_reference_solve(self):
-        for a in _seeded_admissible_a(200):
-            sol = solve_endpoint_b(a, 1e-12, use_derivative=False)
-            assert (sol.b, sol.residual, sol.iterations) == _reference_solve(
-                a, 1e-12, False
-            ), a
-
     def test_halley_solve_agrees_with_reference_solve(self):
         # The Hermite start and Halley steps take another path to the same
         # root as bisection with Newton steps from pi/2.
@@ -380,13 +373,12 @@ class TestSolveCost:
         # A tolerance no step can meet makes the solver return the midpoint
         # of its last bracket, whose phi_a the residual then evaluates: one
         # dilogarithm more than a solve that stops on an evaluated root.
-        for a in (0.46, 1.0, 2.0, 18.9):
+        # These a end there; others stop on a step that lands on the root.
+        for a in (0.46, 1.5, 5.0):
             dilog_calls[0] = 0
-            sol = solve_endpoint_b(a, 1e-300, use_derivative=False)
-            assert dilog_calls[0] == sol.iterations + 2
-            assert (sol.b, sol.residual, sol.iterations) == _reference_solve(
-                a, 1e-300, False
-            )
+            sol = solve_endpoint_b(a, 1e-300)
+            assert dilog_calls[0] == sol.iterations + 2, a
+            assert sol.residual == abs(phi(a, sol.b) - psi(a)), a
 
     def test_reports_carry_solve_iterations(self):
         sol = solve_endpoint_b(1.0)

@@ -253,6 +253,20 @@ class TestFindRootIncreasing:
         )
         assert fallback == newton
 
+    def test_step_budget_is_200(self):
+        # Bisecting [0, 1e300] toward 1.5 leaves a bracket 6e239 wide after
+        # 200 steps, far above the 1e-14 floor.
+        calls = []
+
+        def g(x):
+            calls.append(x)
+            return x
+
+        with pytest.raises(BudgetError) as err:
+            find_root_increasing(g, 0.0, 1e300, 1.5, 1e-300)
+        assert len(calls) == 2 + 200
+        assert 0.0 < err.value.best < 1e300
+
 
 class TestSumSeries:
     def test_zero_series(self):

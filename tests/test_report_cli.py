@@ -413,6 +413,22 @@ class TestCli:
         assert "requires 0 < A <= 10000" in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "corollary4", "--theta", "inf"],
+            ["verify", "corollary4", "--theta", "nan"],
+            ["compute", "hurwitz", "200", "0.001"],
+        ],
+    )
+    def test_non_finite_theta_and_zeta_past_the_float_range_exit_3(self, argv, capsys):
+        # math.tan(inf) once raised a bare ValueError before
+        # ti2_clausen_form checked theta, and zeta(200, 0.001) a bare
+        # OverflowError; both died with a traceback.
+        assert cli.main(argv) == 3
+        out, err = capsys.readouterr()
+        assert err.startswith("domain error") and out == ""
+
     def test_domain_error_in_all_keeps_the_other_reports(self, capsys):
         # --A is corollary2's A and pointwise's abscissa: 1e5 is out of
         # corollary2's domain only.
@@ -612,20 +628,24 @@ class TestPackageApi:
 
 
 class TestCorollaryTolerances:
-    # lemma1's H is K(1) = H(1, 1).
-    @pytest.mark.parametrize("identity", ["corollary2", "corollary3", "lemma1"])
+    # identity -> the route its H takes; lemma1's H is K(1) = H(1, 1), which
+    # it sums as the Ei series.
+    _H_ROUTES = {"corollary2": "h_series", "corollary3": "h_series", "lemma1": "_h_ei_series"}
+
+    @pytest.mark.parametrize("identity", list(_H_ROUTES))
     def test_error_of_1e11_in_H_fails_verify(self, identity, monkeypatch, capsys):
         from ti2kit import decomp
         from ti2kit.cli import main
 
         assert main(["verify", identity]) == 0
-        h_series = decomp.h_series
+        route = self._H_ROUTES[identity]
+        original = getattr(decomp, route)
 
         def shifted(*args):
-            h = h_series(*args)
+            h = original(*args)
             return h._replace(value=h.value + 1e-11)
 
-        monkeypatch.setattr(decomp, "h_series", shifted)
+        monkeypatch.setattr(decomp, route, shifted)
         assert main(["verify", identity]) == 1
 
     # identity -> (module, rhs route, 1e-11 shift of the route's result);

@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 import time
 from fractions import Fraction
@@ -88,6 +89,23 @@ class TestHurwitzZeta:
         for s, c in ((math.inf, 1.0), (2.0, math.inf), (math.nan, 1.0), (2.0, math.nan)):
             with pytest.raises(DomainError):
                 hurwitz_zeta(s, c)
+
+    def test_value_past_the_float_range_is_a_domain_error(self):
+        # zeta(s, c) > c^{-s}, which passes the float range for c < 1 and
+        # large s; (k + c)^{-s} once raised a bare OverflowError there.
+        rng = random.Random(11)
+        overflowed = 0
+        for _ in range(3000):
+            s = math.exp(rng.uniform(math.log(1.01), math.log(1e17)))
+            c = math.exp(rng.uniform(math.log(1e-3), math.log(1e6)))
+            try:
+                value = hurwitz_zeta(s, c)
+            except DomainError:
+                overflowed += 1
+                assert -s * math.log(c) > math.log(sys.float_info.max) - 1e-9, (s, c)
+            else:
+                assert 0.0 <= value < math.inf, (s, c)
+        assert 0 < overflowed < 3000
 
     @pytest.mark.parametrize("s", [1e18, 4.5e307, 1e308, sys.float_info.max])
     def test_huge_order_sums_its_first_term(self, s):
