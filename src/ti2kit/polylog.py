@@ -5,12 +5,13 @@ minus the cut [1, oo) on the real axis.  Values on the cut are supplied by a
 separate boundary operation (approach from the upper half-plane); the main
 evaluator refuses cut arguments so that branch choices are always explicit.
 
-Evaluation strategy: arguments with |z| > 1 are pulled inside the unit disk
-with the inversion law
+Evaluation strategy: each argument takes at most one inversion and then at
+most one reflection, in that order.  Arguments with |z| > 1 are pulled
+inside the unit disk with the inversion law
 
     Li2(z) + Li2(1/z) = -pi^2/6 - Log(-z)^2 / 2,
 
-arguments with Re z > 1/2 are reflected with
+arguments (inverted or not) with Re z > 1/2 are reflected with
 
     Li2(z) + Li2(1-z) = pi^2/6 - Log(z) Log(1-z),
 
@@ -21,13 +22,15 @@ w = -Log(1-z),
 
 by Horner's rule in w^2 with a fixed 12 even-index terms (k = 2..24).  On
 that region |w| <= pi/3, so the terms shrink by (|w|/2pi)^2 < 0.03 per step.
-w is taken from real parts by a complex log1p, never from a rounded 1 - z,
-so its relative error does not grow as |z| shrinks.  Against 40-digit mpmath
-the relative error stays within 3.4e-16 for |z| <= 1/4 and 5.1e-16 up to
-|z| = 1 (seeded samples of 1500-10000 z per band).  Real arguments take the
-same inversion and reflection in float arithmetic and the same series in
-real w, within 3.7e-16 relative; above 1 that gives the real part of the
-boundary value on the cut.
+The evaluator keeps Log(-z) and Log(z) Log(1-z) as it reduces, then undoes
+the reflection and after it the inversion on the one series value; nothing
+recurses.  w is taken from real parts by a complex log1p, never from a
+rounded 1 - z, so its relative error does not grow as |z| shrinks.  Against
+40-digit mpmath the relative error stays within 3.4e-16 for |z| <= 1/4 and
+5.1e-16 up to |z| = 1 (seeded samples of 1500-10000 z per band).  Real
+arguments take the same inversion and reflection in float arithmetic and the
+same series in real w, within 3.7e-16 relative; above 1 that gives the real
+part of the boundary value on the cut.
 
 All logarithms are principal.
 """
@@ -76,6 +79,9 @@ _SERIES_COEFF = tuple(
     _BERNOULLI[k][0] / (_BERNOULLI[k][1] * math.factorial(k + 1)) for k in range(24, 0, -2)
 )
 
+# The same coefficients as names, for _series' written-out Horner sum.
+(_C24, _C22, _C20, _C18, _C16, _C14, _C12, _C10, _C8, _C6, _C4, _C2) = _SERIES_COEFF
+
 _INVERSION_THRESHOLD = 1.0 + 1e-8
 
 
@@ -93,11 +99,12 @@ def _series(w):
     # Li2 = sum_{k>=0} B_k w^{k+1} / (k+1)! = w - w^2/4 + w * sum_{j>=1} c_{2j} w^{2j},
     # summed by Horner's rule in w^2, for float and complex w alike.  On the
     # reduced region |w| <= pi/3, so the terms shrink by (|w|/2pi)^2 < 0.03
-    # and the first omitted one, k = 26, is below 1e-21 of |Li2|.
+    # and the first omitted one, k = 26, is below 1e-21 of |Li2|.  Written
+    # out, it makes the products and sums of the loop p = p * u + c over
+    # _SERIES_COEFF in the same order (each commutes bit for bit).
     u = w * w
-    p = 0.0
-    for c in _SERIES_COEFF:
-        p = p * u + c
+    p = _C2 + u * (_C4 + u * (_C6 + u * (_C8 + u * (_C10 + u * (_C12 + u * (
+        _C14 + u * (_C16 + u * (_C18 + u * (_C20 + u * (_C22 + u * _C24))))))))))
     return w + w * (u * p - 0.25 * w)
 
 
@@ -106,34 +113,49 @@ def _li2_real(x: float) -> float:
     # reflection in float arithmetic, then the series in w = -log1p(-x).
     # Above 1 it is the real part pi^2/3 - log^2(x)/2 - Li2(1/x) of the
     # boundary value, the same from either side of the cut.
-    if x > 0.5:
-        if x >= 1.0:
-            if x == 1.0:
-                return _PI2_6
-            lx = math.log(x)
-            return _PI2_3 - 0.5 * lx * lx - _li2_real(1.0 / x)
-        return _PI2_6 - math.log(x) * math.log1p(-x) - _li2_real(1.0 - x)
-    if x < -_INVERSION_THRESHOLD:
+    if x == 1.0:
+        return _PI2_6
+    top = lg = None  # what undoing an inversion needs, once one is taken
+    if x > 1.0:
+        lx = math.log(x)
+        top = _PI2_3 - 0.5 * lx * lx
+        x = 1.0 / x
+    elif x < -_INVERSION_THRESHOLD:
         lg = math.log(-x)
-        return -_li2_real(1.0 / x) - _PI2_6 - 0.5 * lg * lg
-    return _series(-math.log1p(-x))
+        x = 1.0 / x
+    if x > 0.5:
+        r = _PI2_6 - math.log(x) * math.log1p(-x) - _series(-math.log1p(-(1.0 - x)))
+    else:
+        r = _series(-math.log1p(-x))
+    if top is not None:
+        return top - r
+    if lg is not None:
+        return -r - _PI2_6 - 0.5 * lg * lg
+    return r
 
 
 def _li2_any(z: complex) -> complex:
     """Principal-branch Li2 for any z not on the open cut (1, oo)."""
-    if z == 0:
-        return 0j
-    if z == 1:
-        return complex(_PI2_6, 0.0)
-    if z.imag == 0.0:
-        # Real x < 1; the signed zero keeps Li2(conj z) = conj Li2(z).
-        return complex(_li2_real(z.real), z.imag)
-    if abs(z) > _INVERSION_THRESHOLD:
+    lg = None  # Log(-z) of an inversion still to be undone
+    if z.imag != 0.0 and abs(z) > _INVERSION_THRESHOLD:
         lg = cmath.log(-z)
-        return -_li2_any(1.0 / z) - _PI2_6 - 0.5 * lg * lg
-    if z.real > 0.5:
-        return _PI2_6 - cmath.log(z) * cmath.log(1.0 - z) - _li2_any(1.0 - z)
-    return _series(-_log1p(-z))
+        z = 1.0 / z
+    if z.imag == 0.0:
+        # Real x < 1, or a 1/z that underflowed onto the real axis; the
+        # signed zero keeps Li2(conj z) = conj Li2(z).
+        if z == 0:
+            r = 0j
+        elif z == 1:
+            r = complex(_PI2_6, 0.0)
+        else:
+            r = complex(_li2_real(z.real), z.imag)
+    elif z.real > 0.5:
+        r = _PI2_6 - cmath.log(z) * cmath.log(1.0 - z) - _series(-_log1p(-(1.0 - z)))
+    else:
+        r = _series(-_log1p(-z))
+    if lg is not None:
+        r = -r - _PI2_6 - 0.5 * lg * lg
+    return r
 
 
 def li2(z: complex) -> complex:

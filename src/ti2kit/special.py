@@ -38,6 +38,7 @@ def _bernoulli_over(j: int, k: int) -> float:
 
 # B_{2j} / (2j)! for j = 1..6, used by the Euler-Maclaurin tail.
 _EM_BERN = tuple(_bernoulli_over(j, math.factorial(2 * j)) for j in range(1, 7))
+_EM2, _EM4, _EM6, _EM8, _EM10, _EM12 = _EM_BERN
 
 
 def hurwitz_zeta(s: float, c: float) -> float:
@@ -85,30 +86,50 @@ def hurwitz_zeta(s: float, c: float) -> float:
 
     total += x ** (1.0 - s) / (s - 1.0)
     total += 0.5 * x ** (-s)
-    # Pochhammer (s)_{2j-1} built incrementally: s, s(s+1)(s+2), ...
-    poch = s
-    xp = x ** (-s - 1.0)
+    # Pochhammer (s)_{2j-1} and x^{-s-2j+1}, each one step from the last;
+    # a step's factor (s + 2j - 1)(s + 2j) rounds s + 2j before taking 1 off.
     x2 = 1.0 / (x * x)
-    for j, b in enumerate(_EM_BERN, start=1):
-        total += b * poch * xp
-        poch *= (s + 2 * j - 1) * (s + 2 * j)
-        xp *= x2
-    return total
+    xp1 = x ** (-s - 1.0)
+    xp2 = xp1 * x2
+    xp3 = xp2 * x2
+    xp4 = xp3 * x2
+    xp5 = xp4 * x2
+    xp6 = xp5 * x2
+    poch2 = s * ((s + 2.0 - 1.0) * (s + 2.0))
+    poch3 = poch2 * ((s + 4.0 - 1.0) * (s + 4.0))
+    poch4 = poch3 * ((s + 6.0 - 1.0) * (s + 6.0))
+    poch5 = poch4 * ((s + 8.0 - 1.0) * (s + 8.0))
+    poch6 = poch5 * ((s + 10.0 - 1.0) * (s + 10.0))
+    return (
+        total
+        + _EM2 * s * xp1
+        + _EM4 * poch2 * xp2
+        + _EM6 * poch3 * xp3
+        + _EM8 * poch4 * xp4
+        + _EM10 * poch5 * xp5
+        + _EM12 * poch6 * xp6
+    )
 
 
 # B_{2j} / (2j) for j = 1..7, the asymptotic digamma coefficients.
 _DIGAMMA_BERN = tuple(_bernoulli_over(j, 2 * j) for j in range(1, 8))
+_DG2, _DG4, _DG6, _DG8, _DG10, _DG12, _DG14 = _DIGAMMA_BERN
 
 
 def _digamma_series(x: float) -> float:
     # sum_{j=1}^{7} B_{2j} / (2j x^{2j}); first omitted term < 1e-17 at x >= 12.
+    # Summed from j = 1 up, each power one step from the last.
     x2 = 1.0 / (x * x)
-    xp = x2
-    total = 0.0
-    for coeff in _DIGAMMA_BERN:
-        total += coeff * xp
-        xp *= x2
-    return total
+    x4 = x2 * x2
+    x6 = x4 * x2
+    x8 = x6 * x2
+    x10 = x8 * x2
+    x12 = x10 * x2
+    x14 = x12 * x2
+    return (
+        _DG2 * x2 + _DG4 * x4 + _DG6 * x6 + _DG8 * x8 + _DG10 * x10 + _DG12 * x12
+        + _DG14 * x14
+    )
 
 
 def digamma_gap(x: float, h: float) -> float:
@@ -237,6 +258,7 @@ def cot_partial_fraction_sum(b: float) -> float:
 
 # Stirling coefficients B_{2j} / (2j (2j-1)) for j = 1..8.
 _STIRLING = tuple(_bernoulli_over(j, 2 * j * (2 * j - 1)) for j in range(1, 9))
+_ST2, _ST4, _ST6, _ST8, _ST10, _ST12, _ST14, _ST16 = _STIRLING
 
 _LN_SQRT_2PI = 0.9189385332046727  # log(2*pi)/2
 
@@ -244,13 +266,20 @@ _LN_SQRT_2PI = 0.9189385332046727  # log(2*pi)/2
 def _stirling_series(z, total=0.0):
     # total + sum_j B_{2j} / (2j (2j-1) z^{2j-1}) over _STIRLING, for real or
     # complex z, added to total term by term; first omitted term below 1e-19
-    # at |z| >= 12.
-    zinv = 1.0 / z
-    z2 = zinv * zinv
-    for coeff in _STIRLING:
-        total += coeff * zinv
-        zinv *= z2
-    return total
+    # at |z| >= 12.  Each power of 1/z is one step from the last.
+    z1 = 1.0 / z
+    z2 = z1 * z1
+    z3 = z1 * z2
+    z5 = z3 * z2
+    z7 = z5 * z2
+    z9 = z7 * z2
+    z11 = z9 * z2
+    z13 = z11 * z2
+    z15 = z13 * z2
+    return (
+        total + _ST2 * z1 + _ST4 * z3 + _ST6 * z5 + _ST8 * z7 + _ST10 * z9
+        + _ST12 * z11 + _ST14 * z13 + _ST16 * z15
+    )
 
 
 # (-1)^k (zeta(k) - 1) / k for k = 2..28, the Taylor coefficients of
@@ -285,15 +314,22 @@ _LGAMMA2_COEFF = (
     -2.7595228851242334e-10,
     1.330476437424449e-10,
 )
+(_LG2, _LG3, _LG4, _LG5, _LG6, _LG7, _LG8, _LG9, _LG10, _LG11, _LG12, _LG13, _LG14, _LG15,
+ _LG16, _LG17, _LG18, _LG19, _LG20, _LG21, _LG22, _LG23, _LG24, _LG25, _LG26, _LG27,
+ _LG28) = _LGAMMA2_COEFF
 _ONE_MINUS_EULER_GAMMA = 0.42278433509846713
 
 
 def _log_gamma_two_plus(e: float) -> float:
-    # log Gamma(2 + e) for |e| <= 1/2 by its Taylor series (Horner).
-    acc = 0.0
-    for c in reversed(_LGAMMA2_COEFF):
-        acc = (acc + c) * e
-    return (acc + _ONE_MINUS_EULER_GAMMA) * e
+    # log Gamma(2 + e) for |e| <= 1/2 by its Taylor series (Horner), the
+    # products and sums of acc = (acc + c) * e over reversed(_LGAMMA2_COEFF)
+    # in the same order.
+    return e * (_ONE_MINUS_EULER_GAMMA + e * (_LG2 + e * (_LG3 + e * (_LG4 + e * (
+        _LG5 + e * (_LG6 + e * (_LG7 + e * (_LG8 + e * (_LG9 + e * (_LG10 + e * (
+        _LG11 + e * (_LG12 + e * (_LG13 + e * (_LG14 + e * (_LG15 + e * (_LG16 + e * (
+        _LG17 + e * (_LG18 + e * (_LG19 + e * (_LG20 + e * (_LG21 + e * (_LG22 + e * (
+        _LG23 + e * (_LG24 + e * (_LG25 + e * (_LG26 + e * (
+        _LG27 + e * _LG28)))))))))))))))))))))))))))
 
 
 def log_gamma(x: float) -> float:

@@ -20,7 +20,7 @@ import math
 
 from . import _EXPORTS
 from .numerics import DomainError, integrate_adaptive
-from .polylog import clausen2, li2
+from .polylog import _li2_any, clausen2, li2
 
 __all__ = _EXPORTS["ti2core"]
 
@@ -76,7 +76,7 @@ def ti2(y: float) -> float:
         return _ti2_series(y)
     if y >= INVERSION_FROM:
         return _ti2_series(1.0 / y) + _HALF_PI * math.log(y)
-    return li2(complex(0.0, y)).imag
+    return _li2_any(complex(0.0, y)).imag
 
 
 # (-1)^n / (2n+1)^2 for n = 0..22, each correctly rounded (int / int).
@@ -85,25 +85,38 @@ _SERIES_COEFF = tuple((-1) ** n / (2 * n + 1) ** 2 for n in range(23))
 # (top of band, N): on 0 < y <= top the series keeps its first N terms, the
 # least N whose first omitted term y^(2N+1) / (2N+1)^2 at the top is below
 # 1e-17 of Ti2(top).  Each band carries its coefficients n = N-1 .. 1 in
-# Horner order.
+# Horner order; _ti2_series writes each band's polynomial out over them.
 _HORNER_BANDS = tuple(
     (top, _SERIES_COEFF[n - 1 : 0 : -1])
     for top, n in ((0.0625, 7), (0.125, 9), (0.25, 12), (0.5, 23))
 )
+
+# The coefficients n = 1..22 as names, for the written-out polynomials.
+(_T1, _T2, _T3, _T4, _T5, _T6, _T7, _T8, _T9, _T10, _T11,
+ _T12, _T13, _T14, _T15, _T16, _T17, _T18, _T19, _T20, _T21, _T22) = _SERIES_COEFF[1:]
 
 
 def _ti2_series(y: float) -> float:
     # 0 < y <= SERIES_CUTOFF.  Up to 1/2: y + y * sum_{1<=n<N} (-1)^n y^2n / (2n+1)^2
     # by Horner's rule in y^2, with N fixed per band.  Adding the leading y
     # last keeps the error within 1.1e-16 relative (1.5e-16 with the 1 in p).
+    # Each band's polynomial makes the products and sums of the loop
+    # p = p * u + c over its _HORNER_BANDS coefficients in the same order.
     if y <= 0.5:
-        for top, coeffs in _HORNER_BANDS:
-            if y <= top:
-                break
         u = y * y
-        p = 0.0
-        for c in coeffs:
-            p = p * u + c
+        if y <= 0.0625:
+            p = _T1 + u * (_T2 + u * (_T3 + u * (_T4 + u * (_T5 + u * _T6))))
+        elif y <= 0.125:
+            p = _T1 + u * (_T2 + u * (_T3 + u * (_T4 + u * (_T5 + u * (_T6 + u * (
+                _T7 + u * _T8))))))
+        elif y <= 0.25:
+            p = _T1 + u * (_T2 + u * (_T3 + u * (_T4 + u * (_T5 + u * (_T6 + u * (
+                _T7 + u * (_T8 + u * (_T9 + u * (_T10 + u * _T11)))))))))
+        else:
+            p = _T1 + u * (_T2 + u * (_T3 + u * (_T4 + u * (_T5 + u * (_T6 + u * (
+                _T7 + u * (_T8 + u * (_T9 + u * (_T10 + u * (_T11 + u * (_T12 + u * (
+                _T13 + u * (_T14 + u * (_T15 + u * (_T16 + u * (_T17 + u * (_T18 + u * (
+                _T19 + u * (_T20 + u * (_T21 + u * _T22))))))))))))))))))))
         return y + y * (u * p)
     # (1/2, 0.99]: term by term until a term drops below 1e-18 of the sum;
     # 1252 terms at y = 0.99.

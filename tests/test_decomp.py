@@ -191,6 +191,12 @@ class TestHRoutes:
     def test_series_vanishes_at_half_pi(self):
         assert abs(h_series(1.0, PI / 2.0).value) < 1e-13
 
+    @pytest.mark.parametrize("A", [0.5, 1.0, 2.0, 2.9])
+    def test_ei_series_vanishes_at_half_pi_below_crossover(self, A):
+        # h_series takes quadrature below A = 3, so the Ei sum K(1) uses is
+        # checked here directly; its values are at most 2.3e-17.
+        assert abs(_h_ei_series(A, PI / 2.0).value) < 1e-15
+
     def test_two_route_agreement_at_unit_point(self):
         hq = _h_integral(1.0, 1.0, 1e-11).value
         hs = _h_ei_series(1.0, 1.0)

@@ -363,6 +363,15 @@ class TestSolveCost:
         assert 4 <= min(its) and max(its) <= 7
         assert sum(its) / len(its) == pytest.approx(5.117, abs=0.05)
 
+    def test_total_iterations_over_seeded_a_are_pinned(self):
+        # The exact count of phi_a evaluations at tolerance 1e-14, which
+        # repeats run to run: 3.125 interior steps a solve on average (4 for
+        # most a < 1.1, 3 on [2, 5), 2-3 from 5 on).  A change to the
+        # Hermite start, the Halley steps or what the solve counts shows here.
+        its = [solve_endpoint_b(a, 1e-14).iterations for a in _seeded_admissible_a(1000, seed=13)]
+        assert sum(its) == 5125
+        assert (its.count(4), its.count(5), its.count(6)) == (166, 543, 291)
+
     def test_hermite_start_is_exact_at_one(self):
         # phi_1(b) = b^2/4 is its own cubic Hermite interpolant.
         start = endpoint._hermite_start(admissibility(1.0))

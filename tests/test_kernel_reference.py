@@ -1,0 +1,331 @@
+"""The straight-line kernels against their loop and recursive forms, bit for bit.
+
+The dilogarithm reduces without recursion and every fixed-degree sum is
+written out term by term.  Each reference below is the earlier form of the
+same kernel: a recursive reduction or a loop over the coefficient tuple.
+Both make the same floating-point operations in the same order, so every
+comparison is ``==`` on the bits, signed zeros included, over seeded
+arguments on each reduction path and in each band.
+"""
+
+import cmath
+import math
+import random
+
+import pytest
+
+from ti2kit import endpoint, polylog, special, ti2core
+from ti2kit.endpoint import admissibility, solve_endpoint_b
+from ti2kit.numerics import find_root_increasing
+
+PI = math.pi
+_PI2_6 = polylog._PI2_6
+_PI2_3 = polylog._PI2_3
+_THRESHOLD = polylog._INVERSION_THRESHOLD
+
+
+def _bits(v):
+    # float.hex tells -0.0 from 0.0.
+    if isinstance(v, complex):
+        return (v.real.hex(), v.imag.hex())
+    return v.hex()
+
+
+def _log_uniform(rng, lo, hi):
+    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+
+# --- reference forms -------------------------------------------------------
+
+
+def _series_ref(w):
+    u = w * w
+    p = 0.0
+    for c in polylog._SERIES_COEFF:
+        p = p * u + c
+    return w + w * (u * p - 0.25 * w)
+
+
+def _li2_real_ref(x):
+    if x > 0.5:
+        if x >= 1.0:
+            if x == 1.0:
+                return _PI2_6
+            lx = math.log(x)
+            return _PI2_3 - 0.5 * lx * lx - _li2_real_ref(1.0 / x)
+        return _PI2_6 - math.log(x) * math.log1p(-x) - _li2_real_ref(1.0 - x)
+    if x < -_THRESHOLD:
+        lg = math.log(-x)
+        return -_li2_real_ref(1.0 / x) - _PI2_6 - 0.5 * lg * lg
+    return _series_ref(-math.log1p(-x))
+
+
+def _li2_any_ref(z):
+    if z == 0:
+        return 0j
+    if z == 1:
+        return complex(_PI2_6, 0.0)
+    if z.imag == 0.0:
+        return complex(_li2_real_ref(z.real), z.imag)
+    if abs(z) > _THRESHOLD:
+        lg = cmath.log(-z)
+        return -_li2_any_ref(1.0 / z) - _PI2_6 - 0.5 * lg * lg
+    if z.real > 0.5:
+        return _PI2_6 - cmath.log(z) * cmath.log(1.0 - z) - _li2_any_ref(1.0 - z)
+    return _series_ref(-polylog._log1p(-z))
+
+
+def _ti2_horner_ref(y):
+    for top, coeffs in ti2core._HORNER_BANDS:
+        if y <= top:
+            break
+    u = y * y
+    p = 0.0
+    for c in coeffs:
+        p = p * u + c
+    return y + y * (u * p)
+
+
+def _stirling_ref(z, total=0.0):
+    zinv = 1.0 / z
+    z2 = zinv * zinv
+    for coeff in special._STIRLING:
+        total += coeff * zinv
+        zinv *= z2
+    return total
+
+
+def _digamma_ref(x):
+    x2 = 1.0 / (x * x)
+    xp = x2
+    total = 0.0
+    for coeff in special._DIGAMMA_BERN:
+        total += coeff * xp
+        xp *= x2
+    return total
+
+
+def _log_gamma_two_plus_ref(e):
+    acc = 0.0
+    for c in reversed(special._LGAMMA2_COEFF):
+        acc = (acc + c) * e
+    return (acc + special._ONE_MINUS_EULER_GAMMA) * e
+
+
+def _hurwitz_tail_ref(s, c):
+    # hurwitz_zeta's direct sum and Euler-Maclaurin tail, on the inputs
+    # that take the tail (the test picks them).
+    m = max(0, math.ceil(2.0 * min(s, 1e300) + 30.0 - c))
+    x = m + c
+    total = 0.0
+    for k in range(m):
+        total += (k + c) ** (-s)
+    total += x ** (1.0 - s) / (s - 1.0)
+    total += 0.5 * x ** (-s)
+    poch = s
+    xp = x ** (-s - 1.0)
+    x2 = 1.0 / (x * x)
+    for j, b in enumerate(special._EM_BERN, start=1):
+        total += b * poch * xp
+        poch *= (s + 2 * j - 1) * (s + 2 * j)
+        xp *= x2
+    return total
+
+
+def _solve_ref(a, tol):
+    # endpoint._solve with a counting wrapper g around phi_a; the residual
+    # at an unevaluated midpoint calls phi_a itself, uncounted.
+    adm = admissibility(a)
+    li2_minus_a, phi_pi = adm.li2_minus_a, adm.phi_pi
+    w = 0j
+
+    def phi_a(b):
+        nonlocal w
+        if b == 0.0:
+            return 0.0
+        w = a * cmath.exp(1j * b)
+        if b >= PI - endpoint._PI_SNAP:
+            return phi_pi
+        return polylog._li2_any(-w).real - li2_minus_a
+
+    evals = 0
+    last = (math.nan, math.nan)
+
+    def g(b):
+        nonlocal evals, last
+        evals += 1
+        last = (b, phi_a(b))
+        return last[1]
+
+    b = find_root_increasing(
+        g,
+        0.0,
+        PI,
+        adm.psi,
+        tol,
+        derivative=lambda b: math.atan2(w.imag, 1.0 + w.real),
+        second_derivative=lambda b: (w / (1.0 + w)).real,
+        start=endpoint._hermite_start(adm),
+    )
+    midpoint = last[0] != b
+    phi_b = phi_a(b) if midpoint else last[1]
+    return (a, b, abs(phi_b - adm.psi), evals), midpoint
+
+
+# --- the complex dilogarithm, one test per reduction path -------------------
+
+
+def _path(z):
+    inverted = abs(z) > _THRESHOLD
+    reflected = (1.0 / z if inverted else z).real > 0.5
+    return inverted, reflected
+
+
+def _sample_path(inverted, reflected, n, seed):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < n:
+        r = _log_uniform(rng, 1e-6, 1e6) if rng.random() < 0.8 else 1.0 + rng.uniform(-1e-7, 1e-7)
+        z = cmath.rect(r, rng.uniform(-PI, PI))
+        if z.imag != 0.0 and _path(z) == (inverted, reflected):
+            out.append(z)
+    return out
+
+
+@pytest.mark.parametrize(
+    "inverted, reflected",
+    [(False, False), (True, False), (False, True), (True, True)],
+    ids=["series", "inversion", "reflection", "inversion+reflection"],
+)
+def test_li2_any_matches_recursive_form_on_each_path(inverted, reflected):
+    zs = _sample_path(inverted, reflected, 3000, seed=31 + 2 * inverted + reflected)
+    zs += [z.conjugate() for z in zs[:500]]
+    for z in zs:
+        assert _bits(polylog._li2_any(z)) == _bits(_li2_any_ref(z)), z
+
+
+def test_li2_any_matches_recursive_form_at_the_edges():
+    # Re z at 1/2 and |z| at the inversion threshold from both sides, the
+    # theorem1 arguments, signed zeros on the real axis, and huge z whose
+    # 1/z underflows onto the real axis or to 0 (after the inversion).
+    rng = random.Random(37)
+    zs = []
+    for _ in range(1000):
+        zs.append(complex(0.5 + rng.uniform(-1e-12, 1e-12), rng.uniform(-1.1, 1.1)))
+        zs.append(cmath.rect(_THRESHOLD * (1.0 + rng.uniform(-1e-15, 1e-15)), rng.uniform(-PI, PI)))
+        a, b = _log_uniform(rng, 0.4, 20.0), rng.uniform(0.0, PI)
+        zs += [-a * cmath.exp(1j * b), complex(1.0, a), complex(0.0, a)]
+    for x in (0.0, 0.7, -0.5, -3.0, 1.0):
+        for im in (0.0, -0.0):
+            zs += [complex(x, im), complex(-x, im)]
+    zs += [
+        complex(1e300, 1e-300),
+        complex(-1e300, -1e-300),
+        complex(1e300, -1e-300),
+        complex(1.2e308, 1.2e308),
+        complex(-1.2e308, 1.2e308),
+        complex(0.5, 1e-300),
+        complex(0.0, 5e-324),
+    ]
+    for z in zs:
+        assert _bits(polylog._li2_any(z)) == _bits(_li2_any_ref(z)), z
+
+
+def test_li2_real_matches_recursive_form_on_each_side_of_minus_one_half_and_one():
+    rng = random.Random(41)
+    xs = [5e-324, -5e-324, 0.0, -0.0, 1.0, 2.0, -_THRESHOLD, 1.7976931348623157e308]
+    for c in (-1.0, -_THRESHOLD, 0.5, 1.0, 2.0):
+        for scale in (1.0, 1e-3, 1e-8, 1e-14):
+            xs += [c + rng.uniform(-1.0, 1.0) * scale for _ in range(300)]
+        xs += [math.nextafter(c, -math.inf), math.nextafter(c, math.inf)]
+    xs += [sign * _log_uniform(rng, 1e-300, 1e308) for sign in (1, -1) for _ in range(2000)]
+    for x in xs:
+        assert _bits(polylog._li2_real(x)) == _bits(_li2_real_ref(x)), x
+
+
+def test_dilog_series_matches_loop():
+    rng = random.Random(43)
+    for _ in range(3000):
+        w = rng.uniform(-1.1, 1.1)
+        assert _bits(polylog._series(w)) == _bits(_series_ref(w)), w
+        w = complex(rng.uniform(-1.1, 1.1), rng.uniform(-1.1, 1.1))
+        assert _bits(polylog._series(w)) == _bits(_series_ref(w)), w
+    for w in (0.0, -0.0, 0j, complex(-0.0, 0.0), complex(0.0, -0.0)):
+        assert _bits(polylog._series(w)) == _bits(_series_ref(w)), w
+
+
+# --- the written-out sums ---------------------------------------------------
+
+
+def test_ti2_bands_match_loop_over_horner_bands():
+    rng = random.Random(47)
+    ys = [5e-324, 1e-310]
+    bottom = 1e-8
+    for top, _ in ti2core._HORNER_BANDS:
+        ys += [_log_uniform(rng, bottom, top) for _ in range(1500)]
+        ys += [top, math.nextafter(top, 0.0), math.nextafter(top, 1.0)]
+        bottom = top
+    for y in ys:
+        if y <= 0.5:
+            assert _bits(ti2core._ti2_series(y)) == _bits(_ti2_horner_ref(y)), y
+
+
+def test_stirling_series_matches_loop():
+    rng = random.Random(53)
+    for _ in range(2000):
+        x = _log_uniform(rng, 10.0, 1e6)
+        total = rng.uniform(-50.0, 50.0)
+        z = complex(_log_uniform(rng, 12.0, 1e4), rng.uniform(-1e4, 1e4))
+        assert _bits(special._stirling_series(x)) == _bits(_stirling_ref(x)), x
+        assert _bits(special._stirling_series(x, total)) == _bits(_stirling_ref(x, total)), x
+        assert _bits(special._stirling_series(z)) == _bits(_stirling_ref(z)), z
+        assert _bits(special._stirling_series(z, total)) == _bits(_stirling_ref(z, total)), z
+
+
+def test_digamma_series_matches_loop():
+    rng = random.Random(59)
+    for x in [12.0, 1e154, 1e200] + [_log_uniform(rng, 12.0, 1e8) for _ in range(3000)]:
+        assert _bits(special._digamma_series(x)) == _bits(_digamma_ref(x)), x
+
+
+def test_log_gamma_taylor_series_matches_loop():
+    rng = random.Random(61)
+    for e in [0.0, -0.0, 0.5, -0.5] + [rng.uniform(-0.5, 0.5) for _ in range(3000)]:
+        assert _bits(special._log_gamma_two_plus(e)) == _bits(_log_gamma_two_plus_ref(e)), e
+
+
+def test_hurwitz_zeta_tail_matches_loop():
+    # Only inputs whose direct sum does not stop early reach the tail.
+    rng = random.Random(67)
+    checked = 0
+    while checked < 1500:
+        s = rng.uniform(1.01, 8.0) if rng.random() < 0.7 else _log_uniform(rng, 1.0001, 60.0)
+        c = _log_uniform(rng, 1e-2, 1e6)
+        m = max(0, math.ceil(2.0 * s + 30.0 - c))
+        x = m + c
+        if c * ((1e17 * (1.0 + x / (s - 1.0))) ** (1.0 / s) - 1.0) < m:
+            continue
+        assert _bits(special.hurwitz_zeta(s, c)) == _bits(_hurwitz_tail_ref(s, c)), (s, c)
+        checked += 1
+
+
+# --- the endpoint solve -----------------------------------------------------
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-14, 1e-300])
+def test_solve_matches_wrapped_form(tol):
+    # At 1e-300 the solver often returns a bracket midpoint it never
+    # evaluated; its phi_a is the residual's and must not count.
+    rng = random.Random(71)
+    midpoints = checked = 0
+    while checked < 300:
+        a = _log_uniform(rng, 0.4513, 18.92)
+        if not admissibility(a).admissible:
+            continue
+        sol = solve_endpoint_b(a, tol)
+        ref, midpoint = _solve_ref(a, tol)
+        assert [_bits(v) for v in sol[:3]] == [_bits(v) for v in ref[:3]], a
+        assert sol.iterations == ref[3], a
+        midpoints += midpoint
+        checked += 1
+    assert (midpoints > 0) == (tol == 1e-300), midpoints
