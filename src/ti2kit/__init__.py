@@ -35,7 +35,6 @@ _EXPORTS = {
         "aux_closed_F",
         "aux_integral_I",
         "phi",
-        "phi_derivative",
         "psi",
         "solve_endpoint_b",
         "theorem1_identity",
@@ -50,7 +49,7 @@ _EXPORTS = {
         "integrate_adaptive",
         "sum_series",
     ),
-    "polylog": ("BranchCutError", "clausen2", "li2", "li2_derivative", "li2_upper_boundary"),
+    "polylog": ("BranchCutError", "clausen2", "li2", "li2_upper_boundary"),
     "report": ("IdentityReport", "render_json", "render_table", "write_reports"),
     "special": (
         "EULER_GAMMA",

@@ -3,9 +3,10 @@
 Cast of characters, all for a > 0 and an endpoint b in (0, pi):
 
     I(a, b)   = integral_0^b arctan((a + cos beta)/sin beta) d beta
-    F(a, b)   = pi*b/2 - b^2/2 - Li2(-a) + Re Li2(-a e^{ib})      (= I, closed form)
+    F(a, b)   = pi*b/2 - b^2/2 + phi_a(b)                     (= I, closed form)
     psi(a)    = Im Li2(1 + i a)
     phi_a(b)  = I(a, b) - pi*b/2 + b^2/2 = -Li2(-a) + Re Li2(-a e^{ib})
+              = b^2/2 + Li2(-1/a) - Re Li2(-e^{-ib}/a)       (inversion law)
     phi_a'(b) = Arg(1 + a e^{ib})  in (0, pi)   =>  phi_a strictly increasing
 
 When 0 < psi(a) < phi_a(pi) (the admissibility window), the equation
@@ -20,20 +21,23 @@ corollary1 checks.  The identity check here deliberately evaluates I by
 quadrature while the solver works on the dilogarithm closed form, so the
 comparison is a genuine two-route test rather than algebra cancelling itself.
 
-Every dilogarithm here takes polylog's complex route (Li2(1 + i a),
-Li2(-a e^{ib})) or its real one (Li2(-a), Re Li2(a)) without the public
-wrapper's argument checks; ``_check_a`` is the guard.
+phi_a takes the first form up to a = 1 and the second above, where the
+first subtracts two terms of size log^2(a)/2 that cancel down to about b^2/2
+(inversion law: Lewin, Polylogarithms and Associated Functions, 1981).  With
+u = a e^{ib} up to 1 and u = e^{-ib}/a above, so that |u| <= 1, the b-free
+term c = -Li2(-a) or Li2(-1/a), and the first or second of each pair,
 
-Cost of one solve of b(a): the admissibility test (psi(a) and phi_a(pi),
-three dilogarithms, Li2(-a) among them and kept), then one Li2(-a e^{ib})
-per interior root step; phi_a(0) = 0 and phi_a(pi) come free, and the
-residual reuses the value at the returned root.  The steps are Halley's,
-from the root of the cubic Hermite interpolant of phi_a on [0, pi], and
-each forms w = a e^{ib} once for phi_a, phi_a' = Arg(1 + w) and
-phi_a'' = Re(w / (1 + w)).  A solve to 1e-14 takes 2-4 interior steps (3.1
-on average over seeded admissible a).  A theorem1 check tests admissibility
-once.  At a = 3 the test costs about 3.9 us, the solve 10.7 us and the whole
-check 28.5 us (timeit, best of 7, on a 2-vCPU host).
+    phi_a(b)   = c + Re Li2(-u)       or  b^2/2 + c - Re Li2(-u)
+    phi_a'(b)  = Arg(1 + u)           or  b + Arg(1 + u)
+    phi_a''(b) = Re(u / (1 + u))      or  Re(1 / (1 + u))
+    phi_a(pi)  = Re Li2(a) + c        or  pi^2/2 + c - Li2(1/a)
+
+Cost of one solve of b(a): the admissibility test's three dilogarithms
+(psi(a), c and phi_a(pi)), then one Li2(-u) per Halley step from the root of
+the cubic Hermite interpolant of phi_a on [0, pi]; a solve to 1e-14 takes 2-4
+steps (3.1 on average over seeded admissible a).  Every dilogarithm takes
+polylog's complex or real route without the public wrapper's checks;
+``_check_a`` is the guard.
 """
 
 from __future__ import annotations
@@ -75,14 +79,14 @@ _SOLVER_TOL = 1e-14
 class AdmissibilityResult(NamedTuple):
     """Outcome of the admissibility test 0 < psi(a) < phi_a(pi).
 
-    ``li2_minus_a`` is the Li2(-a) that phi_a(pi) = Re Li2(a) - Li2(-a) took,
-    kept for the solve, whose phi_a subtracts it at every step.
+    ``phi_const`` is phi_a's b-free term c, -Li2(-a) up to a = 1 and
+    Li2(-1/a) above, kept for the solve, whose phi_a adds it at every step.
     """
 
     a: float
     psi: float
     phi_pi: float
-    li2_minus_a: float
+    phi_const: float
     admissible: bool
 
 
@@ -99,6 +103,34 @@ def _check_a(a: float, who: str) -> None:
     # The kernels below take a unchecked, so this is the only guard.
     if not 0.0 < a < math.inf:
         raise DomainError(f"{who} requires 0 < a < inf, got {a!r}")
+
+
+# phi_a in the form a picks; the module docstring gives both forms.
+def _phi_const(a: float) -> float:
+    return -_li2_real(-a) if a <= 1.0 else _li2_real(-1.0 / a)
+
+
+def _phi_pi(a: float, c: float) -> float:
+    return _li2_real(a) + c if a <= 1.0 else 0.5 * PI * PI + c - _li2_real(1.0 / a)
+
+
+def _phi_u(a: float, b: float) -> complex:
+    return a * cmath.exp(1j * b) if a <= 1.0 else cmath.exp(-1j * b) / a
+
+
+def _phi_at(a: float, c: float, b: float, u: complex, base: float = 0.0) -> float:
+    # base + phi_a(b) at 0 < b < pi, summed from base (aux_closed_F's pi b/2 - b^2/2).
+    if a <= 1.0:
+        return base + c + _li2_any(-u).real
+    return base + 0.5 * b * b + c - _li2_any(-u).real
+
+
+def _phi_slope(a: float, b: float, u: complex) -> float:
+    return math.atan2(u.imag, 1.0 + u.real) + (0.0 if a <= 1.0 else b)
+
+
+def _phi_curve(a: float, u: complex) -> float:
+    return (u / (1.0 + u)).real if a <= 1.0 else (1.0 / (1.0 + u)).real
 
 
 def aux_integral_I(a: float, b: float, tol: float = 1e-11) -> QuadratureResult:
@@ -120,20 +152,15 @@ def aux_integral_I(a: float, b: float, tol: float = 1e-11) -> QuadratureResult:
 
 
 def aux_closed_F(a: float, b: float) -> float:
-    """Closed form pi*b/2 - b^2/2 - Li2(-a) + Re Li2(-a e^{ib}) of the integral.
+    """Closed form pi*b/2 - b^2/2 + phi_a(b) of the integral (see :func:`phi`).
 
-    For 0 < b < pi the point -a e^{ib} stays off the branch cut, so the
-    dilogarithms are unambiguous.
+    For 0 < b < pi neither -a e^{ib} nor -e^{-ib}/a lies on the branch cut,
+    so the dilogarithms are unambiguous.
     """
     _check_a(a, "aux_closed_F")
     if not 0.0 < b < PI:
         raise DomainError(f"aux_closed_F requires 0 < b < pi, got b={b!r}")
-    return (
-        PI * b / 2.0
-        - b * b / 2.0
-        - _li2_real(-a)
-        + _li2_any(-a * cmath.exp(1j * b)).real
-    )
+    return _phi_at(a, _phi_const(a), b, _phi_u(a, b), PI * b / 2.0 - b * b / 2.0)
 
 
 def psi(a: float) -> float:
@@ -145,26 +172,18 @@ def psi(a: float) -> float:
 def phi(a: float, b: float) -> float:
     """phi_a(b) = -Li2(-a) + Re Li2(-a e^{ib}) on 0 <= b <= pi.
 
-    phi_a(0) = 0 exactly and phi_a(pi) = Re Li2(a) - Li2(-a), the latter via
-    the boundary value of the dilogarithm when a > 1.
+    Above a = 1 it is b^2/2 + Li2(-1/a) - Re Li2(-e^{-ib}/a), keeping the
+    digits two cancelling log^2(a)/2 terms cost the first.  phi_a(0) = 0.
     """
     _check_a(a, "phi")
     if not 0.0 <= b <= PI:
         raise DomainError(f"phi requires 0 <= b <= pi, got b={b!r}")
     if b == 0.0:
         return 0.0
-    li2_minus_a = _li2_real(-a)
+    c = _phi_const(a)
     if b >= PI - _PI_SNAP:
-        return _li2_real(a) - li2_minus_a
-    return _li2_any(-a * cmath.exp(1j * b)).real - li2_minus_a
-
-
-def phi_derivative(a: float, b: float) -> float:
-    """d/db phi_a(b) = Arg(1 + a e^{ib}), strictly inside (0, pi)."""
-    _check_a(a, "phi_derivative")
-    if not 0.0 < b < PI:
-        raise DomainError(f"phi_derivative requires 0 < b < pi, got b={b!r}")
-    return math.atan2(a * math.sin(b), 1.0 + a * math.cos(b))
+        return _phi_pi(a, c)
+    return _phi_at(a, c, b, _phi_u(a, b))
 
 
 def admissibility(a: float) -> AdmissibilityResult:
@@ -173,31 +192,22 @@ def admissibility(a: float) -> AdmissibilityResult:
     Points within the margin of either inequality are not admissible.
     """
     _check_a(a, "admissibility")
-    # psi(a) and phi_a(pi) = Re Li2(a) - Li2(-a), with Re Li2(a) the
-    # boundary value's real part above 1.
     p = _li2_any(complex(1.0, a)).imag
-    li2_minus_a = _li2_real(-a)
-    q = _li2_real(a) - li2_minus_a
+    c = _phi_const(a)
+    q = _phi_pi(a, c)
     admissible = p > ADMISSIBILITY_MARGIN and q - p > ADMISSIBILITY_MARGIN
-    return AdmissibilityResult(a, p, q, li2_minus_a, admissible)
+    return AdmissibilityResult(a, p, q, c, admissible)
 
 
 def solve_endpoint_b(a: float, tol: float = 1e-12) -> EndpointSolution:
     """Solve phi_a(b) = psi(a) for the unique b in (0, pi).
 
-    Requires ``a`` admissible; the bracket (0, pi) is then strict on both
-    sides and monotonicity of phi_a makes bisection sufficient.
-
-    Refinement starts at the root of the cubic Hermite interpolant of phi_a
-    on [0, pi] and takes Halley steps with phi_a'(b) = Arg(1 + a e^{ib}) and
-    phi_a''(b) = Re(a e^{ib} / (1 + a e^{ib})).
-
-    One solve evaluates the admissibility test (psi(a) and phi_a(pi), three
-    dilogarithms, Li2(-a) among them) and one Li2(-a e^{ib}) per interior
-    root step.  ``iterations`` counts the phi_a values the root finder asked
+    Requires ``a`` admissible, so that the bracket (0, pi) is strict.  Halley
+    steps refine the root of the cubic Hermite interpolant of phi_a on
+    [0, pi].  ``iterations`` counts the phi_a values the root finder asked
     for, the two bracket ends included, so a solve makes ``iterations + 1``
-    dilogarithm calls (one more if the solver stops on a bracket midpoint
-    it never evaluated, whose residual then needs one).
+    dilogarithm calls (one more if the solver stops on a bracket midpoint it
+    never evaluated, whose residual then needs one).
     """
     return _solve(admissibility(a), tol)
 
@@ -229,40 +239,40 @@ def _hermite_start(adm: AdmissibilityResult) -> float:
 
 def _solve(adm: AdmissibilityResult, tol: float) -> EndpointSolution:
     # solve_endpoint_b for an admissibility result already in hand: phi_a
-    # with Li2(-a) and phi_a(pi) taken from the test.  phi_a counts the
-    # solver's evaluations and keeps the last one, which is the residual's
-    # phi_a(b) unless the solver returned a bracket midpoint.
+    # with c and phi_a(pi) taken from the test.  phi_a counts the solver's
+    # evaluations and keeps the last one, the residual's phi_a(b) unless
+    # the solver returned a bracket midpoint.
     a = adm.a
     if not adm.admissible:
         raise DomainError(
             f"a={a!r} is not admissible (psi={adm.psi!r}, phi_pi={adm.phi_pi!r})"
         )
-    li2_minus_a, phi_pi = adm.li2_minus_a, adm.phi_pi
+    c, phi_pi = adm.phi_const, adm.phi_pi
     evals = 0
-    w = 0j  # a e^{ib} at the last b > 0 that phi_a took
+    u = 0j  # _phi_u at the last b > 0 that phi_a took
     last_b = last_phi = math.nan
 
     def phi_a(b: float) -> float:
-        nonlocal evals, w, last_b, last_phi
+        nonlocal evals, u, last_b, last_phi
         evals += 1
         if b == 0.0:
             value = 0.0
         else:
-            w = a * cmath.exp(1j * b)
-            value = phi_pi if b >= PI - _PI_SNAP else _li2_any(-w).real - li2_minus_a
+            u = _phi_u(a, b)
+            value = phi_pi if b >= PI - _PI_SNAP else _phi_at(a, c, b, u)
         last_b, last_phi = b, value
         return value
 
-    # The solver asks for phi_a' = Arg(1 + w) and phi_a'' = Re(w / (1 + w))
-    # only at the interior point it last evaluated, so w is that point's.
+    # The solver asks for phi_a' and phi_a'' only at the interior point it
+    # last evaluated, so u is that point's.
     b = find_root_increasing(
         phi_a,
         0.0,
         PI,
         adm.psi,
         tol,
-        derivative=lambda b: math.atan2(w.imag, 1.0 + w.real),
-        second_derivative=lambda b: (w / (1.0 + w)).real,
+        derivative=lambda b: _phi_slope(a, b, u),
+        second_derivative=lambda b: _phi_curve(a, u),
         start=_hermite_start(adm),
     )
     iterations = evals

@@ -137,7 +137,11 @@ def _li2_real(x: float) -> float:
 def _li2_any(z: complex) -> complex:
     """Principal-branch Li2 for any z not on the open cut (1, oo)."""
     lg = None  # Log(-z) of an inversion still to be undone
-    if z.imag != 0.0 and abs(z) > _INVERSION_THRESHOLD:
+    try:
+        big = z.imag != 0.0 and abs(z) > _INVERSION_THRESHOLD
+    except OverflowError:  # |z| past the float range is past the threshold
+        big = True
+    if big:
         lg = cmath.log(-z)
         z = 1.0 / z
     if z.imag == 0.0:
@@ -188,25 +192,11 @@ def li2_upper_boundary(x: float) -> complex:
 
     so the real part is pi^2/3 - log^2(x)/2 - Li2(1/x) and the imaginary
     part is pi*log(x) (the value approached from the upper half-plane).
+    x must be finite: inf and nan raise :class:`DomainError`.
     """
-    if not x > 1.0:
-        raise DomainError(f"li2_upper_boundary requires x > 1, got {x!r}")
+    if not 1.0 < x < math.inf:
+        raise DomainError(f"li2_upper_boundary requires finite x > 1, got {x!r}")
     return complex(_li2_real(x), PI * math.log(x))
-
-
-def li2_derivative(z: complex) -> complex:
-    """d/dz Li2(z) = -Log(1-z)/z with the removable value 1 at z = 0."""
-    z = complex(z)
-    if z.imag == 0.0 and z.real >= 1.0:
-        raise BranchCutError(f"derivative undefined on [1, oo), got {z.real!r}")
-    if z == 0:
-        return complex(1.0, 0.0)
-    if abs(z) <= 0.5:
-        # Log(1 - z) from real parts: cmath.log would round 1 - z first and
-        # lose about 1e-16/|z| of the quotient.  _log1p squares |z|, so the
-        # large arguments stay on cmath.log.
-        return -_log1p(-z) / z
-    return -cmath.log(1.0 - z) / z
 
 
 def clausen2(phi: float) -> float:

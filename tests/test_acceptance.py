@@ -22,10 +22,11 @@ from ti2kit.decomp import (
     s_r,
 )
 from ti2kit.endpoint import (
+    _phi_slope,
+    _phi_u,
     aux_closed_F,
     aux_integral_I,
     phi,
-    phi_derivative,
     solve_endpoint_b,
     theorem1_identity,
 )
@@ -93,13 +94,20 @@ def test_criterion_04_integral_equals_closed_form():
 
 
 def test_criterion_05_phi_derivative_law():
+    # The slope the endpoint solve takes, in the form a picks on each side
+    # of a = 1.
+    def slope(a, b):
+        return _phi_slope(a, b, _phi_u(a, b))
+
     worst_fd = 0.0
-    for a in (0.25, 0.5, 1.0, 2.0, 4.0):
+    for a in (0.25, 0.5, 1.0, 2.0, 4.0, 1e3):
         for b in (0.3, 1.0, 2.0, 3.0):
             fd = central_difference(lambda x: phi(a, x), b, 1e-5)
-            worst_fd = max(worst_fd, abs(phi_derivative(a, b) - fd))
+            worst_fd = max(worst_fd, abs(slope(a, b) - fd))
     worst_half = max(
-        abs(phi_derivative(1.0, b) - b / 2.0) for b in (0.3, 1.0, 2.0, 3.0)
+        abs(slope(a, b) - b / 2.0)
+        for a in (1.0, math.nextafter(1.0, 2.0))
+        for b in (0.3, 1.0, 2.0, 3.0)
     )
     _report(
         5,

@@ -11,7 +11,8 @@ import random
 
 import pytest
 
-from ti2kit.polylog import clausen2, li2, li2_derivative, li2_upper_boundary
+from ti2kit.endpoint import aux_closed_F, phi
+from ti2kit.polylog import clausen2, li2, li2_upper_boundary
 from ti2kit.special import (
     _sine_log_sum,
     digamma_gap,
@@ -116,24 +117,28 @@ def test_ti2_method_names_the_route_taken(edge, below, above):
         assert ti2(y) == -ti2(-y) == _TI2_ROUTES[method](y), y
 
 
-def test_li2_derivative_relative_error():
-    # Up to |z| = 1/2, Log(1 - z) comes from real parts, so small |z| keeps
-    # its digits (a rounded 1 - z cost 2.0e-9 at z = 1.1e-8); above it
-    # cmath.log, which does not overflow at |z| = 1e200.  The reference is
-    # taken from log1p, since 1 - z rounds at 40 digits too.  Worst
-    # measured: 4.6e-16 relative (20000 z over five seeds).
-    rng = random.Random(22)
-    zs = [1.1e-8, 2e-8, 1e-7, 1e-5, -1e200, 1e200j]
-    zs += [
-        cmath.rect(_log_uniform(rng, 1e-12, 0.5), rng.uniform(-math.pi, math.pi))
-        for _ in range(500)
-    ]
-    errors = []
-    for z in zs:
-        w = mpmath.mpc(z.real, z.imag)
-        ref = -mpmath.log1p(-w) / w
-        errors.append(float(abs(li2_derivative(z) - ref) / abs(ref)))
-    assert _worst(errors) <= 1e-15
+def test_phi_and_aux_closed_F_above_one():
+    # Above a = 1, phi_a(b) = b^2/2 + Li2(-1/a) - Re Li2(-e^{-ib}/a); the
+    # form -Li2(-a) + Re Li2(-a e^{ib}) subtracts two log^2(a)/2 terms and
+    # lost up to 5.6e-6 relative here.  phi's error is in units of
+    # |ref| + |c|, with c = Li2(-1/a) its b-free term: at small b, c and
+    # Re Li2(-e^{-ib}/a) still cancel down to about b^2/(2(1 + a)), which
+    # cost up to 4.2e-12 of |ref| (a = 410, b = 3.3e-4) but stays within
+    # an ulp of c.  F's is relative.  Worst measured: 3.0e-16 for phi and
+    # 1.3e-15 for F (40000 points over four seeds).
+    rng = random.Random(25)
+    points = [(_log_uniform(rng, 1.0, 1e308), rng.uniform(0.0, math.pi)) for _ in range(400)]
+    points += [(1e308, 1.0), (math.nextafter(1.0, 2.0), 1.0)]
+    phi_errors, f_errors = [], []
+    for a, b in points:
+        x, y = mpmath.mpf(a), mpmath.mpf(b)
+        ref = mpmath.re(mpmath.polylog(2, -x * mpmath.expj(y))) - mpmath.polylog(2, -x)
+        scale = abs(ref) + abs(mpmath.polylog(2, -1 / x))
+        phi_errors.append(float(abs(phi(a, b) - ref) / scale))
+        ref_f = mpmath.pi * y / 2 - y * y / 2 + ref
+        f_errors.append(float(abs((aux_closed_F(a, b) - ref_f) / ref_f)))
+    assert _worst(phi_errors) <= 1e-15
+    assert _worst(f_errors) <= 4e-15
 
 
 def test_sine_log_sum_error():

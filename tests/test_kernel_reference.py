@@ -133,20 +133,24 @@ def _hurwitz_tail_ref(s, c):
 
 
 def _solve_ref(a, tol):
-    # endpoint._solve with a counting wrapper g around phi_a; the residual
-    # at an unevaluated midpoint calls phi_a itself, uncounted.
+    # endpoint._solve with a counting wrapper g around phi_a, written out in
+    # the module docstring's form for a; the residual at an unevaluated
+    # midpoint calls phi_a itself, uncounted.
     adm = admissibility(a)
-    li2_minus_a, phi_pi = adm.li2_minus_a, adm.phi_pi
-    w = 0j
+    c, phi_pi = adm.phi_const, adm.phi_pi
+    inverted = a > 1.0
+    u = 0j
 
     def phi_a(b):
-        nonlocal w
+        nonlocal u
         if b == 0.0:
             return 0.0
-        w = a * cmath.exp(1j * b)
+        u = cmath.exp(-1j * b) / a if inverted else a * cmath.exp(1j * b)
         if b >= PI - endpoint._PI_SNAP:
             return phi_pi
-        return polylog._li2_any(-w).real - li2_minus_a
+        if inverted:
+            return 0.5 * b * b + c - polylog._li2_any(-u).real
+        return polylog._li2_any(-u).real + c
 
     evals = 0
     last = (math.nan, math.nan)
@@ -163,8 +167,8 @@ def _solve_ref(a, tol):
         PI,
         adm.psi,
         tol,
-        derivative=lambda b: math.atan2(w.imag, 1.0 + w.real),
-        second_derivative=lambda b: (w / (1.0 + w)).real,
+        derivative=lambda b: math.atan2(u.imag, 1.0 + u.real) + (b if inverted else 0.0),
+        second_derivative=lambda b: (1.0 / (1.0 + u) if inverted else u / (1.0 + u)).real,
         start=endpoint._hermite_start(adm),
     )
     midpoint = last[0] != b

@@ -577,7 +577,7 @@ class TestPackageApi:
         import ti2kit
 
         assert sorted(ti2kit._EXPORTS) == list(MODULES)
-        assert len(ti2kit.__all__) == 54
+        assert len(ti2kit.__all__) == 52
 
     def test_dir_lists_every_export_and_module(self):
         import ti2kit
