@@ -1,11 +1,14 @@
 """Foundation kernels: adaptive quadrature, bracketed root-finding, tail-bounded sums.
 
 Everything here is pure and deterministic: fixed evaluation order, no shared
-state, binary64 throughout.  The quadrature engine calls the integrand only
-at interior Kronrod nodes, so an integrand with a removable singularity at
-an endpoint (an arctan kernel divided by its argument, and similar) needs a
-value there only when the interval is so narrow that a node rounds onto the
-endpoint; such an integrand returns its own limit at that point.
+state, binary64 throughout.  The Gauss-Kronrod panel is written out with no
+loop; it makes the floating-point operations of QUADPACK's QK21 loop in the
+loop's order, so its results are the loop's, bit for bit.  The quadrature
+engine calls the integrand only at interior Kronrod nodes, so an integrand
+with a removable singularity at an endpoint (an arctan kernel divided by its
+argument, and similar) needs a value there only when the interval is so
+narrow that a node rounds onto the endpoint; such an integrand returns its
+own limit at that point.
 """
 
 from __future__ import annotations
@@ -97,38 +100,80 @@ _WG = (
     0.26926671930999635,
     0.29552422471475287,
 )
+# The tuples above as the written-out panel's names; _Gj goes with _Xj.
+_X0, _X1, _X2, _X3, _X4, _X5, _X6, _X7, _X8, _X9 = _XGK[:10]
+_W0, _W1, _W2, _W3, _W4, _W5, _W6, _W7, _W8, _W9, _W10 = _WGK
+_G1, _G3, _G5, _G7, _G9 = _WG
 
 
 def _gk21(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
     """One Gauss-Kronrod 21(10) panel on [a, b] -> (integral, error estimate).
 
-    Makes exactly 21 calls to ``f``.  A NaN from any node reaches the Kronrod
-    sum, which is checked once: :class:`DomainError` if it is NaN.
+    Written out: the floating-point operations of QUADPACK's QK21 loop, in
+    the loop's order.  Makes exactly 21 calls to ``f``: the centre, then
+    ``centr - d`` and ``centr + d`` for each node pair from the outermost in.
+    A NaN from any node reaches the Kronrod sum, which is checked once:
+    :class:`DomainError` if it is NaN.
     """
     centr = 0.5 * (a + b)
     hlgth = 0.5 * (b - a)
 
     fc = f(centr)
-    resg = 0.0
-    resk = _WGK[10] * fc
-    pairs = []
-    for j in range(10):
-        dx = hlgth * _XGK[j]
-        f1 = f(centr - dx)
-        f2 = f(centr + dx)
-        pairs.append((f1, f2))
-        resk += _WGK[j] * (f1 + f2)
-        if j % 2 == 1:
-            resg += _WG[j // 2] * (f1 + f2)
+    d = hlgth * _X0
+    l0 = f(centr - d)
+    r0 = f(centr + d)
+    d = hlgth * _X1
+    l1 = f(centr - d)
+    r1 = f(centr + d)
+    d = hlgth * _X2
+    l2 = f(centr - d)
+    r2 = f(centr + d)
+    d = hlgth * _X3
+    l3 = f(centr - d)
+    r3 = f(centr + d)
+    d = hlgth * _X4
+    l4 = f(centr - d)
+    r4 = f(centr + d)
+    d = hlgth * _X5
+    l5 = f(centr - d)
+    r5 = f(centr + d)
+    d = hlgth * _X6
+    l6 = f(centr - d)
+    r6 = f(centr + d)
+    d = hlgth * _X7
+    l7 = f(centr - d)
+    r7 = f(centr + d)
+    d = hlgth * _X8
+    l8 = f(centr - d)
+    r8 = f(centr + d)
+    d = hlgth * _X9
+    l9 = f(centr - d)
+    r9 = f(centr + d)
+    resk = (
+        _W10 * fc + _W0 * (l0 + r0) + _W1 * (l1 + r1) + _W2 * (l2 + r2)
+        + _W3 * (l3 + r3) + _W4 * (l4 + r4) + _W5 * (l5 + r5) + _W6 * (l6 + r6)
+        + _W7 * (l7 + r7) + _W8 * (l8 + r8) + _W9 * (l9 + r9)
+    )
     if math.isnan(resk):
         raise DomainError(f"integrand returned NaN on [{a!r}, {b!r}]")
+    resg = (
+        0.0 + _G1 * (l1 + r1) + _G3 * (l3 + r3) + _G5 * (l5 + r5) + _G7 * (l7 + r7)
+        + _G9 * (l9 + r9)
+    )
 
     reskh = resk * 0.5
-    resasc = _WGK[10] * abs(fc - reskh)
-    for j in range(10):
-        f1, f2 = pairs[j]
-        resasc += _WGK[j] * (abs(f1 - reskh) + abs(f2 - reskh))
-    resasc *= abs(hlgth)
+    resasc = (
+        _W10 * abs(fc - reskh) + _W0 * (abs(l0 - reskh) + abs(r0 - reskh))
+        + _W1 * (abs(l1 - reskh) + abs(r1 - reskh))
+        + _W2 * (abs(l2 - reskh) + abs(r2 - reskh))
+        + _W3 * (abs(l3 - reskh) + abs(r3 - reskh))
+        + _W4 * (abs(l4 - reskh) + abs(r4 - reskh))
+        + _W5 * (abs(l5 - reskh) + abs(r5 - reskh))
+        + _W6 * (abs(l6 - reskh) + abs(r6 - reskh))
+        + _W7 * (abs(l7 - reskh) + abs(r7 - reskh))
+        + _W8 * (abs(l8 - reskh) + abs(r8 - reskh))
+        + _W9 * (abs(l9 - reskh) + abs(r9 - reskh))
+    ) * abs(hlgth)
 
     result = resk * hlgth
     abserr = abs((resk - resg) * hlgth)

@@ -88,8 +88,12 @@ def hurwitz_zeta(s: float, c: float) -> float:
     total += 0.5 * x ** (-s)
     # Pochhammer (s)_{2j-1} and x^{-s-2j+1}, each one step from the last;
     # a step's factor (s + 2j - 1)(s + 2j) rounds s + 2j before taking 1 off.
-    x2 = 1.0 / (x * x)
     xp1 = x ** (-s - 1.0)
+    if xp1 == 0.0:
+        # Every correction underflows too, but (s)_{2j-1} can overflow
+        # (from s of about 1e28) and make inf * 0 = nan.
+        return total
+    x2 = 1.0 / (x * x)
     xp2 = xp1 * x2
     xp3 = xp2 * x2
     xp4 = xp3 * x2
@@ -139,14 +143,15 @@ def digamma_gap(x: float, h: float) -> float:
     and loses the digits they share; here the asymptotic series is
     differenced term by term instead: log1p(2h/(x-h)) + h/((x+h)(x-h))
     minus the difference of the Bernoulli sums, each of which is already
-    small.
+    small.  2h/lo is taken as h/(lo/2), one rounding of the same quotient,
+    so that it stays finite where 2h overflows: at x = inf the gap is 0.0.
     """
     if not (h >= 0.0 and x - h >= 12.0):
         raise DomainError(f"digamma_gap requires h >= 0 and x - h >= 12, got x={x!r}, h={h!r}")
     lo = x - h
     hi = x + h
     return (
-        math.log1p(2.0 * h / lo)
+        math.log1p(h / (0.5 * lo))
         + h / (hi * lo)
         - (_digamma_series(hi) - _digamma_series(lo))
     )
@@ -249,8 +254,11 @@ def cot_partial_fraction_sum(b: float) -> float:
     """Closed form of sum_{k>=1} 1/((k*pi)^2 - b^2) = 1/(2b^2) - cot(b)/(2b).
 
     Even in b.  Arguments within 1e-10 of a multiple of pi (including 0)
-    sit on a pole of the right-hand side and are rejected.
+    sit on a pole of the right-hand side and are rejected with
+    :class:`PoleError`; b = +-inf or nan raises :class:`DomainError`.
     """
+    if not math.isfinite(b):
+        raise DomainError(f"cot_partial_fraction_sum requires finite b, got {b!r}")
     if abs(b - PI * round(b / PI)) < _POLE_MARGIN:
         raise PoleError(f"b={b!r} is within {_POLE_MARGIN} of a pole (pi * integer)")
     return 1.0 / (2.0 * b * b) - math.cos(b) / (2.0 * b * math.sin(b))
@@ -340,6 +348,9 @@ def log_gamma(x: float) -> float:
     both e are exact, so the result keeps its relative accuracy as it goes
     to zero.  Elsewhere the recursion log Gamma(x) = log Gamma(x+1) - log(x)
     shifts the argument to x >= 10, where the Stirling series takes over.
+
+    From x = 2.556348163871691e305 on the value is past the float range and
+    :class:`DomainError` is raised.
     """
     if not 0.0 < x < math.inf:
         raise DomainError(f"log_gamma requires 0 < x < inf, got {x!r}")
@@ -352,7 +363,10 @@ def log_gamma(x: float) -> float:
     while x < 10.0:
         shift -= math.log(x)
         x += 1.0
-    return shift + _stirling_series(x, (x - 0.5) * math.log(x) - x + _LN_SQRT_2PI)
+    value = shift + _stirling_series(x, (x - 0.5) * math.log(x) - x + _LN_SQRT_2PI)
+    if value == math.inf:
+        raise DomainError(f"log_gamma({x!r}) overflows binary64")
+    return value
 
 
 _ACCEL_RATE = math.log(3.0 + math.sqrt(8.0))  # ~1.7627, digits gained per term

@@ -1,8 +1,9 @@
 """The straight-line kernels against their loop and recursive forms, bit for bit.
 
-The dilogarithm reduces without recursion and every fixed-degree sum is
-written out term by term.  Each reference below is the earlier form of the
-same kernel: a recursive reduction or a loop over the coefficient tuple.
+The dilogarithm reduces without recursion, every fixed-degree sum is
+written out term by term, and so is the Gauss-Kronrod panel.  Each reference
+below is the earlier form of the same kernel: a recursive reduction or a
+loop over the coefficient or node tuple.
 Both make the same floating-point operations in the same order, so every
 comparison is ``==`` on the bits, signed zeros included, over seeded
 arguments on each reduction path and in each band.
@@ -14,9 +15,9 @@ import random
 
 import pytest
 
-from ti2kit import endpoint, polylog, special, ti2core
+from ti2kit import endpoint, numerics, polylog, special, ti2core
 from ti2kit.endpoint import admissibility, solve_endpoint_b
-from ti2kit.numerics import find_root_increasing
+from ti2kit.numerics import DomainError, find_root_increasing
 
 PI = math.pi
 _PI2_6 = polylog._PI2_6
@@ -110,6 +111,51 @@ def _log_gamma_two_plus_ref(e):
     for c in reversed(special._LGAMMA2_COEFF):
         acc = (acc + c) * e
     return (acc + special._ONE_MINUS_EULER_GAMMA) * e
+
+
+def _digamma_gap_ref(x, h):
+    lo = x - h
+    hi = x + h
+    return (
+        math.log1p(2.0 * h / lo)
+        + h / (hi * lo)
+        - (special._digamma_series(hi) - special._digamma_series(lo))
+    )
+
+
+def _gk21_ref(f, a, b):
+    # QUADPACK's QK21 loop over the node pairs.
+    xgk, wgk, wg = numerics._XGK, numerics._WGK, numerics._WG
+    centr = 0.5 * (a + b)
+    hlgth = 0.5 * (b - a)
+
+    fc = f(centr)
+    resg = 0.0
+    resk = wgk[10] * fc
+    pairs = []
+    for j in range(10):
+        dx = hlgth * xgk[j]
+        f1 = f(centr - dx)
+        f2 = f(centr + dx)
+        pairs.append((f1, f2))
+        resk += wgk[j] * (f1 + f2)
+        if j % 2 == 1:
+            resg += wg[j // 2] * (f1 + f2)
+    if math.isnan(resk):
+        raise DomainError(f"integrand returned NaN on [{a!r}, {b!r}]")
+
+    reskh = resk * 0.5
+    resasc = wgk[10] * abs(fc - reskh)
+    for j in range(10):
+        f1, f2 = pairs[j]
+        resasc += wgk[j] * (abs(f1 - reskh) + abs(f2 - reskh))
+    resasc *= abs(hlgth)
+
+    result = resk * hlgth
+    abserr = abs((resk - resg) * hlgth)
+    if resasc != 0.0 and abserr != 0.0:
+        abserr = resasc * min(1.0, (200.0 * abserr / resasc) ** 1.5)
+    return result, abserr
 
 
 def _hurwitz_tail_ref(s, c):
@@ -311,6 +357,135 @@ def test_hurwitz_zeta_tail_matches_loop():
             continue
         assert _bits(special.hurwitz_zeta(s, c)) == _bits(_hurwitz_tail_ref(s, c)), (s, c)
         checked += 1
+
+
+def test_hurwitz_zeta_tail_matches_loop_where_the_powers_underflow():
+    # Large s or c: x^{-s-1} underflows and the tail returns early.  Up to
+    # s = 1e27 the loop's Pochhammer symbols stay finite, so it is no nan.
+    rng = random.Random(73)
+    checked = 0
+    while checked < 1500:
+        s = _log_uniform(rng, 60.0, 1e27)
+        c = _log_uniform(rng, 1.0, 1e300)
+        m = max(0, math.ceil(2.0 * s + 30.0 - c))
+        x = m + c
+        if c * ((1e17 * (1.0 + x / (s - 1.0))) ** (1.0 / s) - 1.0) < m:
+            continue
+        assert _bits(special.hurwitz_zeta(s, c)) == _bits(_hurwitz_tail_ref(s, c)), (s, c)
+        checked += 1
+
+
+def test_digamma_gap_matches_twice_h_over_lo():
+    # h / (lo/2) rounds the quotient 2h/lo once, as 2.0 * h / lo does
+    # wherever 2h is finite, subnormal h included.
+    rng = random.Random(79)
+    cases = [(12.0, 0.0), (12.5, 0.5), (1e308, 5e307), (30.0, 5e-324)]
+    for _ in range(6000):
+        h = _log_uniform(rng, 5e-324, 1e-300) if rng.random() < 0.2 else _log_uniform(rng, 1e-300, 8e307)
+        cases.append((h + _log_uniform(rng, 12.0, 8e307), h))
+    for x, h in cases:
+        if x - h >= 12.0:
+            assert _bits(special.digamma_gap(x, h)) == _bits(_digamma_gap_ref(x, h)), (x, h)
+
+
+# --- the Gauss-Kronrod panel -------------------------------------------------
+
+
+def _theorem1_integrand(a):
+    def f(beta):
+        if beta == 0.0:
+            return PI / 2.0
+        return math.atan((a + math.cos(beta)) / math.sin(beta))
+
+    return f
+
+
+def _h_integrand(alpha):
+    cot = math.cos(alpha) / math.sin(alpha)
+
+    def f(x):
+        if x == 0.0:
+            return cot
+        return math.atan(cot * math.tanh(x)) / x
+
+    return f
+
+
+def _recorded(f, calls):
+    def g(x):
+        calls.append(x)
+        return f(x)
+
+    return g
+
+
+def _intervals(rng, lo_range, n):
+    out = []
+    while len(out) < n:
+        lo = rng.uniform(*lo_range)
+        hi = lo + _log_uniform(rng, 1e-300, PI)
+        if lo < hi:
+            out.append((lo, hi))
+    return out
+
+
+def _panel_cases(kind, rng):
+    if kind == "theorem1":
+        for lo, hi in _intervals(rng, (0.0, PI), 20000):
+            yield _theorem1_integrand(_log_uniform(rng, 0.3, 50.0)), lo, hi
+        yield _theorem1_integrand(3.0), 0.0, 5e-324
+    elif kind == "H":
+        # alpha next to 0, pi/2 (from either side) and pi.
+        for centre, signs in ((0.0, (1.0,)), (PI / 2.0, (-1.0, 1.0)), (PI, (-1.0,))):
+            for lo, hi in _intervals(rng, (0.0, 3.0), 5000):
+                alpha = centre + rng.choice(signs) * _log_uniform(rng, 1e-12, 1e-2)
+                yield _h_integrand(alpha), lo, hi
+    elif kind == "arctan":
+        f = lambda x: math.atan(x) / x if x != 0.0 else 1.0
+        for lo, hi in _intervals(rng, (0.0, 10.0), 5000):
+            yield f, lo, hi
+    elif kind == "polynomial":
+        f = lambda x: ((0.5 * x - 3.0) * x + 1.25) * x - 7.0
+        for lo, hi in _intervals(rng, (-5.0, 5.0), 5000):
+            yield f, lo, hi
+    else:
+        for lo, hi in _intervals(rng, (-5.0, 5.0), 5000):
+            yield (lambda x: -0.0), lo, hi
+
+
+@pytest.mark.parametrize("kind", ["theorem1", "H", "arctan", "polynomial", "negative zero"])
+def test_gk21_matches_loop(kind):
+    rng = random.Random(83 + len(kind))
+    panels = 0
+    for f, lo, hi in _panel_cases(kind, rng):
+        calls, ref_calls = [], []
+        got = numerics._gk21(_recorded(f, calls), lo, hi)
+        ref = _gk21_ref(_recorded(f, ref_calls), lo, hi)
+        assert [_bits(v) for v in got] == [_bits(v) for v in ref], (kind, lo, hi)
+        assert calls == ref_calls and len(calls) == 21, (kind, lo, hi)
+        panels += 1
+    assert panels >= 5000
+
+
+@pytest.mark.parametrize("node", range(21))
+def test_gk21_bad_value_at_any_node(node):
+    # A NaN at one node raises from both forms; an inf gives both the same
+    # (value, error), nan included.
+    def spiked(spike, calls):
+        def f(x):
+            calls.append(x)
+            return spike if len(calls) == node + 1 else math.sin(x)
+
+        return f
+
+    for form in (numerics._gk21, _gk21_ref):
+        calls = []
+        with pytest.raises(DomainError):
+            form(spiked(math.nan, calls), 0.25, 1.5)
+        assert len(calls) == 21
+    got = numerics._gk21(spiked(math.inf, []), 0.25, 1.5)
+    ref = _gk21_ref(spiked(math.inf, []), 0.25, 1.5)
+    assert [_bits(v) for v in got] == [_bits(v) for v in ref]
 
 
 # --- the endpoint solve -----------------------------------------------------

@@ -114,6 +114,14 @@ class TestHurwitzZeta:
         # from 8.99e307.
         assert hurwitz_zeta(s, 1.0) == 1.0
 
+    @pytest.mark.parametrize(
+        "s, c", [(1e300, sys.float_info.max), (sys.float_info.max, sys.float_info.max), (1e30, 1e31)]
+    )
+    def test_tail_past_the_underflow_is_zero(self, s, c):
+        # x^{-s-1} underflows to 0 while (s)_{2j-1} overflows to inf; the
+        # product was nan.  zeta(s, c) < c^{-s} (1 + c/(s - 1)) underflows.
+        assert hurwitz_zeta(s, c) == 0.0
+
 
 def log_grid(lo: float, hi: float, n: int) -> list[float]:
     return [lo * (hi / lo) ** (i / (n - 1)) for i in range(n)]
@@ -210,6 +218,13 @@ class TestDigamma:
         # psi(x + 1) - psi(x) = 1/x is the gap at h = 1/2 about x + 1/2.
         for x in (12.0, 12.5, 40.0, 1e3, 1e8):
             assert digamma_gap(x + 0.5, 0.5) == pytest.approx(1.0 / x, rel=1e-15)
+
+    def test_twice_h_past_the_float_range(self):
+        # 2h overflowed: nan at x = inf, inf for finite x - h.
+        big = sys.float_info.max
+        assert digamma_gap(math.inf, big) == 0.0
+        # psi(x + h) - psi(x - h) -> log((x + h)/(x - h)) = log 7 here.
+        assert digamma_gap(big, 0.75 * big) == pytest.approx(math.log(7.0), rel=1e-15)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -346,6 +361,12 @@ class TestCotPartialFractionSum:
             with pytest.raises(PoleError):
                 cot_partial_fraction_sum(b)
 
+    @pytest.mark.parametrize("b", [math.inf, -math.inf, math.nan])
+    def test_non_finite_is_a_domain_error(self, b):
+        # round(b / pi) raised a bare OverflowError at +-inf, ValueError at nan.
+        with pytest.raises(DomainError):
+            cot_partial_fraction_sum(b)
+
 
 class TestLogGamma:
     def test_at_one(self):
@@ -388,6 +409,16 @@ class TestLogGamma:
             log_gamma(-0.5)
         with pytest.raises(DomainError):
             log_gamma(math.inf)  # the Stirling lead was inf - inf = nan
+
+    def test_overflow_is_a_domain_error(self):
+        # log Gamma(x) passes the float range at x = 2.556348163871691e305;
+        # it returned inf there and at the largest float.
+        limit = 2.556348163871691e305
+        below = math.nextafter(limit, 0.0)
+        assert log_gamma(below) == pytest.approx((below - 0.5) * math.log(below) - below, rel=1e-15)
+        for x in (limit, sys.float_info.max):
+            with pytest.raises(DomainError, match="overflows binary64"):
+                log_gamma(x)
 
     def test_relative_error_against_mpmath(self):
         # The docstring's 1e-13 relative, including next to the zeros at 1
