@@ -40,12 +40,10 @@ _EXPORTS = {
         "theorem1_identity",
     ),
     "numerics": (
-        "BracketError",
         "BudgetError",
         "DomainError",
         "QuadratureResult",
         "SeriesResult",
-        "find_root_increasing",
         "integrate_adaptive",
         "sum_series",
     ),

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 from typing import Optional, Sequence
 
 from . import _LazyModule
-from .numerics import BracketError, DomainError
+from .numerics import DomainError
 
 # The help text is an assigned constant, not a docstring, so that python -OO
 # (which strips docstrings) still has the usage lines main prints.  It is the
@@ -184,7 +184,7 @@ def _cmd_compute(args: SimpleNamespace) -> int:
         return EXIT_USAGE
     try:
         value = call(args.args)
-    except (DomainError, BracketError) as exc:
+    except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     print(_format_value(value))
@@ -248,7 +248,7 @@ def _cmd_verify(args: SimpleNamespace) -> int:
     for name in names:
         try:
             reports += verify.run_identity(name, cfg)
-        except (DomainError, BracketError) as exc:
+        except DomainError as exc:
             print(f"domain error: {name}: {exc}", file=sys.stderr)
             domain_error = True
     if domain_error and not reports:

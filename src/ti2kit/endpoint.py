@@ -32,12 +32,13 @@ term c = -Li2(-a) or Li2(-1/a), and the first or second of each pair,
     phi_a''(b) = Re(u / (1 + u))      or  Re(1 / (1 + u))
     phi_a(pi)  = Re Li2(a) + c        or  pi^2/2 + c - Li2(1/a)
 
-Cost of one solve of b(a): the admissibility test's three dilogarithms
-(psi(a), c and phi_a(pi)), then one Li2(-u) per Halley step from the root of
-the cubic Hermite interpolant of phi_a on [0, pi]; a solve to 1e-14 takes 2-4
-steps (3.1 on average over seeded admissible a).  Every dilogarithm takes
-polylog's complex or real route without the public wrapper's checks;
-``_check_a`` is the guard.
+The solve of b(a) is its own safeguarded Halley loop on the bracket (0, pi),
+one u per step.  Cost: the admissibility test's three dilogarithms (psi(a),
+c and phi_a(pi)), then one Li2(-u) per step from the root of the cubic
+Hermite interpolant of phi_a on [0, pi]; a solve to 1e-14 takes 2-4 steps
+(3.1 on average over seeded admissible a).  Every dilogarithm takes polylog's
+complex or real route without the public wrapper's checks; ``_check_a`` is
+the guard.
 """
 
 from __future__ import annotations
@@ -47,12 +48,7 @@ import math
 from typing import NamedTuple
 
 from . import _EXPORTS, _LazyModule
-from .numerics import (
-    DomainError,
-    QuadratureResult,
-    find_root_increasing,
-    integrate_adaptive,
-)
+from .numerics import BudgetError, DomainError, QuadratureResult, integrate_adaptive
 from .polylog import _li2_any, _li2_real
 from .ti2core import METHOD_QUADRATURE, ti2, ti2_method
 
@@ -71,9 +67,12 @@ ADMISSIBILITY_MARGIN = 1e-12
 # phi takes its b = pi value at every b within this distance of pi.
 _PI_SNAP = 1e-12
 
-# theorem1's quadrature and root-solve tolerances.
+# theorem1's quadrature and root-solve tolerances; the solve's bracket width
+# below which it returns the bracket's midpoint, and its step budget.
 _QUAD_TOL = 1e-11
 _SOLVER_TOL = 1e-14
+_BRACKET_FLOOR = 1e-14
+_MAX_STEPS = 200
 
 
 class AdmissibilityResult(NamedTuple):
@@ -123,6 +122,11 @@ def _phi_at(a: float, c: float, b: float, u: complex, base: float = 0.0) -> floa
     if a <= 1.0:
         return base + c + _li2_any(-u).real
     return base + 0.5 * b * b + c - _li2_any(-u).real
+
+
+def _phi_snapped(a: float, c: float, b: float, u: complex) -> float:
+    # phi_a(b) at 0 < b <= pi, taking the b = pi value within _PI_SNAP of pi.
+    return _phi_pi(a, c) if b >= PI - _PI_SNAP else _phi_at(a, c, b, u)
 
 
 def _phi_slope(a: float, b: float, u: complex) -> float:
@@ -180,10 +184,7 @@ def phi(a: float, b: float) -> float:
         raise DomainError(f"phi requires 0 <= b <= pi, got b={b!r}")
     if b == 0.0:
         return 0.0
-    c = _phi_const(a)
-    if b >= PI - _PI_SNAP:
-        return _phi_pi(a, c)
-    return _phi_at(a, c, b, _phi_u(a, b))
+    return _phi_snapped(a, _phi_const(a), b, _phi_u(a, b))
 
 
 def admissibility(a: float) -> AdmissibilityResult:
@@ -203,11 +204,13 @@ def solve_endpoint_b(a: float, tol: float = 1e-12) -> EndpointSolution:
     """Solve phi_a(b) = psi(a) for the unique b in (0, pi).
 
     Requires ``a`` admissible, so that the bracket (0, pi) is strict.  Halley
-    steps refine the root of the cubic Hermite interpolant of phi_a on
-    [0, pi].  ``iterations`` counts the phi_a values the root finder asked
-    for, the two bracket ends included, so a solve makes ``iterations + 1``
-    dilogarithm calls (one more if the solver stops on a bracket midpoint it
-    never evaluated, whose residual then needs one).
+    steps (Newton's where Halley's divisor is not in (0, inf), bisection
+    where a step leaves the bracket) refine the root of the cubic Hermite
+    interpolant of phi_a on [0, pi], and stop on the bracket's midpoint once
+    it is narrower than 1e-14; 200 steps raise :class:`BudgetError`.
+    ``iterations`` counts the steps' phi_a values and the two bracket ends,
+    so a solve makes ``iterations + 1`` dilogarithm calls (one more if it
+    stops on a bracket midpoint, whose residual then needs one).
     """
     return _solve(admissibility(a), tol)
 
@@ -238,47 +241,48 @@ def _hermite_start(adm: AdmissibilityResult) -> float:
 
 
 def _solve(adm: AdmissibilityResult, tol: float) -> EndpointSolution:
-    # solve_endpoint_b for an admissibility result already in hand: phi_a
-    # with c and phi_a(pi) taken from the test.  phi_a counts the solver's
-    # evaluations and keeps the last one, the residual's phi_a(b) unless
-    # the solver returned a bracket midpoint.
-    a = adm.a
+    # solve_endpoint_b for an admissibility result already in hand.  Its test puts
+    # psi strictly between phi_a(0) = 0 and phi_a(pi): those ends count as evaluations.
+    a, target = adm.a, adm.psi
     if not adm.admissible:
-        raise DomainError(
-            f"a={a!r} is not admissible (psi={adm.psi!r}, phi_pi={adm.phi_pi!r})"
-        )
-    c, phi_pi = adm.phi_const, adm.phi_pi
-    evals = 0
-    u = 0j  # _phi_u at the last b > 0 that phi_a took
-    last_b = last_phi = math.nan
-
-    def phi_a(b: float) -> float:
-        nonlocal evals, u, last_b, last_phi
+        raise DomainError(f"a={a!r} is not admissible (psi={target!r}, phi_pi={adm.phi_pi!r})")
+    if not tol > 0.0:
+        raise DomainError(f"tolerance must be positive, got {tol}")
+    c = adm.phi_const
+    lo, hi = 0.0, PI
+    evals = 2
+    b = _hermite_start(adm)
+    if not lo < b < hi:
+        b = 0.5 * (lo + hi)
+    for _ in range(_MAX_STEPS):
+        # phi_a, phi_a' and phi_a'' at b, all from one u.
+        u = _phi_u(a, b)
+        value = _phi_snapped(a, c, b, u)
         evals += 1
-        if b == 0.0:
-            value = 0.0
+        if abs(value - target) <= tol:
+            return EndpointSolution(a, b, abs(value - target), evals)
+        if value < target:
+            lo = b
         else:
-            u = _phi_u(a, b)
-            value = phi_pi if b >= PI - _PI_SNAP else _phi_at(a, c, b, u)
-        last_b, last_phi = b, value
-        return value
-
-    # The solver asks for phi_a' and phi_a'' only at the interior point it
-    # last evaluated, so u is that point's.
-    b = find_root_increasing(
-        phi_a,
-        0.0,
-        PI,
-        adm.psi,
-        tol,
-        derivative=lambda b: _phi_slope(a, b, u),
-        second_derivative=lambda b: _phi_curve(a, u),
-        start=_hermite_start(adm),
-    )
-    iterations = evals
-    # An unevaluated midpoint's phi_a is the residual's, not a root step.
-    phi_b = last_phi if last_b == b else phi_a(b)
-    return EndpointSolution(a, b, abs(phi_b - adm.psi), iterations)
+            hi = b
+        if hi - lo < _BRACKET_FLOOR:
+            # The midpoint's phi_a is the residual's, not a step.
+            b = 0.5 * (lo + hi)
+            value = _phi_snapped(a, c, b, _phi_u(a, b))
+            return EndpointSolution(a, b, abs(value - target), evals)
+        # A Halley step, or Newton's where its divisor is not in (0, inf),
+        # taken only if it lands strictly inside the bracket; else bisection.
+        d = _phi_slope(a, b, u)
+        if d > 0.0 and math.isfinite(d):
+            step = (value - target) / d
+            div = 1.0 - 0.5 * step * _phi_curve(a, u) / d
+            if 0.0 < div < math.inf:
+                step /= div
+            if lo < b - step < hi:
+                b -= step
+                continue
+        b = 0.5 * (lo + hi)
+    raise BudgetError(f"root iteration budget {_MAX_STEPS} exhausted", best=0.5 * (lo + hi))
 
 
 def theorem1_identity(a: float, tolerance: float = 1e-12) -> report.IdentityReport:

@@ -1,4 +1,4 @@
-"""Foundation kernels: adaptive quadrature, bracketed root-finding, tail-bounded sums.
+"""Foundation kernels: adaptive quadrature and tail-bounded sums.
 
 Everything here is pure and deterministic: fixed evaluation order, no shared
 state, binary64 throughout.  The Gauss-Kronrod panel is written out with no
@@ -8,14 +8,14 @@ engine calls the integrand only at interior Kronrod nodes, so an integrand
 with a removable singularity at an endpoint (an arctan kernel divided by its
 argument, and similar) needs a value there only when the interval is so
 narrow that a node rounds onto the endpoint; such an integrand returns its
-own limit at that point.
+own limit at that point.  Theorem 1's root solve is written out in ``endpoint``.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 from . import _EXPORTS
 
@@ -24,10 +24,6 @@ __all__ = _EXPORTS["numerics"]
 
 class DomainError(ValueError):
     """An argument lies outside the mathematical domain of an operation."""
-
-
-class BracketError(ValueError):
-    """The supplied bracket does not strictly enclose the target value."""
 
 
 class BudgetError(RuntimeError):
@@ -242,79 +238,6 @@ def integrate_adaptive(
             best=QuadratureResult(total, toterr, 21 * (1 + 2 * splits)),
         )
     return QuadratureResult(total, toterr, 21 * (1 + 2 * splits))
-
-
-_BRACKET_FLOOR = 1e-14
-
-_ROOT_MAX_ITERATIONS = 200
-
-
-def find_root_increasing(
-    g: Callable[[float], float],
-    lo: float,
-    hi: float,
-    target: float,
-    tol: float,
-    *,
-    derivative: Optional[Callable[[float], float]] = None,
-    second_derivative: Optional[Callable[[float], float]] = None,
-    start: Optional[float] = None,
-) -> float:
-    """Solve ``g(b) = target`` for strictly increasing ``g`` on ``[lo, hi]``.
-
-    Guaranteed-convergent bisection, optionally refined with safeguarded
-    Newton steps when ``derivative`` is supplied (a Newton candidate is used
-    only while it stays inside the current bracket).  With
-    ``second_derivative`` as well the steps are Halley's,
-    ``(g - target) / g'`` divided by ``1 - (g - target) g'' / (2 g'^2)``;
-    a step whose divisor is not in (0, inf) falls back to Newton's.  The
-    first iterate is ``start`` when it lies strictly inside the bracket,
-    and the bracket midpoint otherwise.  Stops as soon as
-    ``|g(b) - target| <= tol`` or the bracket width falls below 1e-14.
-
-    Requires the strict bracketing ``g(lo) < target < g(hi)``; otherwise a
-    :class:`BracketError` is raised.  Raises :class:`BudgetError` (with the
-    bracket midpoint attached) if 200 steps do not meet either condition.
-    """
-    if not tol > 0.0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
-    if not lo < hi:
-        raise DomainError(f"bracket must satisfy lo < hi, got [{lo}, {hi}]")
-    glo = g(lo)
-    ghi = g(hi)
-    if not (glo < target < ghi):
-        raise BracketError(
-            f"target {target!r} not strictly inside [g(lo), g(hi)] = [{glo!r}, {ghi!r}]"
-        )
-
-    a, b = lo, hi
-    x = start if start is not None and lo < start < hi else 0.5 * (a + b)
-    for _ in range(_ROOT_MAX_ITERATIONS):
-        gx = g(x)
-        if abs(gx - target) <= tol:
-            return x
-        if gx < target:
-            a = x
-        else:
-            b = x
-        if b - a < _BRACKET_FLOOR:
-            return 0.5 * (a + b)
-        nxt = None
-        if derivative is not None:
-            d = derivative(x)
-            if d > 0.0 and math.isfinite(d):
-                step = (gx - target) / d
-                if second_derivative is not None:
-                    div = 1.0 - 0.5 * step * second_derivative(x) / d
-                    if 0.0 < div < math.inf:
-                        step /= div
-                cand = x - step
-                if a < cand < b:
-                    nxt = cand
-        x = 0.5 * (a + b) if nxt is None else nxt
-    raise BudgetError(
-        f"root iteration budget {_ROOT_MAX_ITERATIONS} exhausted", best=0.5 * (a + b)
-    )
 
 
 def sum_series(

@@ -10,6 +10,7 @@ reference rather than tuning.
 from __future__ import annotations
 
 import math
+import sys
 
 from . import _EXPORTS
 from .numerics import DomainError
@@ -167,16 +168,27 @@ def loggamma_im_gap(x: float, y: float, h: float) -> float:
     B(z) = sum_j B_{2j}/(2j (2j-1) z^{2j-1}), so that the two O(|w| log |w|)
     Stirling leads never meet.  log1p(2h/w) is the dilogarithm's complex
     log1p (polylog), taken from real parts, which keeps its digits when
-    2h/|w| is small.  The cost does not depend on x or y.
+    2h/|w| is small.  The cost does not depend on x or y.  Where x + h + |y|
+    overflows, and so may 2h, x + h or the quotient's scaled |w|^2, 2h/w and
+    2h atan2(y, x + h) are taken from halves.
     """
-    if not (h >= 0.0 and x - h >= 12.0):
+    if not (h >= 0.0 and x - h >= 12.0 and math.isfinite(x) and math.isfinite(y)):
         raise DomainError(
-            f"loggamma_im_gap requires h >= 0 and x - h >= 12, got x={x!r}, h={h!r}"
+            f"loggamma_im_gap requires finite x and y, h >= 0 and x - h >= 12, "
+            f"got x={x!r}, y={y!r}, h={h!r}"
         )
     w = complex(x - h, y)
     gap = 2.0 * h
-    lg = _log1p(gap / w)
-    lead = (w.real - 0.5) * lg.imag + w.imag * lg.real + gap * math.atan2(y, x + h)
+    if x + h + abs(y) < math.inf:
+        lg = _log1p(gap / w)
+        arc = gap * math.atan2(y, x + h)
+    else:
+        # A subnormal 2h/w leaves its lg terms too few bits to cancel; arc dwarfs them.
+        q = h / (0.5 * w)
+        lg = _log1p(q) if abs(q) >= sys.float_info.min else 0j
+        arc = 2.0 * (h * math.atan2(0.5 * y, 0.5 * x + 0.5 * h))
+    lead = (w.real - 0.5) * lg.imag + w.imag * lg.real + arc
+    # B(w + 2h) is 0 where w + 2h overflows, as 1/(w + 2h) rounds there.
     return lead + (_stirling_series(w + gap) - _stirling_series(w)).imag
 
 
@@ -379,12 +391,15 @@ def catalan_reference(tol: float) -> float:
     "sumalt" scheme): with n terms the remainder is provably below
     2*(3+sqrt 8)^{-n} because 1/(2n+1)^2 is a moment sequence of a positive
     measure on [0, 1].  n is chosen so that bound sits under ``tol`` with a
-    factor-2 margin; tol is floored at 1e-15 (binary64 noise floor).
+    factor-2 margin; tol is floored at 1e-15 (binary64 noise floor), and
+    every tol from 0.5 up, inf included, takes the 8-term floor of n.
 
     This is the reference oracle every other Catalan route is compared to;
     it also respects the elementary bracket 0 < G < pi^2/8.
     """
-    tol = max(tol, 1e-15)
+    if math.isnan(tol):
+        raise DomainError(f"catalan_reference requires a tolerance, got {tol!r}")
+    tol = min(max(tol, 1e-15), 0.5)
     n = max(8, math.ceil(math.log(4.0 / tol) / _ACCEL_RATE))
     d = (3.0 + math.sqrt(8.0)) ** n
     d = 0.5 * (d + 1.0 / d)

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from conftest import central_difference
+from test_kernel_reference import find_root_increasing
 from ti2kit import endpoint
 from ti2kit.endpoint import (
     admissibility,
@@ -15,7 +16,7 @@ from ti2kit.endpoint import (
     solve_endpoint_b,
     theorem1_identity,
 )
-from ti2kit.numerics import DomainError, find_root_increasing
+from ti2kit.numerics import BudgetError, DomainError
 from ti2kit.polylog import li2, li2_upper_boundary
 from ti2kit.special import catalan_reference
 from ti2kit.ti2core import ti2
@@ -287,9 +288,11 @@ class TestSolveEndpoint:
             solve_endpoint_b(0.1)
 
 
-def _reference_solve(a, tol, use_derivative):
-    # The solve as first written: phi_a evaluated in full at every step and
-    # once more at the returned root.
+def _reference_solve(a, tol, use_derivative, start=None):
+    # The solve through the generic finder, phi_a evaluated in full at every
+    # step and once more at the returned root: bisection, or Newton steps
+    # with ``use_derivative``.  -> (b, residual, phi_a values counted as the
+    # solve counts them)
     target = psi(a)
     evals = 0
 
@@ -298,8 +301,8 @@ def _reference_solve(a, tol, use_derivative):
         evals += 1
         return phi(a, b)
 
-    deriv = (lambda b: cmath.phase(1.0 + a * cmath.exp(1j * b))) if use_derivative else None
-    b = find_root_increasing(g, 0.0, PI, target, tol, derivative=deriv)
+    deriv = (lambda b: _slope(a, b)) if use_derivative else None
+    b = find_root_increasing(g, 0.0, PI, target, tol, derivative=deriv, start=start)
     return b, abs(phi(a, b) - target), evals
 
 
@@ -417,6 +420,62 @@ class TestSolveCost:
         assert theorem1_identity(1.0).terms_used == sol.iterations
         (c1,) = run_identity("corollary1")
         assert c1.terms_used == solve_endpoint_b(1.0, 1e-13).iterations > 2
+
+
+class TestSolveSafeguards:
+    """Each fallback of the solve's Halley loop, forced by a patched kernel."""
+
+    @pytest.mark.parametrize("start", [0.0, PI, -1.0, 4.0, math.nan])
+    def test_start_outside_the_open_bracket_takes_the_midpoint(self, start, monkeypatch):
+        steps = []
+        phi_u = endpoint._phi_u
+
+        def recorded(a, b):
+            steps.append(b)
+            return phi_u(a, b)
+
+        monkeypatch.setattr(endpoint, "_hermite_start", lambda adm: start)
+        monkeypatch.setattr(endpoint, "_phi_u", recorded)
+        sol = solve_endpoint_b(2.0, 1e-14)
+        assert steps[0] == PI / 2.0
+        assert sol.residual <= 1e-14
+
+    @pytest.mark.parametrize("curve", [math.nan, math.inf, -math.inf])
+    def test_halley_divisor_outside_zero_to_inf_takes_newtons_step(self, curve, monkeypatch):
+        halley = [tuple(solve_endpoint_b(a, 1e-14)) for a in (0.5, 2.0, 5.0)]
+        monkeypatch.setattr(endpoint, "_phi_curve", lambda a, u: curve)
+        for a, unpatched in zip((0.5, 2.0, 5.0), halley):
+            sol = solve_endpoint_b(a, 1e-14)
+            start = endpoint._hermite_start(admissibility(a))
+            assert tuple(sol)[1:] == _reference_solve(a, 1e-14, True, start), a
+            assert sol != unpatched, a
+
+    @pytest.mark.parametrize("slope", [0.0, -1.0, math.nan, math.inf])
+    def test_slope_outside_zero_to_inf_bisects(self, slope, monkeypatch):
+        monkeypatch.setattr(endpoint, "_phi_slope", lambda a, b, u: slope)
+        for a in (0.5, 2.0, 5.0):
+            sol = solve_endpoint_b(a, 1e-14)
+            start = endpoint._hermite_start(admissibility(a))
+            assert tuple(sol)[1:] == _reference_solve(a, 1e-14, False, start), a
+            assert sol.iterations > 30, a
+
+    def test_step_budget_is_200(self, monkeypatch):
+        # phi_a held 1 below psi with slope 1000 moves b up by 1e-3 a step,
+        # so after 200 steps the bracket [b, pi] is still half a unit wide.
+        target = psi(1.0)
+        steps = []
+
+        def below(a, c, b, u):
+            steps.append(b)
+            return target - 1.0
+
+        monkeypatch.setattr(endpoint, "_phi_snapped", below)
+        monkeypatch.setattr(endpoint, "_phi_slope", lambda a, b, u: 1000.0)
+        with pytest.raises(BudgetError) as err:
+            solve_endpoint_b(1.0, 1e-14)
+        assert len(steps) == 200
+        assert steps[-1] < 2.7
+        assert err.value.best == 0.5 * (steps[-1] + PI)
 
 
 class TestTheorem1Identity:

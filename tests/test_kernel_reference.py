@@ -3,7 +3,9 @@
 The dilogarithm reduces without recursion, every fixed-degree sum is
 written out term by term, and so is the Gauss-Kronrod panel.  Each reference
 below is the earlier form of the same kernel: a recursive reduction or a
-loop over the coefficient or node tuple.
+loop over the coefficient or node tuple.  The endpoint solve's reference is
+a generic root finder with bisection, Newton and Halley modes; the solve is
+its Halley mode written out for phi_a.
 Both make the same floating-point operations in the same order, so every
 comparison is ``==`` on the bits, signed zeros included, over seeded
 arguments on each reduction path and in each band.
@@ -12,12 +14,13 @@ arguments on each reduction path and in each band.
 import cmath
 import math
 import random
+from typing import Callable, Optional
 
 import pytest
 
 from ti2kit import endpoint, numerics, polylog, special, ti2core
 from ti2kit.endpoint import admissibility, solve_endpoint_b
-from ti2kit.numerics import DomainError, find_root_increasing
+from ti2kit.numerics import BudgetError, DomainError
 
 PI = math.pi
 _PI2_6 = polylog._PI2_6
@@ -178,11 +181,88 @@ def _hurwitz_tail_ref(s, c):
     return total
 
 
-def _solve_ref(a, tol):
-    # endpoint._solve with a counting wrapper g around phi_a, written out in
-    # the module docstring's form for a; the residual at an unevaluated
-    # midpoint calls phi_a itself, uncounted.
-    adm = admissibility(a)
+class BracketError(ValueError):
+    """The supplied bracket does not strictly enclose the target value."""
+
+
+_BRACKET_FLOOR = 1e-14
+
+_ROOT_MAX_ITERATIONS = 200
+
+
+def find_root_increasing(
+    g: Callable[[float], float],
+    lo: float,
+    hi: float,
+    target: float,
+    tol: float,
+    *,
+    derivative: Optional[Callable[[float], float]] = None,
+    second_derivative: Optional[Callable[[float], float]] = None,
+    start: Optional[float] = None,
+) -> float:
+    """Solve ``g(b) = target`` for strictly increasing ``g`` on ``[lo, hi]``.
+
+    Guaranteed-convergent bisection, optionally refined with safeguarded
+    Newton steps when ``derivative`` is supplied (a Newton candidate is used
+    only while it stays inside the current bracket).  With
+    ``second_derivative`` as well the steps are Halley's,
+    ``(g - target) / g'`` divided by ``1 - (g - target) g'' / (2 g'^2)``;
+    a step whose divisor is not in (0, inf) falls back to Newton's.  The
+    first iterate is ``start`` when it lies strictly inside the bracket,
+    and the bracket midpoint otherwise.  Stops as soon as
+    ``|g(b) - target| <= tol`` or the bracket width falls below 1e-14.
+
+    Requires the strict bracketing ``g(lo) < target < g(hi)``; otherwise a
+    :class:`BracketError` is raised.  Raises :class:`BudgetError` (with the
+    bracket midpoint attached) if 200 steps do not meet either condition.
+    """
+    if not tol > 0.0:
+        raise DomainError(f"tolerance must be positive, got {tol}")
+    if not lo < hi:
+        raise DomainError(f"bracket must satisfy lo < hi, got [{lo}, {hi}]")
+    glo = g(lo)
+    ghi = g(hi)
+    if not (glo < target < ghi):
+        raise BracketError(
+            f"target {target!r} not strictly inside [g(lo), g(hi)] = [{glo!r}, {ghi!r}]"
+        )
+
+    a, b = lo, hi
+    x = start if start is not None and lo < start < hi else 0.5 * (a + b)
+    for _ in range(_ROOT_MAX_ITERATIONS):
+        gx = g(x)
+        if abs(gx - target) <= tol:
+            return x
+        if gx < target:
+            a = x
+        else:
+            b = x
+        if b - a < _BRACKET_FLOOR:
+            return 0.5 * (a + b)
+        nxt = None
+        if derivative is not None:
+            d = derivative(x)
+            if d > 0.0 and math.isfinite(d):
+                step = (gx - target) / d
+                if second_derivative is not None:
+                    div = 1.0 - 0.5 * step * second_derivative(x) / d
+                    if 0.0 < div < math.inf:
+                        step /= div
+                cand = x - step
+                if a < cand < b:
+                    nxt = cand
+        x = 0.5 * (a + b) if nxt is None else nxt
+    raise BudgetError(
+        f"root iteration budget {_ROOT_MAX_ITERATIONS} exhausted", best=0.5 * (a + b)
+    )
+
+
+def _solve_ref(adm, tol):
+    # endpoint._solve as a counting wrapper g around phi_a, written out in
+    # the module docstring's form for a, handed to find_root_increasing; the
+    # residual at an unevaluated midpoint calls phi_a itself, uncounted.
+    a = adm.a
     c, phi_pi = adm.phi_const, adm.phi_pi
     inverted = a > 1.0
     u = 0j
@@ -502,9 +582,35 @@ def test_solve_matches_wrapped_form(tol):
         if not admissibility(a).admissible:
             continue
         sol = solve_endpoint_b(a, tol)
-        ref, midpoint = _solve_ref(a, tol)
+        ref, midpoint = _solve_ref(admissibility(a), tol)
         assert [_bits(v) for v in sol[:3]] == [_bits(v) for v in ref[:3]], a
         assert sol.iterations == ref[3], a
         midpoints += midpoint
         checked += 1
     assert (midpoints > 0) == (tol == 1e-300), midpoints
+
+
+def test_solve_matches_root_finder_form_over_seeded_a():
+    # 20,000 seeded admissible a, a fifth of them within 1e-3 of a = 1 where
+    # phi_a changes form, each solved at five tolerances: b, the residual and
+    # the count of phi_a values must be the finder form's, bit for bit.  At
+    # 1e-16 some solves end on the bracket floor's midpoint.
+    rng = random.Random(79)
+    tols = (1e-12, 1e-13, 1e-14, 1e-15, 1e-16)
+    solves = midpoints = 0
+    while solves < 100_000:
+        if rng.random() < 0.2:
+            a = 1.0 + rng.uniform(-1e-3, 1e-3)
+        else:
+            a = _log_uniform(rng, 0.4513, 18.92)
+        adm = admissibility(a)
+        if not adm.admissible:
+            continue
+        for tol in tols:
+            sol = endpoint._solve(adm, tol)
+            ref, midpoint = _solve_ref(adm, tol)
+            assert [_bits(v) for v in sol[:3]] == [_bits(v) for v in ref[:3]], (a, tol)
+            assert sol.iterations == ref[3], (a, tol)
+            midpoints += midpoint
+            solves += 1
+    assert midpoints > 0

@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_kernel_reference import find_root_increasing
 from ti2kit import numerics
 from ti2kit.numerics import (
-    BracketError,
     BudgetError,
     DomainError,
     QuadratureResult,
-    find_root_increasing,
     integrate_adaptive,
     sum_series,
 )
@@ -173,43 +172,11 @@ class TestIntegrateAdaptive:
 
 
 class TestFindRootIncreasing:
-    def test_identity_function(self):
-        b = find_root_increasing(lambda x: x, 0.0, 1.0, 0.5, 1e-12)
-        assert b == pytest.approx(0.5, abs=1e-11)
+    """The endpoint solve's bitwise reference, kept in test_kernel_reference.
 
-    def test_quarter_square_against_psi_target(self):
-        # Solve b^2/4 = Im Li2(1+i) (value frozen from the dilogarithm);
-        # the solution is 2*sqrt(target).
-        target = 1.4603621167531195
-        b = find_root_increasing(lambda x: x * x / 4.0, 0.0, PI, target, 1e-13)
-        assert abs(b * b / 4.0 - target) <= 1e-13
-        assert b == pytest.approx(2.4169088660957984, abs=5e-12)
-
-    def test_bracket_must_be_strict(self):
-        with pytest.raises(BracketError):
-            find_root_increasing(lambda x: x ** 3, -2.0, 2.0, 8.0, 1e-10)
-        with pytest.raises(BracketError):
-            find_root_increasing(lambda x: x, 0.0, 1.0, -0.5, 1e-10)
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        a=st.floats(0.1, 4.0),
-        b=st.floats(0.1, 4.0),
-        frac=st.floats(0.01, 0.99),
-    )
-    def test_residual_contract_on_monotone_cubics(self, a, b, frac):
-        g = lambda x: a * x ** 3 + b * x
-        target = g(0.0) + frac * (g(2.0) - g(0.0))
-        root = find_root_increasing(g, 0.0, 2.0, target, 1e-11)
-        assert abs(g(root) - target) <= 1e-11
-        assert 0.0 < root < 2.0
-
-    def test_derivative_refinement_matches_bisection(self):
-        g = lambda x: x * math.exp(x)
-        dg = lambda x: (1.0 + x) * math.exp(x)
-        plain = find_root_increasing(g, 0.0, 2.0, 3.0, 1e-13)
-        refined = find_root_increasing(g, 0.0, 2.0, 3.0, 1e-13, derivative=dg)
-        assert abs(plain - refined) < 1e-12
+    Its start rule, Halley steps with their Newton fallback and step budget
+    are the solve's.
+    """
 
     def test_halley_steps_from_a_start(self):
         calls = []

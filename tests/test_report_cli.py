@@ -577,7 +577,8 @@ class TestPackageApi:
         import ti2kit
 
         assert sorted(ti2kit._EXPORTS) == list(MODULES)
-        assert len(ti2kit.__all__) == 52
+        assert len(ti2kit.__all__) == 50
+        assert not {"find_root_increasing", "BracketError"} & set(ti2kit.__all__)
 
     def test_dir_lists_every_export_and_module(self):
         import ti2kit

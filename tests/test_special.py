@@ -248,6 +248,25 @@ class TestLoggammaImGap:
         with pytest.raises(DomainError):
             loggamma_im_gap(30.0, 1.0, -0.1)
 
+    @pytest.mark.parametrize(
+        "x, y", [(math.inf, 1.0), (21.0, math.inf), (21.0, -math.inf), (21.0, math.nan)]
+    )
+    def test_non_finite_is_a_domain_error(self, x, y):
+        with pytest.raises(DomainError):
+            loggamma_im_gap(x, y, 0.5)
+
+    # Values from 700-digit mpmath loggamma.
+    def test_twice_h_past_the_float_range(self):
+        big = sys.float_info.max
+        got = loggamma_im_gap(big, 1.0, big / 1.5)
+        assert got == pytest.approx(1.6094379124341005, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "y, want", [(sys.float_info.max, 1.5707963267948966e300), (1e300, 1.1125369292536008e292)]
+    )
+    def test_x_plus_h_past_the_float_range(self, y, want):
+        assert loggamma_im_gap(sys.float_info.max, y, 1e300) == pytest.approx(want, rel=1e-15)
+
 
 class TestEiNegative:
     def test_at_one(self):
@@ -465,6 +484,12 @@ class TestCatalanReference:
 
     def test_cross_check_against_clausen(self):
         assert catalan_reference(1e-14) == pytest.approx(clausen2(PI / 2.0), abs=1e-13)
+
+    def test_non_finite_tolerance(self):
+        # inf takes the 8-term floor of every tolerance from 0.5 up.
+        assert catalan_reference(math.inf) == catalan_reference(0.5) == catalan_reference(1e300)
+        with pytest.raises(DomainError):
+            catalan_reference(math.nan)
 
 
 class TestKummerSineLogSum:
