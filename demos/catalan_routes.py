@@ -16,8 +16,8 @@ import math
 
 from ti2kit import (
     catalan_reference,
-    lemma1_catalan,
     remark1_partial,
+    run_identity,
     solve_endpoint_b,
     ti2,
     ti2_clausen_form,
@@ -46,7 +46,7 @@ def main():
 
     routes.append(("Clausen reduction at theta=pi/4", ti2_clausen_form(PI / 4.0)))
 
-    lemma = lemma1_catalan()
+    (lemma,) = run_identity("lemma1")
     print(f"zeta/Ei/log-gamma assembly: {lemma.terms_used} Hurwitz terms, "
           f"tail bound {lemma.tail_bound:.2e}")
     routes.append(("hurwitz + Ei + log-gamma", lemma.rhs))

@@ -13,7 +13,7 @@ grid, and closes the loop with the quadrature-backed identity check.
 Run: python demos/endpoint_identity.py
 """
 
-from ti2kit import admissibility, solve_endpoint_b, theorem1_identity
+from ti2kit import VerificationConfig, admissibility, run_identity, solve_endpoint_b
 
 
 def linspace(lo, hi, n):
@@ -58,7 +58,7 @@ def main():
     print("-" * 60)
     for a in (0.5, 0.75, 1.0, 1.5, 2.0, 5.0, 10.0):
         sol = solve_endpoint_b(a, 1e-12)
-        report = theorem1_identity(a)
+        (report,) = run_identity("theorem1", VerificationConfig(a_grid=(a,)))
         print(f"{a:>6} {sol.b:>18.12f} {sol.residual:>13.1e} "
               f"{report.abs_residual:>18.1e}")
     print("\nevery row evaluates the left side by series/dilogarithm and the")

@@ -18,12 +18,8 @@ __version__ = "1.0.0"
 # module -> the public names it defines; each module's __all__ is its entry.
 _EXPORTS = {
     "decomp": (
-        "catalan_family",
-        "corollary2_series",
         "h_series",
         "k1_closed",
-        "lemma1_catalan",
-        "pointwise_identity",
         "remark1_partial",
         "s_r",
         "xi_k",
@@ -37,7 +33,6 @@ _EXPORTS = {
         "phi",
         "psi",
         "solve_endpoint_b",
-        "theorem1_identity",
     ),
     "numerics": (
         "BudgetError",

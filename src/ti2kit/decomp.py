@@ -49,13 +49,16 @@ log Gamma(z) + log z to Im[log Gamma(m+1+a+iy) - log Gamma(m+1-a+iy)].  The
 first 20 terms are summed directly and the rest is that tail at m = 20,
 from the complex Stirling series differenced term by term
 (special.loggamma_im_gap), whose remainder is below 1e-19.
+
+The reports that check these identities are built by verify's table; this
+module holds the sums they compare.
 """
 
 from __future__ import annotations
 
 import math
 
-from . import _EXPORTS, _LazyModule
+from . import _EXPORTS
 from .numerics import (
     DomainError,
     QuadratureResult,
@@ -66,7 +69,6 @@ from .numerics import (
 from .special import (
     EULER_GAMMA,
     _sine_log_sum,
-    catalan_reference,
     cot_partial_fraction_sum,
     digamma_gap,
     ei_negative,
@@ -74,10 +76,6 @@ from .special import (
     loggamma_im_gap,
 )
 from .ti2core import ti2
-
-# Imported by the first report built, so ``compute H`` and ``K1`` never
-# load it.
-report = _LazyModule(globals(), ".report")
 
 __all__ = _EXPORTS["decomp"]
 
@@ -138,32 +136,6 @@ def _xi_sum(alpha: float, x: float) -> float:
     """
     direct = math.fsum(_xi_term(k, alpha, x) for k in range(1, _XI_DIRECT_TERMS + 1))
     return direct + loggamma_im_gap(_XI_DIRECT_TERMS + 1.0, x / PI, alpha / PI)
-
-
-def pointwise_identity(
-    alpha: float, x: float, *, tolerance: float = 1e-12
-) -> report.IdentityReport:
-    """Residual of arctan(x/alpha) against the full pole decomposition, 0 <= x < inf.
-
-    The infinite pole sum costs the same at every x (see _xi_sum); the
-    Stirling remainder of its tail is below 1e-19, so no tail bound is
-    reported and ``tolerance`` is the whole budget.
-    """
-    _check_alpha(alpha)
-    if not 0.0 <= x < math.inf:
-        raise DomainError(f"pointwise_identity requires 0 <= x < inf, got {x!r}")
-    lhs = math.atan(x / alpha)
-    principal = math.atan(math.cos(alpha) / math.sin(alpha) * math.tanh(x))
-    return report.IdentityReport.build(
-        name="pointwise",
-        params={"alpha": alpha, "x": x},
-        lhs=lhs,
-        rhs=principal + _xi_sum(alpha, x),
-        tolerance=tolerance,
-        method_lhs="arctan",
-        method_rhs="pole-sum",
-        terms_used=_XI_DIRECT_TERMS,
-    )
 
 
 def _h_integral(A: float, alpha: float, tol: float) -> QuadratureResult:
@@ -324,41 +296,6 @@ def _pole_bracket(A: float, alpha: float) -> SeriesResult:
     )
 
 
-# corollary2's largest A.  The bracket sum's K0 ~ 4A/pi direct terms make
-# its cost linear in A: 0.22 s at A = 1e4 (residual 4.4e-14), 2.3 s at 1e5.
-_COROLLARY2_MAX_A = 1e4
-
-
-def corollary2_series(
-    A: float, alpha: float, *, tolerance: float = 1e-12
-) -> report.IdentityReport:
-    """Check Ti2(A/alpha) against H(A, alpha) plus the full bracket sum.
-
-    A must lie in (0, 1e4]; a larger or non-finite A raises
-    :class:`DomainError` rather than summing ~4A/pi brackets directly.
-    The reported tail adds the bracket sum's Hurwitz n-series bound to the
-    tail bound of h_series (its quadrature error estimate below A = 3).
-    """
-    _check_alpha(alpha)
-    if not 0.0 < A <= _COROLLARY2_MAX_A:
-        raise DomainError(
-            f"corollary2_series requires 0 < A <= {_COROLLARY2_MAX_A:g}, got {A!r}"
-        )
-    h = h_series(A, alpha)
-    pole = _pole_bracket(A, alpha)
-    return report.IdentityReport.build(
-        name="corollary2",
-        params={"A": A, "alpha": alpha},
-        lhs=ti2(A / alpha),
-        rhs=h.value + pole.value,
-        tolerance=tolerance,
-        method_lhs="ti2",
-        method_rhs="hyperbolic-term+ti2-differences",
-        tail_bound=pole.tail_bound + h.tail_bound,
-        terms_used=pole.terms_used,
-    )
-
-
 def remark1_partial(K: int) -> float:
     """Partial sum sum_{k<=K} [Ti2(1/(2k-1)) - Ti2(1/(2k+1))].
 
@@ -372,32 +309,6 @@ def remark1_partial(K: int) -> float:
     for k in range(1, K + 1):
         total += ti2(1.0 / (2 * k - 1)) - ti2(1.0 / (2 * k + 1))
     return total
-
-
-def catalan_family(n: int, *, tolerance: float = 1e-12) -> report.IdentityReport:
-    """The n-th Catalan decomposition: A = alpha = pi/n, n >= 2.
-
-        G = H(pi/n, pi/n) + sum_k [ Ti2(1/(n k - 1)) - Ti2(1/(n k + 1)) ]
-
-    This is the corollary-2 bracket sum at A = alpha = pi/n, evaluated and
-    bounded the same way.  n = 2 makes the hyperbolic term vanish and the
-    sum telescope.
-    """
-    if n < 2:
-        raise DomainError(f"catalan_family requires n >= 2, got {n!r}")
-    h = h_series(PI / n, PI / n)
-    pole = _pole_bracket(PI / n, PI / n)
-    return report.IdentityReport.build(
-        name="corollary3",
-        params={"n": float(n)},
-        lhs=catalan_reference(1e-14),
-        rhs=h.value + pole.value,
-        tolerance=tolerance,
-        method_lhs="alternating-series-acceleration",
-        method_rhs="hyperbolic-term+ti2-differences",
-        tail_bound=pole.tail_bound + h.tail_bound,
-        terms_used=pole.terms_used,
-    )
 
 
 def s_r(r: int) -> float:
@@ -424,29 +335,3 @@ def k1_closed() -> float:
     stops once its tail bound falls below 1e-15 (15 terms).
     """
     return _h_ei_series(1.0, 1.0).value
-
-
-def lemma1_catalan(*, tolerance: float = 1e-12) -> report.IdentityReport:
-    """Assemble G from K(1), S_1, and the alternating Hurwitz series summed to the end:
-
-        G = K(1) + (1 - cot 1) + sum_{n>=1} (-1)^n/(2n+1)^2 * S_{2n+1}.
-
-    The n-series is the pole tail's at A = alpha = 1, m = 0, where S_r is
-    pi^{-r} [zeta(r, 1 - 1/pi) - zeta(r, 1 + 1/pi)]: that bracket order
-    carries (k pi - 1)^{-r} - (k pi + 1)^{-r}, and the opposite order misses
-    G by about 2e-2 (the tests pin it).  ``terms_used`` counts the n-series
-    terms (20); the tail bound adds its bound to K(1)'s Ei-series bound.
-    """
-    k1 = _h_ei_series(1.0, 1.0)
-    ser = _hurwitz_n_series(1.0, 1.0, 0)
-    return report.IdentityReport.build(
-        name="lemma1",
-        params={},
-        lhs=catalan_reference(1e-14),
-        rhs=k1.value + s_r(1) + ser.value,
-        tolerance=tolerance,
-        method_lhs="alternating-series-acceleration",
-        method_rhs="hurwitz-ei-loggamma-assembly",
-        tail_bound=ser.tail_bound + k1.tail_bound,
-        terms_used=ser.terms_used,
-    )

@@ -17,9 +17,7 @@ phi_a(b) = psi(a) has a unique solution b(a) in (0, pi), and then
 
 At a = 1 everything collapses: phi_1(b) = b^2/4, b(1) = sqrt(4G + pi log 2),
 and G = b(1)^2/4 - (pi/4) log 2, the Catalan evaluation that verify's
-corollary1 checks.  The identity check here deliberately evaluates I by
-quadrature while the solver works on the dilogarithm closed form, so the
-comparison is a genuine two-route test rather than algebra cancelling itself.
+corollary1 checks.  verify's theorem1 checks the identity itself.
 
 phi_a takes the first form up to a = 1 and the second above, where the
 first subtracts two terms of size log^2(a)/2 that cancel down to about b^2/2
@@ -47,14 +45,9 @@ import cmath
 import math
 from typing import NamedTuple
 
-from . import _EXPORTS, _LazyModule
+from . import _EXPORTS
 from .numerics import BudgetError, DomainError, QuadratureResult, integrate_adaptive
 from .polylog import _li2_any, _li2_real
-from .ti2core import METHOD_QUADRATURE, ti2, ti2_method
-
-# Imported by the first report built, so ``compute psi``, ``phi`` and
-# ``b-of-a`` never load it.
-report = _LazyModule(globals(), ".report")
 
 __all__ = _EXPORTS["endpoint"]
 
@@ -67,10 +60,8 @@ ADMISSIBILITY_MARGIN = 1e-12
 # phi takes its b = pi value at every b within this distance of pi.
 _PI_SNAP = 1e-12
 
-# theorem1's quadrature and root-solve tolerances; the solve's bracket width
-# below which it returns the bracket's midpoint, and its step budget.
-_QUAD_TOL = 1e-11
-_SOLVER_TOL = 1e-14
+# The solve's bracket width below which it returns the bracket's midpoint,
+# and its step budget.
 _BRACKET_FLOOR = 1e-14
 _MAX_STEPS = 200
 
@@ -283,41 +274,3 @@ def _solve(adm: AdmissibilityResult, tol: float) -> EndpointSolution:
                 continue
         b = 0.5 * (lo + hi)
     raise BudgetError(f"root iteration budget {_MAX_STEPS} exhausted", best=0.5 * (lo + hi))
-
-
-def theorem1_identity(a: float, tolerance: float = 1e-12) -> report.IdentityReport:
-    """Check Ti2(a) against the tunable-endpoint right-hand side.
-
-    LHS: Ti2(a) by its own series/dilogarithm route.  RHS: with b = b(a)
-    from the closed-form solve, evaluate
-
-        arctan(a) log(a) + I(a, b) - pi*b/2 + b^2/2 - (pi/4) log(a^2 + 1)
-
-    with I by *quadrature*, keeping the two sides on independent routes.
-    ``terms_used`` is the solve's ``iterations``.
-    """
-    return _theorem1(admissibility(a), tolerance)
-
-
-def _theorem1(adm: AdmissibilityResult, tolerance: float) -> report.IdentityReport:
-    # theorem1_identity for an admissibility result already in hand.
-    a = adm.a
-    sol = _solve(adm, _SOLVER_TOL)
-    quad = aux_integral_I(a, sol.b, _QUAD_TOL)
-    rhs = (
-        math.atan(a) * math.log(a)
-        + quad.value
-        - PI * sol.b / 2.0
-        + sol.b * sol.b / 2.0
-        - 0.25 * PI * math.log1p(a * a)
-    )
-    return report.IdentityReport.build(
-        name="theorem1",
-        params={"a": a, "b": sol.b},
-        lhs=ti2(a),
-        rhs=rhs,
-        tolerance=tolerance,
-        method_lhs=ti2_method(a),
-        method_rhs=f"{METHOD_QUADRATURE}+root-solve",
-        terms_used=sol.iterations,
-    )

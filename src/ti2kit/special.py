@@ -170,7 +170,10 @@ def loggamma_im_gap(x: float, y: float, h: float) -> float:
     log1p (polylog), taken from real parts, which keeps its digits when
     2h/|w| is small.  The cost does not depend on x or y.  Where x + h + |y|
     overflows, and so may 2h, x + h or the quotient's scaled |w|^2, 2h/w and
-    2h atan2(y, x + h) are taken from halves.
+    2h atan2(y, x + h) are taken from halves.  A subnormal atan2(y, x + h) is
+    taken as y/(x + h).  Where Im log1p(2h/w) underflows, the first term is
+    taken to first order in Im(2h/w), in closed form, since its two parts of
+    size 2h|y|/|w| no longer cancel in floating point.
     """
     if not (h >= 0.0 and x - h >= 12.0 and math.isfinite(x) and math.isfinite(y)):
         raise DomainError(
@@ -180,14 +183,27 @@ def loggamma_im_gap(x: float, y: float, h: float) -> float:
     w = complex(x - h, y)
     gap = 2.0 * h
     if x + h + abs(y) < math.inf:
-        lg = _log1p(gap / w)
-        arc = gap * math.atan2(y, x + h)
+        q = gap / w
+        angle = math.atan2(y, x + h)
+        arc = gap * angle
     else:
-        # A subnormal 2h/w leaves its lg terms too few bits to cancel; arc dwarfs them.
         q = h / (0.5 * w)
-        lg = _log1p(q) if abs(q) >= sys.float_info.min else 0j
-        arc = 2.0 * (h * math.atan2(0.5 * y, 0.5 * x + 0.5 * h))
-    lead = (w.real - 0.5) * lg.imag + w.imag * lg.real + arc
+        angle = math.atan2(0.5 * y, 0.5 * x + 0.5 * h)
+        arc = 2.0 * (h * angle)
+    tiny = sys.float_info.min
+    if y and abs(angle) < tiny:
+        # Below the normal range the arctangent is y/(x + h) itself.
+        arc = y * (h / (0.5 * x + 0.5 * h))
+    if y and abs(q.imag) < tiny * (1.0 + q.real):
+        # Im log1p(q) ~ Im q/(1 + Re q) has underflowed, and with it the
+        # cancellation of the lg terms' leading parts.  To first order in Im q,
+        # with r = Re q,
+        # Im[(w - 1/2) log1p(q)] = y [log1p(r) - (1 - 1/(2 Re w)) r/(1 + r)].
+        r = q.real
+        lead = y * (math.log1p(r) - (1.0 - 0.5 / w.real) * r / (1.0 + r)) + arc
+    else:
+        lg = _log1p(q)
+        lead = (w.real - 0.5) * lg.imag + w.imag * lg.real + arc
     # B(w + 2h) is 0 where w + 2h overflows, as 1/(w + 2h) rounds there.
     return lead + (_stirling_series(w + gap) - _stirling_series(w)).imag
 

@@ -2,9 +2,10 @@
 
 Each identity is one row of a table: its default tolerance, the grid points
 it runs at, and the check that turns one point into an
-:class:`IdentityReport`.  The name set is a closed enumeration: adding one
-requires adding the backing operation first.  Reports are emitted in grid
-order, so runs are deterministic.
+:class:`IdentityReport`.  Every check lives here; decomp and endpoint hold
+only the sums, solves and quadratures the checks compare.  The name set is
+a closed enumeration: adding one requires adding the backing operation
+first.  Reports are emitted in grid order, so runs are deterministic.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ import math
 from typing import Optional, Sequence
 
 from . import _EXPORTS, _LazyModule
+from .numerics import DomainError
 from .report import IdentityReport
-from .ti2core import METHOD_CLAUSEN_FORM, ti2, ti2_clausen_form, ti2_method
+from .ti2core import METHOD_CLAUSEN_FORM, METHOD_QUADRATURE, ti2, ti2_clausen_form, ti2_method
 
 # Imported by the first row that uses them, so ``verify theorem1`` loads
 # neither decomp nor special.
@@ -81,50 +83,136 @@ class VerificationConfig:
             raise ValueError(f"format must be 'json' or 'table', got {self.format!r}")
 
 
-def _corollary1(_point, cfg: VerificationConfig, tol: float) -> IdentityReport:
-    sol = endpoint.solve_endpoint_b(1.0, 1e-13)
+# theorem1's quadrature and root-solve tolerances.
+_QUAD_TOL = 1e-11
+_SOLVER_TOL = 1e-14
+
+# corollary2's largest A.  The bracket sum's K0 ~ 4A/pi direct terms make
+# its cost linear in A: 0.22 s at A = 1e4 (residual 4.4e-14), 2.3 s at 1e5.
+_COROLLARY2_MAX_A = 1e4
+
+
+def _theorem1(adm, tol: float) -> IdentityReport:
+    # Ti2(a) by its own series/dilogarithm route against
+    #   arctan(a) log(a) + I(a, b) - pi b/2 + b^2/2 - (pi/4) log(a^2 + 1),
+    # b = b(a) solved on phi_a's dilogarithm closed form from the
+    # admissibility result, and I(a, b) by *quadrature*: the comparison is a
+    # genuine two-route test rather than algebra cancelling itself.
+    a = adm.a
+    sol = endpoint._solve(adm, _SOLVER_TOL)
+    quad = endpoint.aux_integral_I(a, sol.b, _QUAD_TOL)
+    rhs = (
+        math.atan(a) * math.log(a)
+        + quad.value
+        - PI * sol.b / 2.0
+        + sol.b * sol.b / 2.0
+        - 0.25 * PI * math.log1p(a * a)
+    )
     return IdentityReport.build(
-        name="corollary1",
-        params={"a": 1.0, "b": sol.b},
-        lhs=special.catalan_reference(1e-14),
-        rhs=sol.b * sol.b / 4.0 - 0.25 * PI * math.log(2.0),
-        tolerance=tol,
-        method_lhs="alternating-series-acceleration",
-        method_rhs="endpoint-root-solve",
-        terms_used=sol.iterations,
+        "theorem1", {"a": a, "b": sol.b}, ti2(a), rhs, tol,
+        ti2_method(a), f"{METHOD_QUADRATURE}+root-solve", None, sol.iterations,
     )
 
 
-def _corollary4(theta: float, cfg: VerificationConfig, tol: float) -> IdentityReport:
+def _corollary1(_point, tol: float) -> IdentityReport:
+    sol = endpoint.solve_endpoint_b(1.0, 1e-13)
+    return IdentityReport.build(
+        "corollary1", {"a": 1.0, "b": sol.b}, special.catalan_reference(1e-14),
+        sol.b * sol.b / 4.0 - 0.25 * PI * math.log(2.0), tol,
+        "alternating-series-acceleration", "endpoint-root-solve", None, sol.iterations,
+    )
+
+
+def _h_plus_poles(A: float, alpha: float) -> tuple[float, float, int]:
+    # H(A, alpha) plus the full bracket sum; the tail bound adds the bracket
+    # sum's Hurwitz n-series bound to h_series' (its quadrature error
+    # estimate below A = 3), and the terms are the bracket sum's.
+    h = decomp.h_series(A, alpha)
+    pole = decomp._pole_bracket(A, alpha)
+    return h.value + pole.value, pole.tail_bound + h.tail_bound, pole.terms_used
+
+
+def _corollary2(point, tol: float) -> IdentityReport:
+    # A beyond 1e4, or not finite, is a DomainError rather than ~4A/pi
+    # brackets summed directly.
+    A, alpha = point
+    decomp._check_alpha(alpha)
+    if not 0.0 < A <= _COROLLARY2_MAX_A:
+        raise DomainError(f"corollary2 requires 0 < A <= {_COROLLARY2_MAX_A:g}, got {A!r}")
+    rhs, tail, terms = _h_plus_poles(A, alpha)
+    return IdentityReport.build(
+        "corollary2", {"A": A, "alpha": alpha}, ti2(A / alpha), rhs, tol,
+        "ti2", "hyperbolic-term+ti2-differences", tail, terms,
+    )
+
+
+def _corollary3(n: int, tol: float) -> IdentityReport:
+    # The n-th Catalan decomposition, corollary 2 at A = alpha = pi/n:
+    #   G = H(pi/n, pi/n) + sum_k [Ti2(1/(n k - 1)) - Ti2(1/(n k + 1))].
+    # n = 2 makes the hyperbolic term vanish and the sum telescope.
+    if n < 2:
+        raise DomainError(f"corollary3 requires n >= 2, got {n!r}")
+    rhs, tail, terms = _h_plus_poles(PI / n, PI / n)
+    return IdentityReport.build(
+        "corollary3", {"n": float(n)}, special.catalan_reference(1e-14), rhs, tol,
+        "alternating-series-acceleration", "hyperbolic-term+ti2-differences", tail, terms,
+    )
+
+
+def _corollary4(theta: float, tol: float) -> IdentityReport:
     # The rhs first: it checks theta, and math.tan(inf) raises ValueError.
     rhs = ti2_clausen_form(theta)
     t = math.tan(theta)
     return IdentityReport.build(
-        name="corollary4",
-        params={"theta": theta},
-        lhs=ti2(t),
-        rhs=rhs,
-        tolerance=tol,
-        method_lhs=ti2_method(t),
-        method_rhs=METHOD_CLAUSEN_FORM,
+        "corollary4", {"theta": theta}, ti2(t), rhs, tol, ti2_method(t), METHOD_CLAUSEN_FORM,
     )
 
 
-def _remark1(K: int, cfg: VerificationConfig, tol: float) -> IdentityReport:
+def _remark1(K: int, tol: float) -> IdentityReport:
     # Telescoping correction: partial sum + Ti2(1/(2K+1)) recovers G in full.
     return IdentityReport.build(
-        name="remark1",
-        params={"K": float(K)},
-        lhs=special.catalan_reference(1e-14),
-        rhs=decomp.remark1_partial(K) + ti2(1.0 / (2 * K + 1)),
-        tolerance=tol,
-        method_lhs="alternating-series-acceleration",
-        method_rhs="telescoping+ti2-tail",
-        terms_used=K,
+        "remark1", {"K": float(K)}, special.catalan_reference(1e-14),
+        decomp.remark1_partial(K) + ti2(1.0 / (2 * K + 1)), tol,
+        "alternating-series-acceleration", "telescoping+ti2-tail", None, K,
     )
 
 
-# name -> (default tolerance, points(cfg), check(point, cfg, tol)).
+def _lemma1(_point, tol: float) -> IdentityReport:
+    # G = K(1) + (1 - cot 1) + sum_{n>=1} (-1)^n/(2n+1)^2 S_{2n+1}, the
+    # n-series being the pole tail's at A = alpha = 1, m = 0, summed to the
+    # end (20 terms).  There S_r = pi^{-r} [zeta(r, 1 - 1/pi) - zeta(r, 1 + 1/pi)]:
+    # that bracket order carries (k pi - 1)^{-r} - (k pi + 1)^{-r}, and the
+    # opposite order misses G by about 2e-2 (the tests pin it).  The tail
+    # bound adds the n-series bound to K(1)'s Ei-series bound.
+    k1 = decomp._h_ei_series(1.0, 1.0)
+    ser = decomp._hurwitz_n_series(1.0, 1.0, 0)
+    return IdentityReport.build(
+        "lemma1", {}, special.catalan_reference(1e-14), k1.value + decomp.s_r(1) + ser.value,
+        tol, "alternating-series-acceleration", "hurwitz-ei-loggamma-assembly",
+        ser.tail_bound + k1.tail_bound, ser.terms_used,
+    )
+
+
+def _pointwise(point, tol: float) -> IdentityReport:
+    # arctan(x/alpha) against the principal term plus the pole sum summed to
+    # the end, 0 <= x < inf.  The sum costs the same at every x, and the
+    # Stirling remainder of its tail is below 1e-19, so no tail bound is
+    # reported and tol is the whole budget.
+    alpha, x = point
+    decomp._check_alpha(alpha)
+    if not 0.0 <= x < math.inf:
+        raise DomainError(f"pointwise requires 0 <= x < inf, got {x!r}")
+    principal = math.atan(math.cos(alpha) / math.sin(alpha) * math.tanh(x))
+    return IdentityReport.build(
+        "pointwise", {"alpha": alpha, "x": x}, math.atan(x / alpha),
+        principal + decomp._xi_sum(alpha, x), tol, "arctan", "pole-sum",
+        None, decomp._XI_DIRECT_TERMS,
+    )
+
+
+# name -> (default tolerance, points(cfg), check(point, tol)).  Each check
+# builds its report with positional arguments: keywords cost a build about
+# 0.1 us of its 1.3.
 # theorem1's points are the admissibility results of the admissible a, so
 # the check solves from the test it was filtered by instead of redoing it.
 # Default tolerances: 1e-12, each set from a measured worst residual.
@@ -145,35 +233,19 @@ _IDENTITIES = {
     "theorem1": (
         1e-12,
         lambda cfg: [r for r in map(endpoint.admissibility, cfg.a_grid) if r.admissible],
-        lambda adm, cfg, tol: endpoint._theorem1(adm, tol),
+        _theorem1,
     ),
     # corollary1: residual 0 at its one point.
     "corollary1": (1e-12, lambda cfg: [None], _corollary1),
-    "corollary2": (
-        1e-12,
-        lambda cfg: cfg.A_alpha_grid,
-        lambda p, cfg, tol: decomp.corollary2_series(p[0], p[1], tolerance=tol),
-    ),
-    "corollary3": (
-        1e-12,
-        lambda cfg: cfg.n_grid,
-        lambda n, cfg, tol: decomp.catalan_family(n, tolerance=tol),
-    ),
+    "corollary2": (1e-12, lambda cfg: cfg.A_alpha_grid, _corollary2),
+    "corollary3": (1e-12, lambda cfg: cfg.n_grid, _corollary3),
     # corollary4: worst residual 3.6e-15 over 20000 theta in
     # [0.02, pi/2 - 0.02] and 100 within 5e-5 of either end.
     "corollary4": (1e-12, lambda cfg: cfg.theta_grid, _corollary4),
     # remark1: worst residual 4.9e-15 for K = 1..299, 1e3, 5e3, 2e4, 1e5.
     "remark1": (1e-12, lambda cfg: [cfg.K], _remark1),
-    "lemma1": (
-        1e-12,
-        lambda cfg: [None],
-        lambda _point, cfg, tol: decomp.lemma1_catalan(tolerance=tol),
-    ),
-    "pointwise": (
-        1e-12,
-        lambda cfg: cfg.alpha_x_grid,
-        lambda p, cfg, tol: decomp.pointwise_identity(p[0], p[1], tolerance=tol),
-    ),
+    "lemma1": (1e-12, lambda cfg: [None], _lemma1),
+    "pointwise": (1e-12, lambda cfg: cfg.alpha_x_grid, _pointwise),
 }
 
 IDENTITY_NAMES = tuple(_IDENTITIES)
@@ -182,7 +254,7 @@ IDENTITY_NAMES = tuple(_IDENTITIES)
 def _run(name: str, cfg: VerificationConfig) -> list[IdentityReport]:
     default_tol, points, check = _IDENTITIES[name]
     tol = cfg.tolerances.get(name, default_tol)
-    return [check(p, cfg, tol) for p in points(cfg)]
+    return [check(p, tol) for p in points(cfg)]
 
 
 def run_identity(name: str, cfg: Optional[VerificationConfig] = None) -> list[IdentityReport]:

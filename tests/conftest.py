@@ -11,6 +11,8 @@ import math
 import numpy as np
 import pytest
 
+from ti2kit.verify import VerificationConfig, run_identity
+
 PI = math.pi
 
 # Reference digits reproduced by the bracketing oracle below (and by at
@@ -52,6 +54,26 @@ def clausen_series_oracle(theta: float, n_terms: int = 200_000) -> tuple[float, 
     value = float(np.sum(np.sin(n * theta) / n ** 2))
     bound = 2.0 / (abs(math.sin(theta / 2.0)) * (n_terms + 1) ** 2)
     return value, bound
+
+
+# identity -> the VerificationConfig grid that holds its points.
+_GRIDS = {
+    "theorem1": "a_grid",
+    "corollary2": "A_alpha_grid",
+    "corollary3": "n_grid",
+    "corollary4": "theta_grid",
+    "pointwise": "alpha_x_grid",
+}
+
+
+def identity_report(name: str, point=None):
+    """The report verify's ``name`` row makes at one grid point.
+
+    ``point`` is an entry of the identity's grid (a pair for corollary2 and
+    pointwise); identities without a grid take none.
+    """
+    grid = {_GRIDS[name]: (point,)} if name in _GRIDS else {}
+    return run_identity(name, VerificationConfig(**grid))[0]
 
 
 def central_difference(f, x: float, h: float) -> float:

@@ -10,14 +10,11 @@ import math
 import subprocess
 import sys
 
-from conftest import central_difference
+from conftest import central_difference, identity_report
 from ti2kit.decomp import (
     _h_ei_series,
     _h_integral,
-    catalan_family,
     k1_closed,
-    lemma1_catalan,
-    pointwise_identity,
     remark1_partial,
     s_r,
 )
@@ -28,7 +25,6 @@ from ti2kit.endpoint import (
     aux_integral_I,
     phi,
     solve_endpoint_b,
-    theorem1_identity,
 )
 from ti2kit.numerics import integrate_adaptive
 from ti2kit.polylog import clausen2, li2
@@ -52,7 +48,7 @@ def test_criterion_01_catalan_cross_route_agreement():
         "endpoint": run_identity("corollary1")[0].rhs,
         "telescoped": remark1_partial(100) + ti2(1.0 / 201.0),
         "clausen": ti2_clausen_form(PI / 4.0),
-        "hurwitz-assembly": lemma1_catalan().rhs,
+        "hurwitz-assembly": identity_report("lemma1").rhs,
     }
     worst = max(
         abs(u - v) for u, v in itertools.combinations(routes.values(), 2)
@@ -71,7 +67,7 @@ def test_criterion_01_catalan_cross_route_agreement():
 def test_criterion_02_theorem1_end_to_end():
     residuals = {}
     for a in (0.5, 0.75, 1.0, 1.5, 2.0):
-        report = theorem1_identity(a)
+        report = identity_report("theorem1", a)
         residuals[a] = report.abs_residual
     worst = max(residuals.values())
     _report(2, "endpoint identity on default grid", worst < 1e-8, f"worst {worst:.2e}")
@@ -121,7 +117,7 @@ def test_criterion_06_pointwise_decomposition():
     worst = 0.0
     for alpha in (0.4, 1.0, 1.6, 2.2, 2.8):
         for x in (0.8, 1.6, 2.4, 3.2, 4.0):
-            worst = max(worst, pointwise_identity(alpha, x).abs_residual)
+            worst = max(worst, identity_report("pointwise", (alpha, x)).abs_residual)
     _report(6, "pointwise pole decomposition summed to the end", worst <= 1e-13,
             f"worst residual {worst:.1e}")
 
@@ -130,7 +126,7 @@ def test_criterion_07_catalan_family():
     ok = True
     detail = []
     for n in (2, 3, 4, 6):
-        report = catalan_family(n)
+        report = identity_report("corollary3", n)
         ok = ok and report.abs_residual <= 1e-13 and report.tail_bound <= 1e-14
         detail.append(f"n={n}:{report.abs_residual:.1e}")
     _report(7, "Catalan family summed to the end", ok, " ".join(detail))

@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import identity_report
 from ti2kit.decomp import (
     _H_QUADRATURE_BELOW,
     _XI_DIRECT_TERMS,
@@ -16,12 +17,8 @@ from ti2kit.decomp import (
     _pole_direct_terms,
     _pole_tail,
     _xi_sum,
-    catalan_family,
-    corollary2_series,
     h_series,
     k1_closed,
-    lemma1_catalan,
-    pointwise_identity,
     remark1_partial,
     s_r,
     xi_k,
@@ -37,22 +34,6 @@ from ti2kit.special import (
 from ti2kit.ti2core import ti2
 
 PI = math.pi
-
-
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda: pointwise_identity(1.0, 1.0, 5000),
-        lambda: corollary2_series(1.0, 1.0, 2000),
-        lambda: catalan_family(3, 2000),
-        lambda: lemma1_catalan(8),
-    ],
-    ids=["pointwise", "corollary2", "corollary3", "lemma1"],
-)
-def test_tolerance_is_keyword_only(call):
-    # A stale positional depth must not become the tolerance.
-    with pytest.raises(TypeError):
-        call()
 
 
 class TestXiK:
@@ -96,14 +77,14 @@ class TestXiK:
 
 class TestPointwiseIdentity:
     def test_zero_at_origin(self):
-        report = pointwise_identity(1.0, 0.0)
+        report = identity_report("pointwise", (1.0, 0.0))
         assert report.lhs == 0.0
         assert report.abs_residual < 1e-15
 
     def test_half_pi_drops_principal_term(self):
         # cot(pi/2) = 0, so arctan(2x/pi)... the whole arctan(x/alpha) must be
         # carried by the pole sum alone.
-        report = pointwise_identity(PI / 2.0, 1.0)
+        report = identity_report("pointwise", (PI / 2.0, 1.0))
         assert report.passed
         assert report.abs_residual <= 1e-13
 
@@ -111,7 +92,7 @@ class TestPointwiseIdentity:
         # Cut at K, the sum misses exactly T(K) = sum_{k>K} Xi_k, which sits
         # under the envelope 2 alpha x/(pi^2 K); the full sum misses nothing.
         alpha, x, K = 1.0, 1.0, 1000
-        report = pointwise_identity(alpha, x)
+        report = identity_report("pointwise", (alpha, x))
         truncated = report.rhs - loggamma_im_gap(K + 1.0, x / PI, alpha / PI)
         envelope = 2.0 * alpha * x / (PI * PI * K)
         assert 0.0 < report.lhs - truncated <= envelope
@@ -122,7 +103,7 @@ class TestPointwiseIdentity:
 
     @pytest.mark.parametrize("x", [1e154, 1e200, 1e308, sys.float_info.max])
     def test_far_abscissa_is_finite_and_passes(self, x):
-        report = pointwise_identity(1.0, x)
+        report = identity_report("pointwise", (1.0, x))
         assert report.rhs == pytest.approx(PI / 2.0, abs=1e-15)
         assert report.abs_residual <= 1e-15
         assert report.passed
@@ -131,12 +112,12 @@ class TestPointwiseIdentity:
     def test_domain(self, x):
         # At inf the rhs was nan, which the JSON writer refused.
         with pytest.raises(DomainError):
-            pointwise_identity(1.0, x)
+            identity_report("pointwise", (1.0, x))
 
     def test_default_grid(self):
         for alpha in (0.4, 1.0, 1.6, 2.2, 2.8):
             for x in (0.8, 1.6, 2.4, 3.2, 4.0):
-                report = pointwise_identity(alpha, x)
+                report = identity_report("pointwise", (alpha, x))
                 assert report.abs_residual <= 1e-13, (alpha, x)
                 assert report.terms_used == _XI_DIRECT_TERMS
 
@@ -162,7 +143,7 @@ class TestPointwiseStirlingTail:
                     z = mpmath.mpc(22, X / mpmath.pi)
                     shift = a / mpmath.pi
                     ref += mpmath.im(mpmath.loggamma(z + shift) - mpmath.loggamma(z - shift))
-                    rhs = pointwise_identity(alpha, x).rhs
+                    rhs = identity_report("pointwise", (alpha, x)).rhs
                     assert abs(rhs - ref) <= 1e-14, (alpha, x)
 
     @pytest.mark.parametrize("K", [_XI_DIRECT_TERMS, _XI_DIRECT_TERMS + 1, 5000])
@@ -178,7 +159,7 @@ class TestPointwiseStirlingTail:
         best = math.inf
         for _ in range(5):
             t0 = time.perf_counter()
-            pointwise_identity(1.0, 1e6)
+            identity_report("pointwise", (1.0, 1e6))
             best = min(best, time.perf_counter() - t0)
         assert best < 5e-3
 
@@ -300,13 +281,13 @@ class TestHSeriesDefaultRoute:
 
 class TestCorollary2:
     def test_unit_point(self):
-        report = corollary2_series(1.0, 1.0)
+        report = identity_report("corollary2", (1.0, 1.0))
         assert report.passed
         assert report.abs_residual <= 1e-13
         assert report.tail_bound <= 1e-14
 
     def test_half_pi_alpha(self):
-        report = corollary2_series(1.0, PI / 2.0)
+        report = identity_report("corollary2", (1.0, PI / 2.0))
         assert report.lhs == pytest.approx(ti2(2.0 / PI), abs=1e-14)
         assert report.passed
         assert report.abs_residual <= 1e-13
@@ -318,7 +299,7 @@ class TestCorollary2:
 
     def test_residual_shrinks_with_k(self):
         # Cut at K the sum misses T(K); the full sum is closer than any cut.
-        report = corollary2_series(1.0, 1.0)
+        report = identity_report("corollary2", (1.0, 1.0))
         r500, r4000 = (
             abs(report.lhs - report.rhs + _pole_tail(1.0, 1.0, K).value) for K in (500, 4000)
         )
@@ -326,7 +307,7 @@ class TestCorollary2:
 
     def test_terms_used_counts_the_work_done(self):
         k0 = _pole_direct_terms(1.0, 1.0)
-        report = corollary2_series(1.0, 1.0)
+        report = identity_report("corollary2", (1.0, 1.0))
         assert report.terms_used == k0 + _pole_tail(1.0, 1.0, k0).terms_used
         assert report.terms_used < 30
 
@@ -414,7 +395,7 @@ class TestCatalanFamily:
         # The hyperbolic term vanishes at alpha = pi/2, and the K-term partial
         # sum telescopes to G - Ti2(1/(2K+1)).
         assert abs(h_series(PI / 2.0, PI / 2.0).value) < 1e-13
-        report = catalan_family(2)
+        report = identity_report("corollary3", 2)
         telescoped = remark1_partial(500) + ti2(1.0 / 1001.0)
         assert report.rhs == pytest.approx(
             telescoped + h_series(PI / 2.0, PI / 2.0).value, abs=1e-13
@@ -423,14 +404,14 @@ class TestCatalanFamily:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
     def test_family_members(self, n):
-        report = catalan_family(n)
+        report = identity_report("corollary3", n)
         assert report.passed
         assert report.abs_residual <= 1e-13
         assert report.tail_bound <= 1e-14
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            catalan_family(1)
+            identity_report("corollary3", 1)
 
 
 class TestSR:
@@ -500,7 +481,7 @@ def lemma1_partial(N):
 
 class TestLemma1:
     def test_default_assembly_reproduces_catalan(self):
-        report = lemma1_catalan()
+        report = identity_report("lemma1")
         assert report.passed
         assert report.tolerance == 1e-12
         assert report.abs_residual <= 1e-15
@@ -512,7 +493,7 @@ class TestLemma1:
         # agrees to rounding.
         ser = _hurwitz_n_series(1.0, 1.0, 0)
         assert not ser.truncated and 0.0 < ser.tail_bound <= 1e-17
-        report = lemma1_catalan()
+        report = identity_report("lemma1")
         assert report.terms_used == ser.terms_used == 20
         assert report.rhs == k1_closed() + s_r(1) + ser.value
         assert abs(lemma1_partial(ser.terms_used) - report.rhs) <= 4.5e-16
@@ -553,5 +534,5 @@ class TestLemma1:
         residuals = [g - lemma1_partial(n) for n in range(1, 9)]
         for n, res in enumerate(residuals, start=1):
             assert math.copysign(1.0, res) == (-1.0) ** (n + 1), n
-        magnitudes = [abs(r) for r in residuals] + [lemma1_catalan().abs_residual]
+        magnitudes = [abs(r) for r in residuals] + [identity_report("lemma1").abs_residual]
         assert all(r2 < r1 for r1, r2 in zip(magnitudes, magnitudes[1:]))

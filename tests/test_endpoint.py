@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import central_difference
+from conftest import central_difference, identity_report
 from test_kernel_reference import find_root_increasing
 from ti2kit import endpoint
 from ti2kit.endpoint import (
@@ -14,7 +14,6 @@ from ti2kit.endpoint import (
     phi,
     psi,
     solve_endpoint_b,
-    theorem1_identity,
 )
 from ti2kit.numerics import BudgetError, DomainError
 from ti2kit.polylog import li2, li2_upper_boundary
@@ -223,7 +222,7 @@ class TestAdmissibility:
             admissibility(0.0)
 
 
-@pytest.mark.parametrize("a", [math.inf, math.nan])
+@pytest.mark.parametrize("a", [math.inf, -math.inf, math.nan])
 @pytest.mark.parametrize(
     "call",
     [
@@ -231,7 +230,7 @@ class TestAdmissibility:
         psi,
         lambda a: phi(a, 1.0),
         solve_endpoint_b,
-        theorem1_identity,
+        lambda a: identity_report("theorem1", a),
         lambda a: aux_integral_I(a, 1.0),
         lambda a: aux_closed_F(a, 1.0),
     ],
@@ -417,7 +416,7 @@ class TestSolveCost:
 
     def test_reports_carry_solve_iterations(self):
         sol = solve_endpoint_b(1.0)
-        assert theorem1_identity(1.0).terms_used == sol.iterations
+        assert identity_report("theorem1", 1.0).terms_used == sol.iterations
         (c1,) = run_identity("corollary1")
         assert c1.terms_used == solve_endpoint_b(1.0, 1e-13).iterations > 2
 
@@ -480,7 +479,7 @@ class TestSolveSafeguards:
 
 class TestTheorem1Identity:
     def test_at_one(self):
-        report = theorem1_identity(1.0)
+        report = identity_report("theorem1", 1.0)
         assert report.passed
         assert report.abs_residual < 1e-9
         assert report.method_rhs == "quadrature+root-solve"
@@ -494,7 +493,7 @@ class TestTheorem1Identity:
 
     def test_grid(self):
         for a in (0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 5.0, 8.0):
-            report = theorem1_identity(a)
+            report = identity_report("theorem1", a)
             assert report.abs_residual < 1e-8, f"a={a}: {report.abs_residual}"
 
 

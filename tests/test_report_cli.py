@@ -577,8 +577,10 @@ class TestPackageApi:
         import ti2kit
 
         assert sorted(ti2kit._EXPORTS) == list(MODULES)
-        assert len(ti2kit.__all__) == 50
-        assert not {"find_root_increasing", "BracketError"} & set(ti2kit.__all__)
+        assert len(ti2kit.__all__) == 45
+        gone = {"find_root_increasing", "BracketError", "catalan_family", "corollary2_series",
+                "lemma1_catalan", "pointwise_identity", "theorem1_identity"}
+        assert not gone & set(ti2kit.__all__)
 
     def test_dir_lists_every_export_and_module(self):
         import ti2kit
@@ -611,18 +613,32 @@ class TestPackageApi:
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == "[] ['ti2kit.numerics', 'ti2kit.polylog'] True True"
 
+    def test_endpoint_commands_load_neither_ti2core_nor_report(self):
+        # endpoint holds the math alone; verify builds theorem1's report.
+        probe = (
+            "import contextlib, io, sys, ti2kit.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [ti2kit.cli.main(argv) for argv in (['compute', 'psi', '1'],\n"
+            "             ['compute', 'phi', '2', '1'], ['compute', 'b-of-a', '2'])]\n"
+            "print(codes, sorted({'ti2kit.ti2core', 'ti2kit.report'} & set(sys.modules)))"
+        )
+        res = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "[0, 0, 0] []"
+
     def test_lazy_globals_are_plain_modules_after_first_use(self, capsys):
         # A stand-in left in place would re-enter the import system on every
         # access, on the hot path of each verify row.
-        from ti2kit import cli, decomp, endpoint, report, verify
+        from ti2kit import cli, report, verify
 
         for argv in (["verify", "all", "--format", "json"], ["compute", "li2", "1", "0"],
                      ["compute", "ti2", "1"], ["compute", "ei", "1"],
                      ["compute", "psi", "1"], ["compute", "K1"]):
             assert cli.main(argv) == 0
         lazy = {cli: ("decomp", "endpoint", "polylog", "report", "special", "ti2core", "verify"),
-                verify: ("decomp", "endpoint", "special"), report: ("json",),
-                decomp: ("report",), endpoint: ("report",)}
+                verify: ("decomp", "endpoint", "special"), report: ("json",)}
         for module, names in lazy.items():
             for name in names:
                 assert isinstance(vars(module)[name], types.ModuleType), (module, name)

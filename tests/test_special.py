@@ -267,6 +267,25 @@ class TestLoggammaImGap:
     def test_x_plus_h_past_the_float_range(self, y, want):
         assert loggamma_im_gap(sys.float_info.max, y, 1e300) == pytest.approx(want, rel=1e-15)
 
+    @pytest.mark.parametrize(
+        "x, y, h, want",
+        [
+            # Im(2h/w) underflows while h y/|w| does not: its lg terms once
+            # lost their cancelling half and came out twice the true value.
+            (1e300, 1.0, 1e200, 1.9999999999999998e-100),
+            (1e250, 1e-3, 1e100, 2.0000000000000003e-153),
+            (1e300, 1e-10, 1e200, 1.9999999999999998e-110),
+            (1.7012568681567116e308, -86980232314697.67, 2.121416107599892e241,
+             -2.1692346326878493e-53),
+            # atan2(y, x + h) is subnormal while 2h atan2(y, x + h) is not,
+            # and then Im log1p(2h/w) too, while Im(2h/w) is not.
+            (2.0**90 + 2.0**40, 1e-290, 2.0**90, 3.535050620855767e-289),
+            (2.0**90 + 2.0**40, 1e-300, 2.0**90, 3.535050620855767e-299),
+        ],
+    )
+    def test_underflowing_quotients(self, x, y, h, want):
+        assert loggamma_im_gap(x, y, h) == pytest.approx(want, rel=1e-15, abs=0.0)
+
 
 class TestEiNegative:
     def test_at_one(self):
