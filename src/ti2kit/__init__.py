@@ -43,7 +43,7 @@ _EXPORTS = {
         "sum_series",
     ),
     "polylog": ("BranchCutError", "clausen2", "li2", "li2_upper_boundary"),
-    "report": ("IdentityReport", "render_json", "render_table", "write_reports"),
+    "report": ("IdentityReport", "render_json", "render_table"),
     "special": (
         "EULER_GAMMA",
         "PoleError",
@@ -62,7 +62,7 @@ _EXPORTS = {
         "ti2_proposition_form",
         "ti2_via_quadrature",
     ),
-    "verify": ("IDENTITY_NAMES", "VerificationConfig", "run_all", "run_identity"),
+    "verify": ("IDENTITY_NAMES", "VerificationConfig", "run_identity"),
 }
 
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -32,7 +32,6 @@ after the identity; a value that starts with "-" must be a negative number.
   --tol X          tolerance of every identity run
   --format json|table
   --out PATH       write the reports to PATH
-  --config PATH    key=value defaults (keys K, tol, format, out); flags win
 
 Lemma 1's Hurwitz series, the pole sums of corollaries 2 and 3 and the
 pointwise identity are summed to the end and take no depth.
@@ -101,7 +100,6 @@ _VERIFY_OPTIONS = {
     "tol": (float, False),
     "format": (str, False),
     "out": (str, False),
-    "config": (str, False),
 }
 
 
@@ -154,23 +152,6 @@ def _parse_args(argv: Sequence[str]) -> Optional[SimpleNamespace]:
     return args
 
 
-def _parse_config_file(path: str) -> dict[str, str]:
-    entries: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            entries[key.strip()] = value.strip()
-    return entries
-
-
-_CONFIG_KEYS = {"K", "tol", "format", "out"}
-
-
 def _cmd_compute(args: SimpleNamespace) -> int:
     fn = args.function
     if fn not in _COMPUTE_FNS:
@@ -199,21 +180,7 @@ def _cmd_verify(args: SimpleNamespace) -> int:
         return EXIT_USAGE
     names = verify.IDENTITY_NAMES if identity == "all" else (identity,)
 
-    # Each --config entry, converted as its flag would be, sets its option
-    # unless a flag did: flags win.
-    try:
-        entries = {} if args.config is None else _parse_config_file(args.config)
-        for key, value in entries.items():
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"unknown config key {key!r}")
-            value = _VERIFY_OPTIONS[key][0](value)
-            if getattr(args, key) is None:
-                setattr(args, key, value)
-    except (OSError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    cfg = verify.VerificationConfig()
+    cfg = verify.VerificationConfig(tol=args.tol, out=args.out)
     if args.a is not None:
         cfg.a_grid = tuple(args.a)
     if args.theta is not None:
@@ -229,13 +196,8 @@ def _cmd_verify(args: SimpleNamespace) -> int:
         cfg.alpha_x_grid = tuple(zip(args.alpha, args.A))
     if args.K is not None:
         cfg.K = args.K
-    if args.tol is not None:
-        for name in names:
-            cfg.tolerances[name] = args.tol
     if args.format is not None:
         cfg.format = args.format
-    if args.out is not None:
-        cfg.out = args.out
 
     try:
         cfg.validate()
@@ -254,8 +216,13 @@ def _cmd_verify(args: SimpleNamespace) -> int:
     if domain_error and not reports:
         return EXIT_DOMAIN
 
+    text = (report.render_json if cfg.format == "json" else report.render_table)(reports)
     try:
-        report.write_reports(reports, cfg.format, destination=cfg.out)
+        if cfg.out is None:
+            sys.stdout.write(text)
+        else:
+            with open(cfg.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -110,26 +110,3 @@ def render_table(reports: Sequence[IdentityReport]) -> str:
             f"{'ok' if r.passed else 'FAIL':>5}"
         )
     return "\n".join(lines) + "\n"
-
-
-def write_reports(
-    reports: Sequence[IdentityReport], fmt: str, destination: Optional[str] = None
-) -> None:
-    """Render ``reports`` as ``fmt`` ("json" or "table") to a path or stdout.
-
-    Exit-code policy lives with the caller; this function only raises OSError
-    on unwritable destinations.
-    """
-    if fmt == "json":
-        text = render_json(reports)
-    elif fmt == "table":
-        text = render_table(reports)
-    else:
-        raise ValueError(f"unknown report format {fmt!r}")
-    if destination is not None:
-        with open(destination, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        import sys
-
-        sys.stdout.write(text)

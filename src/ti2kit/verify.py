@@ -40,7 +40,11 @@ _ALPHA_X_GRID = tuple(
 
 
 class VerificationConfig:
-    """Grids, truncations, tolerances, and output options for verify runs."""
+    """Grids, truncation, tolerance and output of a verify run.
+
+    ``tol`` is every report's tolerance; None leaves each identity at its
+    row's default.
+    """
 
     def __init__(
         self,
@@ -55,7 +59,7 @@ class VerificationConfig:
         ),
         alpha_x_grid: Sequence[tuple[float, float]] = _ALPHA_X_GRID,
         K: int = 10,  # Remark 1 partial-sum depth
-        tolerances: Optional[dict[str, float]] = None,
+        tol: Optional[float] = None,
         format: str = "table",
         out: Optional[str] = None,
     ):
@@ -65,18 +69,13 @@ class VerificationConfig:
         self.A_alpha_grid = A_alpha_grid
         self.alpha_x_grid = alpha_x_grid
         self.K = K
-        self.tolerances = {} if tolerances is None else tolerances
+        self.tol = tol
         self.format = format
         self.out = out
 
     def validate(self) -> None:
-        for name, tol in self.tolerances.items():
-            if name not in IDENTITY_NAMES:
-                raise ValueError(f"unknown identity {name!r} in tolerances")
-            if not 0.0 < tol < math.inf:
-                raise ValueError(
-                    f"tolerance for {name!r} must be finite and positive, got {tol!r}"
-                )
+        if self.tol is not None and not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tolerance must be finite and positive, got {self.tol!r}")
         if not 1 <= self.K <= _MAX_K:
             raise ValueError(f"truncation K must be in 1..{_MAX_K}, got {self.K!r}")
         if self.format not in ("json", "table"):
@@ -138,7 +137,7 @@ def _corollary2(point, tol: float) -> IdentityReport:
     A, alpha = point
     decomp._check_alpha(alpha)
     if not 0.0 < A <= _COROLLARY2_MAX_A:
-        raise DomainError(f"corollary2 requires 0 < A <= {_COROLLARY2_MAX_A:g}, got {A!r}")
+        raise DomainError(f"requires 0 < A <= {_COROLLARY2_MAX_A:g}, got {A!r}")
     rhs, tail, terms = _h_plus_poles(A, alpha)
     return IdentityReport.build(
         "corollary2", {"A": A, "alpha": alpha}, ti2(A / alpha), rhs, tol,
@@ -151,7 +150,7 @@ def _corollary3(n: int, tol: float) -> IdentityReport:
     #   G = H(pi/n, pi/n) + sum_k [Ti2(1/(n k - 1)) - Ti2(1/(n k + 1))].
     # n = 2 makes the hyperbolic term vanish and the sum telescope.
     if n < 2:
-        raise DomainError(f"corollary3 requires n >= 2, got {n!r}")
+        raise DomainError(f"requires n >= 2, got {n!r}")
     rhs, tail, terms = _h_plus_poles(PI / n, PI / n)
     return IdentityReport.build(
         "corollary3", {"n": float(n)}, special.catalan_reference(1e-14), rhs, tol,
@@ -201,7 +200,7 @@ def _pointwise(point, tol: float) -> IdentityReport:
     alpha, x = point
     decomp._check_alpha(alpha)
     if not 0.0 <= x < math.inf:
-        raise DomainError(f"pointwise requires 0 <= x < inf, got {x!r}")
+        raise DomainError(f"requires 0 <= x < inf, got {x!r}")
     principal = math.atan(math.cos(alpha) / math.sin(alpha) * math.tanh(x))
     return IdentityReport.build(
         "pointwise", {"alpha": alpha, "x": x}, math.atan(x / alpha),
@@ -253,26 +252,19 @@ IDENTITY_NAMES = tuple(_IDENTITIES)
 
 def _run(name: str, cfg: VerificationConfig) -> list[IdentityReport]:
     default_tol, points, check = _IDENTITIES[name]
-    tol = cfg.tolerances.get(name, default_tol)
+    tol = default_tol if cfg.tol is None else cfg.tol
     return [check(p, tol) for p in points(cfg)]
 
 
 def run_identity(name: str, cfg: Optional[VerificationConfig] = None) -> list[IdentityReport]:
-    """Run one named identity (or "all") and return its reports in grid order."""
+    """Run one named identity, or "all" of them in IDENTITY_NAMES order.
+
+    The config is validated once; the reports come back in grid order.
+    """
     cfg = cfg or VerificationConfig()
     cfg.validate()
     if name == "all":
-        return run_all(cfg)
+        return [r for n in IDENTITY_NAMES for r in _run(n, cfg)]
     if name not in _IDENTITIES:
         raise KeyError(f"unknown identity {name!r}; expected one of {IDENTITY_NAMES}")
     return _run(name, cfg)
-
-
-def run_all(cfg: Optional[VerificationConfig] = None) -> list[IdentityReport]:
-    """Run every identity in the fixed enumeration order."""
-    cfg = cfg or VerificationConfig()
-    cfg.validate()
-    reports: list[IdentityReport] = []
-    for name in IDENTITY_NAMES:
-        reports.extend(_run(name, cfg))
-    return reports
