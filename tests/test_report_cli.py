@@ -159,6 +159,17 @@ def run_cli(*args):
     )
 
 
+def assert_config_file_refused(tmp_path, capsys, text, *argv):
+    # --config is gone: a config file left over from it reaches no setting
+    # and runs no identity, whatever it holds.
+    cfg = tmp_path / "ti2kit.cfg"
+    cfg.write_text(text)
+    assert cli.main([*argv, "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert "unrecognized argument '--config'" in err
+    assert out == ""
+
+
 class TestCli:
     def test_compute_ti2(self):
         res = run_cli("compute", "ti2", "1")
@@ -323,15 +334,24 @@ class TestCli:
         assert res.returncode == 2
         assert "--workers" in res.stderr
 
+    def test_removed_workers_config_key_exits_2(self, tmp_path, capsys):
+        assert_config_file_refused(tmp_path, capsys, "workers=2\n", "verify", "remark1")
+
     def test_removed_j_flag_exits_2(self):
         res = run_cli("verify", "lemma1", "--J", "40")
         assert res.returncode == 2
         assert "--J" in res.stderr
 
+    def test_removed_j_config_key_exits_2(self, tmp_path, capsys):
+        assert_config_file_refused(tmp_path, capsys, "J=40\n", "verify", "lemma1")
+
     def test_removed_n_flag_exits_2(self):
         res = run_cli("verify", "lemma1", "--N", "8")
         assert res.returncode == 2
         assert "--N" in res.stderr
+
+    def test_removed_n_config_key_exits_2(self, tmp_path, capsys):
+        assert_config_file_refused(tmp_path, capsys, "N=8\n", "verify", "lemma1")
 
     def test_pointwise_far_abscissa_is_not_vacuous(self):
         # No tail bound may cover the residual: the pole sum runs to the end.
@@ -358,6 +378,12 @@ class TestCli:
         assert res.returncode == 2
         assert "finite and positive" in res.stderr
         assert res.stdout == ""
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_non_finite_tol_config_key_exits_2(self, tmp_path, capsys, tol, fmt):
+        text = f"tol={tol}\nformat={fmt}\n"
+        assert_config_file_refused(tmp_path, capsys, text, "verify", "lemma1")
 
     @pytest.mark.parametrize("A", ["1e308", "inf", "1e200", "10000.000001"])
     def test_corollary2_rejects_an_A_it_cannot_sum(self, A, capsys):
@@ -408,6 +434,9 @@ class TestCli:
             out, err = capsys.readouterr()
             assert "truncation K must be in 1..100000" in err
             assert out == ""
+
+    def test_remark1_K_above_ceiling_config_key_exits_2(self, tmp_path, capsys):
+        assert_config_file_refused(tmp_path, capsys, "K=100001\n", "verify", "remark1")
 
     def test_remark1_at_K_ceiling_passes(self, capsys):
         assert cli.main(["verify", "remark1", "--K", "100000"]) == 0
