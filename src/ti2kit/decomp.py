@@ -299,9 +299,9 @@ def _pole_bracket(A: float, alpha: float) -> SeriesResult:
 def remark1_partial(K: int) -> float:
     """Partial sum sum_{k<=K} [Ti2(1/(2k-1)) - Ti2(1/(2k+1))].
 
-    The sum telescopes to G - Ti2(1/(2K+1)); it is nevertheless evaluated
-    term by term, so agreement with the telescoped value is evidence, not
-    tautology.
+    Summed term by term, it still telescopes to Ti2(1) - Ti2(1/(2K+1)) for
+    any Ti2: remark1 adds Ti2(1/(2K+1)) back, so it checks Ti2(1) = G only,
+    and no error in Ti2's series shows in it.
     """
     if K < 1:
         raise DomainError(f"remark1_partial requires K >= 1, got {K!r}")

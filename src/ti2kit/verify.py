@@ -1,11 +1,10 @@
 """Named identity verifications over configurable parameter grids.
 
-Each identity is one row of a table: its default tolerance, the grid points
-it runs at, and the check that turns one point into an
-:class:`IdentityReport`.  Every check lives here; decomp and endpoint hold
-only the sums, solves and quadratures the checks compare.  The name set is
-a closed enumeration: adding one requires adding the backing operation
-first.  Reports are emitted in grid order, so runs are deterministic.
+Each identity is one row of a table: its grid points, and the check that
+turns one point into an :class:`IdentityReport`.  Every check lives here;
+decomp and endpoint hold only the sums, solves and quadratures the checks
+compare.  The name set is a closed enumeration: adding one requires adding
+the backing operation first.  Reports keep grid order; runs are deterministic.
 """
 
 from __future__ import annotations
@@ -42,8 +41,7 @@ _ALPHA_X_GRID = tuple(
 class VerificationConfig:
     """Grids, truncation, tolerance and output of a verify run.
 
-    ``tol`` is every report's tolerance; None leaves each identity at its
-    row's default.
+    ``tol`` is every report's tolerance; None leaves each one at ``_TOL``.
     """
 
     def __init__(
@@ -168,7 +166,8 @@ def _corollary4(theta: float, tol: float) -> IdentityReport:
 
 
 def _remark1(K: int, tol: float) -> IdentityReport:
-    # Telescoping correction: partial sum + Ti2(1/(2K+1)) recovers G in full.
+    # The partial sum telescopes, so partial sum + Ti2(1/(2K+1)) is Ti2(1)
+    # for any Ti2: the row checks only Ti2(1) = G, on the Im Li2(i) route.
     return IdentityReport.build(
         "remark1", {"K": float(K)}, special.catalan_reference(1e-14),
         decomp.remark1_partial(K) + ti2(1.0 / (2 * K + 1)), tol,
@@ -209,50 +208,51 @@ def _pointwise(point, tol: float) -> IdentityReport:
     )
 
 
-# name -> (default tolerance, points(cfg), check(point, tol)).  Each check
-# builds its report with positional arguments: keywords cost a build about
-# 0.1 us of its 1.3.
-# theorem1's points are the admissibility results of the admissible a, so
-# the check solves from the test it was filtered by instead of redoing it.
-# Default tolerances: 1e-12, each set from a measured worst residual.
-# Truncated series carry their own tail bounds on top.  theorem1's worst
-# residual is set by its root solve, not by its quadrature of I(a, b) to
-# 1e-11: over 3000 seeded admissible a (two seeds, a in [0.45, 19]) it was
-# 1.09e-14 with the solve at 1e-14, where the worst solve residual was
-# 9.99e-15; on the first seed the quadrature at 1e-13 gave 1.13e-14.
-# corollary2 and corollary3 sum their pole series to
-# the end: over 4000 seeded corollary2 points (A log-stratified in [0.05, 2],
-# alpha uniform in [0.2, 3]) the worst residual was 2.4e-15, and over
-# corollary3's n = 2..12 it was 1.1e-16, so 1e-12 leaves a factor of about
-# 400 for other platforms' libm while a 1e-11 error in either sum fails.
-# lemma1 sums its Hurwitz n-series to the end too; at its one point the
-# residual is 1.1e-16 under a tail bound of 2.4e-16, so 1e-12 holds it the
-# same way, and a 1e-11 error in K(1) fails.
+# Every identity's default tolerance, set from the worst residual measured at
+# each row below.  Truncated series carry their own tail bounds on top.
+_TOL = 1e-12
+
+# name -> (points(cfg), check(point, tol)).  Each check builds its report
+# with positional arguments: keywords cost a build about 0.1 us of its 1.3.
 _IDENTITIES = {
+    # theorem1's points are the admissibility results of the admissible a, so
+    # the check solves from the test it was filtered by instead of redoing it.
+    # Its worst residual is set by its root solve, not by its quadrature of
+    # I(a, b) to 1e-11: over 3000 seeded admissible a (two seeds, a in
+    # [0.45, 19]) it was 1.09e-14 with the solve at 1e-14, where the worst
+    # solve residual was 9.99e-15; on the first seed the quadrature at 1e-13
+    # gave 1.13e-14.
     "theorem1": (
-        1e-12,
         lambda cfg: [r for r in map(endpoint.admissibility, cfg.a_grid) if r.admissible],
         _theorem1,
     ),
     # corollary1: residual 0 at its one point.
-    "corollary1": (1e-12, lambda cfg: [None], _corollary1),
-    "corollary2": (1e-12, lambda cfg: cfg.A_alpha_grid, _corollary2),
-    "corollary3": (1e-12, lambda cfg: cfg.n_grid, _corollary3),
+    "corollary1": (lambda cfg: [None], _corollary1),
+    # corollary2 and corollary3 sum their pole series to the end: over 4000
+    # seeded corollary2 points (A log-stratified in [0.05, 2], alpha uniform
+    # in [0.2, 3]) the worst residual was 2.4e-15, and over corollary3's
+    # n = 2..12 it was 1.1e-16, so 1e-12 leaves a factor of about 400 for
+    # other platforms' libm while a 1e-11 error in either sum fails.
+    "corollary2": (lambda cfg: cfg.A_alpha_grid, _corollary2),
+    "corollary3": (lambda cfg: cfg.n_grid, _corollary3),
     # corollary4: worst residual 3.6e-15 over 20000 theta in
     # [0.02, pi/2 - 0.02] and 100 within 5e-5 of either end.
-    "corollary4": (1e-12, lambda cfg: cfg.theta_grid, _corollary4),
+    "corollary4": (lambda cfg: cfg.theta_grid, _corollary4),
     # remark1: worst residual 4.9e-15 for K = 1..299, 1e3, 5e3, 2e4, 1e5.
-    "remark1": (1e-12, lambda cfg: [cfg.K], _remark1),
-    "lemma1": (1e-12, lambda cfg: [None], _lemma1),
-    "pointwise": (1e-12, lambda cfg: cfg.alpha_x_grid, _pointwise),
+    "remark1": (lambda cfg: [cfg.K], _remark1),
+    # lemma1 sums its Hurwitz n-series to the end too; at its one point the
+    # residual is 1.1e-16 under a tail bound of 2.4e-16, so 1e-12 holds it
+    # the same way, and a 1e-11 error in K(1) fails.
+    "lemma1": (lambda cfg: [None], _lemma1),
+    "pointwise": (lambda cfg: cfg.alpha_x_grid, _pointwise),
 }
 
 IDENTITY_NAMES = tuple(_IDENTITIES)
 
 
 def _run(name: str, cfg: VerificationConfig) -> list[IdentityReport]:
-    default_tol, points, check = _IDENTITIES[name]
-    tol = default_tol if cfg.tol is None else cfg.tol
+    points, check = _IDENTITIES[name]
+    tol = _TOL if cfg.tol is None else cfg.tol
     return [check(p, tol) for p in points(cfg)]
 
 

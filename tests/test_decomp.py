@@ -269,6 +269,9 @@ class TestHSeriesDefaultRoute:
         assert at.tail_bound <= 1e-15
         assert at == _h_ei_series(_H_QUADRATURE_BELOW, 1.0)
 
+    def test_quadrature_route_pinned_to_the_bit(self):
+        assert h_series(0.5, 0.01) == (6.163332930310567, 231, 2.4202096973019223e-14, False)
+
     @pytest.mark.parametrize("A, alpha", [(1e-6, 1.0), (0.01, 0.01)])
     def test_small_A_costs_under_a_millisecond(self, A, alpha):
         # The Ei series needs ceil(16.1/A) terms here: 16.1 million at 1e-6.

@@ -65,6 +65,15 @@ class TestAuxIntegral:
         b = math.nextafter(PI, 0.0)
         assert aux_integral_I(a, b).value == pytest.approx(aux_closed_F(a, b), abs=1e-10)
 
+    # Each quadrature's result to the bit: a change to the panel, the
+    # subdivision or the integrand shows here as a moved bit.
+    @pytest.mark.parametrize("a, b, expected", [
+        (0.7, 2.5420684378056677, (1.960352263624714, 8.017405648927388e-18, 63)),
+        (3.0, 2.4765670555140833, (3.314789428152709, 1.8703278248502278e-14, 21)),
+    ])
+    def test_pinned_to_the_bit(self, a, b, expected):
+        assert aux_integral_I(a, b, 1e-11) == expected
+
     def test_domain(self):
         with pytest.raises(DomainError):
             aux_integral_I(0.0, 1.0)
@@ -285,6 +294,16 @@ class TestSolveEndpoint:
     def test_inadmissible_rejected(self):
         with pytest.raises(DomainError):
             solve_endpoint_b(0.1)
+
+    # (a, tol) -> (b, residual, iterations), each to the bit.
+    @pytest.mark.parametrize("a, tol, expected", [
+        (0.4513, 1e-12, (3.1307202101906695, 1.290079154614432e-13, 5)),
+        (1.0, 1e-13, (2.416908866095799, 4.440892098500626e-16, 3)),
+        (3.0, 1e-12, (2.4765670555140833, 4.440892098500626e-16, 5)),
+        (18.92, 1e-12, (3.1415009688119735, 8.881784197001252e-16, 4)),
+    ])
+    def test_pinned_to_the_bit(self, a, tol, expected):
+        assert solve_endpoint_b(a, tol) == (a, *expected)
 
 
 def _reference_solve(a, tol, use_derivative, start=None):

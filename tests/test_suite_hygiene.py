@@ -6,12 +6,21 @@ first, so pytest never collects the first test.
 
 No ``approx`` call passes ``rel=`` without ``abs=``: pytest then also
 allows an absolute error of 1e-12, so the check is weaker than it reads.
+
+The CI workflow checks nothing that tier-1 does not, apart from what only a
+CI job can check: each ``ti2kit.cli`` command it runs is a row of the
+command table, and it holds no ``python -c`` guard and no printed value
+compared in the shell.
 """
 
 import ast
+import re
+import shlex
 from pathlib import Path
 
 import pytest
+
+from test_report_cli import COMMANDS
 
 TEST_MODULES = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
@@ -65,3 +74,44 @@ def test_a_rel_only_approx_is_found():
 @pytest.mark.parametrize("path", TEST_MODULES, ids=lambda p: p.name)
 def test_no_approx_takes_rel_without_abs(path):
     assert _rel_without_abs(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+WORKFLOW = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tests.yml"
+
+
+def _ci_violations(workflow: str, commands: set[tuple[str, ...]]) -> list[str]:
+    # Workflow lines that check what tier-1 does not: a ti2kit.cli command
+    # that is not a row of the command table, a python -c guard or a printed
+    # value compared in the shell.
+    found = []
+    for line in map(str.strip, workflow.splitlines()):
+        if line.startswith("#"):
+            continue
+        if "python -c" in line or 'test "$(' in line:
+            found.append(line)
+        elif "-m ti2kit.cli" in line:
+            words = re.split(r'\|\||&&|[;|)"]', line.split("-m ti2kit.cli", 1)[1])[0]
+            if tuple(shlex.split(words)) not in commands:
+                found.append(line)
+    return found
+
+
+def test_a_ci_violation_is_found():
+    workflow = (
+        "# python -m ti2kit.cli compute ti2 3\n"
+        "python -m ti2kit.cli compute ti2 1\n"
+        "rc=0; python -m ti2kit.cli compute ti2 2 || rc=$?; test \"$rc\" -eq 3\n"
+        'test "$(python -m ti2kit.cli compute ti2 1)" = "0.915965594177219"\n'
+        "python -c \"import ti2kit\"\n"
+        "python -m pip install .\n"
+    )
+    assert _ci_violations(workflow, {("compute", "ti2", "1")}) == [
+        'rc=0; python -m ti2kit.cli compute ti2 2 || rc=$?; test "$rc" -eq 3',
+        'test "$(python -m ti2kit.cli compute ti2 1)" = "0.915965594177219"',
+        'python -c "import ti2kit"',
+    ]
+
+
+def test_every_ci_command_is_a_tier1_row():
+    commands = {tuple(argv.split()) for _, argv, *_ in COMMANDS}
+    assert _ci_violations(WORKFLOW.read_text(encoding="utf-8"), commands) == []

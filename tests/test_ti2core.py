@@ -99,6 +99,9 @@ class TestTi2ViaQuadrature:
             catalan_reference(1e-14), abs=1e-10
         )
 
+    def test_pinned_to_the_bit(self):
+        assert ti2_via_quadrature(0.9) == 0.8359882857255051
+
     def test_domain(self):
         with pytest.raises(DomainError):
             ti2_via_quadrature(-0.5)
