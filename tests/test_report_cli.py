@@ -162,21 +162,29 @@ def assert_config_file_refused(tmp_path, capsys, text, *argv):
     assert out == ""
 
 
-# What a malformed command line leaves on stderr: the usage lines, ending in
-# "--help", then the error.
-USAGE_ERROR = "--help\nti2kit: error: "
+# What a malformed command line leaves on stderr: the usage lines, then the
+# error.
+USAGE_ERROR = (
+    "usage: ti2kit compute <fn> [<x> ...]\n"
+    "       ti2kit verify <identity|all> [--<option> <value> ...]\n"
+    "       ti2kit [compute | verify] -h | --help\n"
+    "ti2kit: error: "
+)
+TABLE_HEAD = render_table([])
 
-def command(argv, code, stdout, stderr):
-    """A COMMANDS row run as a case of TestCli.test_command."""
-    return f"test_command[{argv}]", argv, code, stdout, stderr
+
+def table(*names, status="ok"):
+    """What a table run's stdout must hold: the header, a row of each
+    identity named, and a row marked status."""
+    return (TABLE_HEAD, *(f"\n{name} " for name in names), f" {status}\n")
 
 
 # Every command whose whole check is its exit code, stdout and stderr, one
-# row each: (test id, argv split on spaces, exit code, exact stdout or None
-# for any, stderr fragment or None for an empty stderr).  Each row runs in
+# row each: (test id, argv split on spaces, exit code, stdout, stderr).
+# stdout is the exact output, or a tuple of fragments it must hold; stderr is
+# a prefix of the output, or None for an empty stderr.  Each row runs in
 # process through cli.main as the TestCli test its id names: "name[case]" is
-# one case of the parametrized test "name", and a bare name a test of its
-# own.
+# one case of the parametrized test "name", and a bare name a test of its own.
 COMMANDS = (
     *(
         (f"test_help_prints_the_module_docstring[{argv}]", argv, 0, cli.HELP, None)
@@ -196,37 +204,43 @@ COMMANDS = (
     ("test_option_like_arguments_stay_usage_errors", "compute ti2 -x", 2, "", USAGE_ERROR),
     # Settings that are gone.
     ("test_removed_workers_flag_exits_2", "verify remark1 --workers 2", 2, "",
-     USAGE_ERROR + "unrecognized argument '--workers'"),
+     USAGE_ERROR + "unrecognized argument '--workers'\n"),
     ("test_removed_j_flag_exits_2", "verify lemma1 --J 40", 2, "",
-     USAGE_ERROR + "unrecognized argument '--J'"),
+     USAGE_ERROR + "unrecognized argument '--J'\n"),
     ("test_removed_n_flag_exits_2", "verify lemma1 --N 8", 2, "",
-     USAGE_ERROR + "unrecognized argument '--N'"),
+     USAGE_ERROR + "unrecognized argument '--N'\n"),
     # Well-formed command lines that ask for what does not exist.
     ("test_unknown_function_exits_2", "compute nosuch 1", 2, "",
      "error: unknown function 'nosuch'"),
-    ("test_bad_arity_exits_2", "compute ti2 1 2", 2, "", "error: ti2 takes 1 argument(s), got 2"),
+    ("test_bad_arity_exits_2", "compute ti2 1 2", 2, "",
+     "error: ti2 takes 1 argument(s), got 2\n"),
     ("test_verify_unknown_identity_exits_2", "verify theorem9", 2, "",
      "error: unknown identity 'theorem9'"),
     ("test_unknown_format_exits_2", "verify remark1 --format xml", 2, "",
-     "config error: format must be 'json' or 'table', got 'xml'"),
+     "config error: format must be 'json' or 'table', got 'xml'\n"),
     *(
         (f"test_non_finite_or_non_positive_tol_flag_exits_2[{tol}-{fmt}]",
-         f"verify lemma1 --tol {tol} --format {fmt}", 2, "", "must be finite and positive")
+         f"verify lemma1 --tol {tol} --format {fmt}", 2, "",
+         "config error: tolerance must be finite and positive, got ")
         for tol in ("inf", "nan", "0", "-1e-9") for fmt in ("table", "json")
     ),
     # remark1 sums K terms directly, about 2 us each: K = 1e9 would run for
     # half an hour.
-    ("test_remark1_K_above_ceiling_flag_exits_2", "verify remark1 --K 100001", 2, "",
-     "truncation K must be in 1..100000"),
-    command("verify remark1 --K 1000000000", 2, "", "truncation K must be in 1..100000"),
+    *(
+        (test_id, f"verify remark1 --K {K}", 2, "",
+         f"config error: truncation K must be in 1..100000, got {K}\n")
+        for test_id, K in (("test_remark1_K_above_ceiling_flag_exits_2", "100001"),
+                           ("test_command[verify remark1 --K 1000000000]", "1000000000"))
+    ),
     # Domain errors print no report.
     ("test_domain_error_exits_3", "compute ei 0", 3, "",
-     "domain error: ei_negative requires x > 0, got 0.0"),
+     "domain error: ei_negative requires x > 0, got 0.0\n"),
     # The bracket sum's direct terms grow as 4A/pi: A = 1e200 would never
     # finish, and a non-finite A has no term count.
     *(
         (f"test_corollary2_rejects_an_A_it_cannot_sum[{A}]",
-         f"verify corollary2 --A {A} --alpha 1", 3, "", "requires 0 < A <= 10000")
+         f"verify corollary2 --A {A} --alpha 1", 3, "",
+         "domain error: corollary2: requires 0 < A <= 10000, got ")
         for A in ("1e308", "inf", "1e200", "10000.000001")
     ),
     # math.tan(inf) once raised a bare ValueError before ti2_clausen_form
@@ -242,25 +256,30 @@ COMMANDS = (
         ))
     ),
     # Runs that fail, write nothing or pass.
-    ("test_verify_failure_exits_1", "verify remark1 --K 10 --tol 1e-18", 1, None, None),
+    ("test_verify_failure_exits_1", "verify remark1 --K 10 --tol 1e-18", 1,
+     table("remark1", status="FAIL"), None),
     # a = 100 is inadmissible: the run executes no check and must not pass.
-    ("test_verify_with_no_admissible_point_exits_1", "verify theorem1 --a 100", 1, None,
-     "error: no check ran: no grid point of 'theorem1' was admissible"),
+    ("test_verify_with_no_admissible_point_exits_1", "verify theorem1 --a 100", 1, TABLE_HEAD,
+     "error: no check ran: no grid point of 'theorem1' was admissible\n"),
     ("test_unwritable_destination_exits_4", f"verify remark1 --out {os.devnull}/report.json",
      4, "", "i/o error: "),
-    ("test_verify_remark1", "verify remark1 --K 10", 0, None, None),
-    ("test_remark1_at_K_ceiling_passes", "verify remark1 --K 100000", 0, None, None),
-    ("test_corollary2_at_largest_A_passes", "verify corollary2 --A 1e4 --alpha 1", 0, None,
+    ("test_verify_remark1", "verify remark1 --K 10", 0, table("remark1"), None),
+    ("test_remark1_at_K_ceiling_passes", "verify remark1 --K 100000", 0, table("remark1"),
      None),
-    command("verify all", 0, None, None),
+    ("test_corollary2_at_largest_A_passes", "verify corollary2 --A 1e4 --alpha 1", 0,
+     table("corollary2"), None),
     *(
-        command(f"verify {name} --tol 1e-12", 0, None, None)
-        for name in ("corollary2", "corollary3", "pointwise", "lemma1")
+        (f"test_command[{argv}]", argv, 0, table(*names), None)
+        for argv, names in (
+            ("verify all", IDENTITY_NAMES),
+            *((f"verify {name} --tol 1e-12", (name,))
+              for name in ("corollary2", "corollary3", "pointwise", "lemma1")),
+            ("verify corollary4 --theta 0.000001 --theta 1.570795", ("corollary4",)),
+            ("verify corollary4 --theta 1.2", ("corollary4",)),
+            ("verify theorem1 --a 0.46 --a 18.9", ("theorem1",)),
+            ("verify theorem1 --a 0.4513 --a 18.92", ("theorem1",)),
+        )
     ),
-    command("verify corollary4 --theta 0.000001 --theta 1.570795", 0, None, None),
-    command("verify corollary4 --theta 1.2", 0, None, None),
-    command("verify theorem1 --a 0.46 --a 18.9", 0, None, None),
-    command("verify theorem1 --a 0.4513 --a 18.92", 0, None, None),
     # Printed values, 15 significant digits each.
     ("test_compute_ti2", "compute ti2 1", 0, "0.915965594177219\n", None),
     ("test_compute_phi_at_pi", "compute phi 1 3.141592653589793", 0, "2.46740110027234\n",
@@ -268,59 +287,60 @@ COMMANDS = (
     ("test_compute_clausen_zero", "compute clausen2 0", 0, "0\n", None),
     ("test_compute_complex_output", "compute li2 0.3 0.2", 0,
      "0.310452975621157 0.235867921016975\n", None),
-    command("compute ti2 0.0625", 0, "0.0624729113350144\n", None),
-    command("compute ti2 0.3", 0, "0.297092965978228\n", None),
-    command("compute ti2 0.4", 0, "0.393267977327498\n", None),
-    command("compute ti2 2", 0, "1.57601540344632\n", None),
-    command("compute ti2 1e300", 0, "1085.06766186232\n", None),
-    command("compute li2 -0.5 0", 0, "-0.448414206923646 0\n", None),
-    command("compute li2 0.05 0.05", 0, "0.0499706098599233 0.0512777241784229\n", None),
-    command("compute li2 1.2 0.9", 0, "0.857238739498068 1.5532975175564\n", None),
-    command("compute li2 0.9 0.3", 0, "1.10498635152422 0.617053028084862\n", None),
-    command("compute li2 -3 2", 0, "-2.07130716523151 0.892273167900703\n", None),
-    command("compute li2 1.7e308 1.7e308", 0, "-252100.993245669 1673.07105741333\n", None),
-    command("compute hurwitz 1e18 1", 0, "1\n", None),
-    command("compute psi 1.3", 0, "1.67623127339097\n", None),
-    command("compute phi 1e308 1", 0, "0.5\n", None),
-    command("compute b-of-a 3", 0, "2.47656705551408\n", None),
-    command("compute b-of-a 0.4513", 0, "3.13072021019067\n", None),
-    command("compute b-of-a 18.9", 0, "3.14106140616877\n", None),
-    # H at A = 1e-6 once took 84 s a call; A = 1e-322 is subnormal.
-    command("compute H 0.000001 1", 0, "6.4209261593423e-07\n", None),
-    command("compute H 1e-322 1", 0, "6.42285339593621e-323\n", None),
-    command("compute H 1e308 1", 0, "405.331215500422\n", None),
+    *(
+        (f"test_command[{argv}]", argv, 0, stdout, None)
+        for argv, stdout in (
+            ("compute ti2 0.0625", "0.0624729113350144\n"),
+            ("compute ti2 0.3", "0.297092965978228\n"),
+            ("compute ti2 0.4", "0.393267977327498\n"),
+            ("compute ti2 2", "1.57601540344632\n"),
+            ("compute ti2 1e300", "1085.06766186232\n"),
+            ("compute li2 -0.5 0", "-0.448414206923646 0\n"),
+            ("compute li2 0.05 0.05", "0.0499706098599233 0.0512777241784229\n"),
+            ("compute li2 1.2 0.9", "0.857238739498068 1.5532975175564\n"),
+            ("compute li2 0.9 0.3", "1.10498635152422 0.617053028084862\n"),
+            ("compute li2 -3 2", "-2.07130716523151 0.892273167900703\n"),
+            ("compute li2 1.7e308 1.7e308", "-252100.993245669 1673.07105741333\n"),
+            ("compute hurwitz 1e18 1", "1\n"),
+            ("compute psi 1.3", "1.67623127339097\n"),
+            ("compute phi 1e308 1", "0.5\n"),
+            ("compute b-of-a 3", "2.47656705551408\n"),
+            ("compute b-of-a 0.4513", "3.13072021019067\n"),
+            ("compute b-of-a 18.9", "3.14106140616877\n"),
+            # H at A = 1e-6 once took 84 s a call; A = 1e-322 is subnormal.
+            ("compute H 0.000001 1", "6.4209261593423e-07\n"),
+            ("compute H 1e-322 1", "6.42285339593621e-323\n"),
+            ("compute H 1e308 1", "405.331215500422\n"),
+        )
+    ),
 )
 
 
 def _check_command(capsys, argv, code, stdout, stderr):
     assert cli.main(argv.split()) == code
     out, err = capsys.readouterr()
-    if stdout is not None:
+    if isinstance(stdout, str):
         assert out == stdout
+    else:
+        assert all(fragment in out for fragment in stdout), out
     if stderr is None:
         assert err == ""
     else:
-        assert stderr in err
+        assert err.startswith(stderr), err
 
 
-def _command_tests(rows):
-    """(name, test function) for each test the rows name."""
-    cases = {}  # name -> {case: row}; case "" is a test without parameters
-    for test_id, *row in rows:
-        name, _, case = test_id.partition("[")
-        case = case.removesuffix("]")
-        assert case not in cases.setdefault(name, {}), test_id
-        cases[name][case] = row
-    for name, by_case in cases.items():
-        if list(by_case) == [""]:
-            def test(self, capsys, row=by_case[""]):
-                _check_command(capsys, *row)
-        else:
-            @pytest.mark.parametrize("row", list(by_case.values()), ids=list(by_case))
-            def test(self, capsys, row):
-                _check_command(capsys, *row)
-        test.__name__ = name
-        yield name, test
+def _command_test(cases):
+    """The TestCli test running cases, {case id: row}; the one case "" is a
+    test without parameters."""
+    if list(cases) == [""]:
+        def test(self, capsys):
+            _check_command(capsys, *cases[""])
+        return test
+
+    @pytest.mark.parametrize("row", list(cases.values()), ids=list(cases))
+    def test(self, capsys, row):
+        _check_command(capsys, *row)
+    return test
 
 
 class TestCli:
@@ -364,6 +384,7 @@ class TestCli:
     def test_option_spellings_and_places_agree(self, argv, reference, capsys):
         assert cli.main(reference) == 0
         expected = capsys.readouterr().out
+        assert "theorem1" in expected
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == expected
 
@@ -445,10 +466,15 @@ class TestCli:
         assert first.stdout == second.stdout
 
 
-for _name, _test in _command_tests(COMMANDS):
+assert len({test_id for test_id, *_ in COMMANDS}) == len(COMMANDS)
+_CASES = {}  # test name -> {case id: row}
+for _test_id, *_row in COMMANDS:
+    _name, _, _case = _test_id.removesuffix("]").partition("[")
+    _CASES.setdefault(_name, {})[_case] = _row
+for _name, _cases in _CASES.items():
     # A row's name must not replace a test written out above.
     assert not hasattr(TestCli, _name), _name
-    setattr(TestCli, _name, _test)
+    setattr(TestCli, _name, _command_test(_cases))
 
 
 class TestImportFootprint:

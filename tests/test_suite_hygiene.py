@@ -8,9 +8,9 @@ No ``approx`` call passes ``rel=`` without ``abs=``: pytest then also
 allows an absolute error of 1e-12, so the check is weaker than it reads.
 
 The CI workflow checks nothing that tier-1 does not, apart from what only a
-CI job can check: each ``ti2kit.cli`` command it runs is a row of the
-command table, and it holds no ``python -c`` guard and no printed value
-compared in the shell.
+CI job can check: each ``ti2kit`` command it runs is a row of the command
+table with the exit code the workflow expects, and it holds no
+``python -c`` guard and no printed value compared in the shell.
 """
 
 import ast
@@ -79,20 +79,28 @@ def test_no_approx_takes_rel_without_abs(path):
 WORKFLOW = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tests.yml"
 
 
-def _ci_violations(workflow: str, commands: set[tuple[str, ...]]) -> list[str]:
-    # Workflow lines that check what tier-1 does not: a ti2kit.cli command
-    # that is not a row of the command table, a python -c guard or a printed
-    # value compared in the shell.
+# A CLI call in a workflow line: "python -m ti2kit.cli" or the installed
+# "ti2kit" script, then its words up to the end of the shell command.
+_CLI_CALL = re.compile(r'(?:-m ti2kit\.cli|(?<![\w./-])ti2kit)\s+([^|&;)"]*)')
+_EXPECTED_CODE = re.compile(r'test "\$rc" -eq (\d+)')
+
+
+def _ci_violations(workflow: str, commands: dict[tuple[str, ...], int]) -> list[str]:
+    # Workflow lines that check what tier-1 does not: a CLI call that is not
+    # a row of the command table, or expects another exit code than its row
+    # (0 unless the line tests "$rc"), a python -c guard or a printed value
+    # compared in the shell.
     found = []
     for line in map(str.strip, workflow.splitlines()):
         if line.startswith("#"):
             continue
+        code = _EXPECTED_CODE.search(line)
+        code = int(code.group(1)) if code else 0
         if "python -c" in line or 'test "$(' in line:
             found.append(line)
-        elif "-m ti2kit.cli" in line:
-            words = re.split(r'\|\||&&|[;|)"]', line.split("-m ti2kit.cli", 1)[1])[0]
-            if tuple(shlex.split(words)) not in commands:
-                found.append(line)
+        elif any(commands.get(tuple(shlex.split(words))) != code
+                 for words in _CLI_CALL.findall(line)):
+            found.append(line)
     return found
 
 
@@ -100,18 +108,27 @@ def test_a_ci_violation_is_found():
     workflow = (
         "# python -m ti2kit.cli compute ti2 3\n"
         "python -m ti2kit.cli compute ti2 1\n"
+        "timeout 10 ti2kit compute ti2 1\n"
+        "rc=0; ti2kit compute ti2 1 2 || rc=$?; test \"$rc\" -eq 2\n"
         "rc=0; python -m ti2kit.cli compute ti2 2 || rc=$?; test \"$rc\" -eq 3\n"
+        "ti2kit compute ti2 2\n"
+        "rc=0; ti2kit compute ti2 1 2 || rc=$?; test \"$rc\" -eq 3\n"
+        "ti2kit compute ti2 1 2\n"
         'test "$(python -m ti2kit.cli compute ti2 1)" = "0.915965594177219"\n'
         "python -c \"import ti2kit\"\n"
         "python -m pip install .\n"
     )
-    assert _ci_violations(workflow, {("compute", "ti2", "1")}) == [
+    commands = {("compute", "ti2", "1"): 0, ("compute", "ti2", "1", "2"): 2}
+    assert _ci_violations(workflow, commands) == [
         'rc=0; python -m ti2kit.cli compute ti2 2 || rc=$?; test "$rc" -eq 3',
+        "ti2kit compute ti2 2",
+        'rc=0; ti2kit compute ti2 1 2 || rc=$?; test "$rc" -eq 3',
+        "ti2kit compute ti2 1 2",
         'test "$(python -m ti2kit.cli compute ti2 1)" = "0.915965594177219"',
         'python -c "import ti2kit"',
     ]
 
 
 def test_every_ci_command_is_a_tier1_row():
-    commands = {tuple(argv.split()) for _, argv, *_ in COMMANDS}
+    commands = {tuple(argv.split()): code for _, argv, code, *_ in COMMANDS}
     assert _ci_violations(WORKFLOW.read_text(encoding="utf-8"), commands) == []
