@@ -180,7 +180,7 @@ def _cmd_verify(args: SimpleNamespace) -> int:
         return EXIT_USAGE
     names = verify.IDENTITY_NAMES if identity == "all" else (identity,)
 
-    cfg = verify.VerificationConfig(tol=args.tol, out=args.out)
+    cfg = verify.VerificationConfig(tol=args.tol)
     if args.a is not None:
         cfg.a_grid = tuple(args.a)
     if args.theta is not None:
@@ -218,10 +218,10 @@ def _cmd_verify(args: SimpleNamespace) -> int:
 
     text = (report.render_json if cfg.format == "json" else report.render_table)(reports)
     try:
-        if cfg.out is None:
+        if args.out is None:
             sys.stdout.write(text)
         else:
-            with open(cfg.out, "w", encoding="utf-8") as fh:
+            with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

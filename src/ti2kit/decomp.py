@@ -299,9 +299,10 @@ def _pole_bracket(A: float, alpha: float) -> SeriesResult:
 def remark1_partial(K: int) -> float:
     """Partial sum sum_{k<=K} [Ti2(1/(2k-1)) - Ti2(1/(2k+1))].
 
-    Summed term by term, it still telescopes to Ti2(1) - Ti2(1/(2K+1)) for
-    any Ti2: remark1 adds Ti2(1/(2K+1)) back, so it checks Ti2(1) = G only,
-    and no error in Ti2's series shows in it.
+    Summed term by term, it telescopes to Ti2(1) - Ti2(1/(2K+1)) for any
+    Ti2.  remark1 adds Ti2(1/(2K+1)) back by quadrature, not by ti2, so an
+    error in ti2's series route, which serves every term past Ti2(1), stays
+    in the sum and fails the check.
     """
     if K < 1:
         raise DomainError(f"remark1_partial requires K >= 1, got {K!r}")

@@ -15,7 +15,14 @@ from typing import Optional, Sequence
 from . import _EXPORTS, _LazyModule
 from .numerics import DomainError
 from .report import IdentityReport
-from .ti2core import METHOD_CLAUSEN_FORM, METHOD_QUADRATURE, ti2, ti2_clausen_form, ti2_method
+from .ti2core import (
+    METHOD_CLAUSEN_FORM,
+    METHOD_QUADRATURE,
+    ti2,
+    ti2_clausen_form,
+    ti2_method,
+    ti2_via_quadrature,
+)
 
 # Imported by the first row that uses them, so ``verify theorem1`` loads
 # neither decomp nor special.
@@ -39,7 +46,7 @@ _ALPHA_X_GRID = tuple(
 
 
 class VerificationConfig:
-    """Grids, truncation, tolerance and output of a verify run.
+    """Grids, truncation, tolerance and output format of a verify run.
 
     ``tol`` is every report's tolerance; None leaves each one at ``_TOL``.
     """
@@ -59,7 +66,6 @@ class VerificationConfig:
         K: int = 10,  # Remark 1 partial-sum depth
         tol: Optional[float] = None,
         format: str = "table",
-        out: Optional[str] = None,
     ):
         self.a_grid = a_grid
         self.theta_grid = theta_grid
@@ -69,7 +75,6 @@ class VerificationConfig:
         self.K = K
         self.tol = tol
         self.format = format
-        self.out = out
 
     def validate(self) -> None:
         if self.tol is not None and not 0.0 < self.tol < math.inf:
@@ -166,12 +171,13 @@ def _corollary4(theta: float, tol: float) -> IdentityReport:
 
 
 def _remark1(K: int, tol: float) -> IdentityReport:
-    # The partial sum telescopes, so partial sum + Ti2(1/(2K+1)) is Ti2(1)
-    # for any Ti2: the row checks only Ti2(1) = G, on the Im Li2(i) route.
+    # The partial sum telescopes to Ti2(1) - Ti2(1/(2K+1)) for any Ti2, so
+    # the tail added back is Ti2(1/(2K+1)) by quadrature: an error in Ti2's
+    # series route then stays in the rhs instead of cancelling.
     return IdentityReport.build(
         "remark1", {"K": float(K)}, special.catalan_reference(1e-14),
-        decomp.remark1_partial(K) + ti2(1.0 / (2 * K + 1)), tol,
-        "alternating-series-acceleration", "telescoping+ti2-tail", None, K,
+        decomp.remark1_partial(K) + ti2_via_quadrature(1.0 / (2 * K + 1)), tol,
+        "alternating-series-acceleration", "telescoping+quadrature-tail", None, K,
     )
 
 
@@ -238,7 +244,8 @@ _IDENTITIES = {
     # corollary4: worst residual 3.6e-15 over 20000 theta in
     # [0.02, pi/2 - 0.02] and 100 within 5e-5 of either end.
     "corollary4": (lambda cfg: cfg.theta_grid, _corollary4),
-    # remark1: worst residual 4.9e-15 for K = 1..299, 1e3, 5e3, 2e4, 1e5.
+    # remark1: worst residual 4.7e-15 for K = 1..299, 1e3, 5e3, 2e4, 1e5,
+    # at 1e5.
     "remark1": (lambda cfg: [cfg.K], _remark1),
     # lemma1 sums its Hurwitz n-series to the end too; at its one point the
     # residual is 1.1e-16 under a tail bound of 2.4e-16, so 1e-12 holds it

@@ -99,31 +99,11 @@ def _stirling_ref(z, total=0.0):
     return total
 
 
-def _digamma_ref(x):
-    x2 = 1.0 / (x * x)
-    xp = x2
-    total = 0.0
-    for coeff in special._DIGAMMA_BERN:
-        total += coeff * xp
-        xp *= x2
-    return total
-
-
 def _log_gamma_two_plus_ref(e):
     acc = 0.0
     for c in reversed(special._LGAMMA2_COEFF):
         acc = (acc + c) * e
     return (acc + special._ONE_MINUS_EULER_GAMMA) * e
-
-
-def _digamma_gap_ref(x, h):
-    lo = x - h
-    hi = x + h
-    return (
-        math.log1p(2.0 * h / lo)
-        + h / (hi * lo)
-        - (special._digamma_series(hi) - special._digamma_series(lo))
-    )
 
 
 def _gk21_ref(f, a, b):
@@ -412,12 +392,6 @@ def test_stirling_series_matches_loop():
         assert _bits(special._stirling_series(z, total)) == _bits(_stirling_ref(z, total)), z
 
 
-def test_digamma_series_matches_loop():
-    rng = random.Random(59)
-    for x in [12.0, 1e154, 1e200] + [_log_uniform(rng, 12.0, 1e8) for _ in range(3000)]:
-        assert _bits(special._digamma_series(x)) == _bits(_digamma_ref(x)), x
-
-
 def test_log_gamma_taylor_series_matches_loop():
     rng = random.Random(61)
     for e in [0.0, -0.0, 0.5, -0.5] + [rng.uniform(-0.5, 0.5) for _ in range(3000)]:
@@ -453,19 +427,6 @@ def test_hurwitz_zeta_tail_matches_loop_where_the_powers_underflow():
             continue
         assert _bits(special.hurwitz_zeta(s, c)) == _bits(_hurwitz_tail_ref(s, c)), (s, c)
         checked += 1
-
-
-def test_digamma_gap_matches_twice_h_over_lo():
-    # h / (lo/2) rounds the quotient 2h/lo once, as 2.0 * h / lo does
-    # wherever 2h is finite, subnormal h included.
-    rng = random.Random(79)
-    cases = [(12.0, 0.0), (12.5, 0.5), (1e308, 5e307), (30.0, 5e-324)]
-    for _ in range(6000):
-        h = _log_uniform(rng, 5e-324, 1e-300) if rng.random() < 0.2 else _log_uniform(rng, 1e-300, 8e307)
-        cases.append((h + _log_uniform(rng, 12.0, 8e307), h))
-    for x, h in cases:
-        if x - h >= 12.0:
-            assert _bits(special.digamma_gap(x, h)) == _bits(_digamma_gap_ref(x, h)), (x, h)
 
 
 # --- the Gauss-Kronrod panel -------------------------------------------------
