@@ -22,7 +22,6 @@ _EXPORTS = {
         "k1_closed",
         "remark1_partial",
         "s_r",
-        "xi_k",
     ),
     "endpoint": (
         "AdmissibilityResult",
@@ -42,11 +41,10 @@ _EXPORTS = {
         "integrate_adaptive",
         "sum_series",
     ),
-    "polylog": ("BranchCutError", "clausen2", "li2", "li2_upper_boundary"),
+    "polylog": ("clausen2", "li2"),
     "report": ("IdentityReport", "render_json", "render_table"),
     "special": (
         "EULER_GAMMA",
-        "PoleError",
         "catalan_reference",
         "cot_partial_fraction_sum",
         "digamma_gap",

@@ -27,7 +27,8 @@ Options are spelled out in full, as --opt value or --opt=value, before or
 after the identity; a value that starts with "-" must be a negative number.
 
   --a, --theta, --n, --A, --alpha X   grid points, repeatable (--A and
-                                      --alpha pairwise)
+                                      --alpha pairwise; for pointwise
+                                      each pair is (alpha, x))
   --K N            remark1's partial-sum depth
   --tol X          tolerance of every identity run
   --format json|table

@@ -91,20 +91,6 @@ def _check_alpha(alpha: float) -> None:
         )
 
 
-def xi_k(k: int, alpha: float, x: float) -> float:
-    """Pole correction Xi_k(x) = arctan(2 alpha x / (x^2 + (k pi)^2 - alpha^2)).
-
-    Xi_k(0) = 0, and the denominator is positive for every k >= 1 when
-    0 < alpha < pi.
-    """
-    if k < 1:
-        raise DomainError(f"xi_k requires k >= 1, got {k!r}")
-    _check_alpha(alpha)
-    if not x >= 0.0:
-        raise DomainError(f"xi_k requires x >= 0, got {x!r}")
-    return _xi_term(k, alpha, x)
-
-
 # Above this x, _xi_term divides through by x: x * x overflows above
 # 1.34e154, and 2 alpha x above 9e307 / alpha, which made the term inf / inf.
 _XI_LARGE_X = 1e150

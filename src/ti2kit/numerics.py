@@ -178,13 +178,12 @@ def _gk21(f: Callable[[float], float], a: float, b: float) -> tuple[float, float
     return result, abserr
 
 
+# integrate_adaptive's bisection budget.
+_MAX_SUBDIVISIONS = 10_000
+
+
 def integrate_adaptive(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float,
-    *,
-    max_subdivisions: int = 10_000,
+    f: Callable[[float], float], lo: float, hi: float, tol: float
 ) -> QuadratureResult:
     """Adaptively integrate ``f`` over ``[lo, hi]`` to absolute tolerance ``tol``.
 
@@ -194,7 +193,7 @@ def integrate_adaptive(
     with a removable singularity at an endpoint returns its limit there.
 
     Strategy: nested 21-point Gauss-Kronrod panels, always bisecting the
-    panel with the largest error estimate, up to ``max_subdivisions`` splits.
+    panel with the largest error estimate, up to 10 000 splits.
     ``evaluations`` is 21 per panel, 21 * (1 + 2 * splits) in all.  Raises
     :class:`BudgetError` (with the best estimate attached) if the budget
     runs out, and :class:`DomainError` if ``f`` returns NaN.
@@ -211,9 +210,9 @@ def integrate_adaptive(
     splits = 0
 
     while toterr > tol and heap:
-        if splits >= max_subdivisions:
+        if splits >= _MAX_SUBDIVISIONS:
             raise BudgetError(
-                f"subdivision budget {max_subdivisions} exhausted "
+                f"subdivision budget {_MAX_SUBDIVISIONS} exhausted "
                 f"(error estimate {toterr:.3e} > tol {tol:.3e})",
                 best=QuadratureResult(total, toterr, 21 * (1 + 2 * splits)),
             )

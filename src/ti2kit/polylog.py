@@ -1,9 +1,8 @@
 """Complex dilogarithm on the principal branch and the Clausen function.
 
 The dilogarithm Li2(z) = sum_{n>=1} z^n / n^2 is continued to the whole plane
-minus the cut [1, oo) on the real axis.  Values on the cut are supplied by a
-separate boundary operation (approach from the upper half-plane); the main
-evaluator refuses cut arguments so that branch choices are always explicit.
+minus the cut [1, oo) on the real axis.  The evaluator refuses arguments on
+the open cut (1, oo), so that branch choices are always explicit.
 
 Evaluation strategy: each argument takes at most one inversion and then at
 most one reflection, in that order.  Arguments with |z| > 1 are pulled
@@ -29,8 +28,7 @@ rounded 1 - z, so its relative error does not grow as |z| shrinks.  Against
 40-digit mpmath the relative error stays within 3.4e-16 for |z| <= 1/4 and
 5.1e-16 up to |z| = 1 (seeded samples of 1500-10000 z per band).  Real
 arguments take the same inversion and reflection in float arithmetic and the
-same series in real w, within 3.7e-16 relative; above 1 that gives the real
-part of the boundary value on the cut.
+same series in real w, within 3.7e-16 relative.
 
 All logarithms are principal.
 """
@@ -47,11 +45,6 @@ __all__ = _EXPORTS["polylog"]
 
 PI = math.pi
 _PI2_6 = PI * PI / 6.0
-_PI2_3 = PI * PI / 3.0
-
-
-class BranchCutError(DomainError):
-    """Argument lies on the open branch cut (1, oo); use the boundary operation."""
 
 
 # Bernoulli numbers B_0 .. B_24 as (numerator, denominator); odd ones
@@ -109,26 +102,18 @@ def _series(w):
 
 
 def _li2_real(x: float) -> float:
-    # Re Li2(x) for finite real x: the complex route's inversion and
+    # Li2(x) for finite real x <= 1: the complex route's inversion and
     # reflection in float arithmetic, then the series in w = -log1p(-x).
-    # Above 1 it is the real part pi^2/3 - log^2(x)/2 - Li2(1/x) of the
-    # boundary value, the same from either side of the cut.
     if x == 1.0:
         return _PI2_6
-    top = lg = None  # what undoing an inversion needs, once one is taken
-    if x > 1.0:
-        lx = math.log(x)
-        top = _PI2_3 - 0.5 * lx * lx
-        x = 1.0 / x
-    elif x < -_INVERSION_THRESHOLD:
+    lg = None  # Log(-x) of an inversion still to be undone
+    if x < -_INVERSION_THRESHOLD:
         lg = math.log(-x)
         x = 1.0 / x
     if x > 0.5:
         r = _PI2_6 - math.log(x) * math.log1p(-x) - _series(-math.log1p(-(1.0 - x)))
     else:
         r = _series(-math.log1p(-x))
-    if top is not None:
-        return top - r
     if lg is not None:
         return -r - _PI2_6 - 0.5 * lg * lg
     return r
@@ -145,14 +130,9 @@ def _li2_any(z: complex) -> complex:
         lg = cmath.log(-z)
         z = 1.0 / z
     if z.imag == 0.0:
-        # Real x < 1, or a 1/z that underflowed onto the real axis; the
+        # Real x <= 1, or a 1/z that underflowed onto the real axis; the
         # signed zero keeps Li2(conj z) = conj Li2(z).
-        if z == 0:
-            r = 0j
-        elif z == 1:
-            r = complex(_PI2_6, 0.0)
-        else:
-            r = complex(_li2_real(z.real), z.imag)
+        r = complex(_li2_real(z.real), z.imag)
     elif z.real > 0.5:
         r = _PI2_6 - cmath.log(z) * cmath.log(1.0 - z) - _series(-_log1p(-(1.0 - z)))
     else:
@@ -169,34 +149,14 @@ def li2(z: complex) -> complex:
     d/dz Li2(z) = -Log(1-z)/z, and is conjugate-symmetric off the real axis.
     Every argument, small or not, real or complex, ends in the same Bernoulli
     series in w = -Log(1-z) after the inversion and reflection laws.
-    Real arguments x > 1 raise :class:`BranchCutError`; use
-    :func:`li2_upper_boundary` for those.
+    Real arguments x > 1 raise :class:`DomainError`.
     """
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise DomainError(f"li2 requires a finite argument, got {z!r}")
     if z.imag == 0.0 and z.real > 1.0:
-        raise BranchCutError(
-            f"z={z.real!r} lies on the branch cut (1, oo); "
-            "use li2_upper_boundary for boundary values"
-        )
+        raise DomainError(f"z={z.real!r} lies on the branch cut (1, oo)")
     return _li2_any(z)
-
-
-def li2_upper_boundary(x: float) -> complex:
-    """Boundary value lim_{eps->0+} Li2(x + i*eps) for real x > 1.
-
-    From the inversion law with Log(-x - i0) = log x - i*pi,
-
-        Li2(x + i0) = pi^2/3 - log^2(x)/2 - Li2(1/x) + i*pi*log(x),
-
-    so the real part is pi^2/3 - log^2(x)/2 - Li2(1/x) and the imaginary
-    part is pi*log(x) (the value approached from the upper half-plane).
-    x must be finite: inf and nan raise :class:`DomainError`.
-    """
-    if not 1.0 < x < math.inf:
-        raise DomainError(f"li2_upper_boundary requires finite x > 1, got {x!r}")
-    return complex(_li2_real(x), PI * math.log(x))
 
 
 def clausen2(phi: float) -> float:

@@ -32,10 +32,6 @@ _PI_LO = 1.2246467991473532e-16
 EULER_GAMMA = 0.5772156649015329
 
 
-class PoleError(DomainError):
-    """Argument sits on (or within margin of) a pole of the expression."""
-
-
 def _bernoulli_over(j: int, k: int) -> float:
     # B_{2j} / k for an integer k, rounded once from the exact fraction.
     num, den = _BERNOULLI[2 * j]
@@ -299,40 +295,31 @@ def cot_partial_fraction_sum(b: float) -> float:
 
     Even in b.  Arguments within 1e-10 of a multiple of pi (including 0)
     sit on a pole of the right-hand side and are rejected with
-    :class:`PoleError`; b = +-inf or nan raises :class:`DomainError`.
+    :class:`DomainError`, as are b = +-inf and nan.
     """
     if not math.isfinite(b):
         raise DomainError(f"cot_partial_fraction_sum requires finite b, got {b!r}")
     if abs(b - PI * round(b / PI)) < _POLE_MARGIN:
-        raise PoleError(f"b={b!r} is within {_POLE_MARGIN} of a pole (pi * integer)")
+        raise DomainError(f"b={b!r} is within {_POLE_MARGIN} of a pole (pi * integer)")
     return 1.0 / (2.0 * b * b) - math.cos(b) / (2.0 * b * math.sin(b))
 
 
 # Stirling coefficients B_{2j} / (2j (2j-1)) for j = 1..8.
 _STIRLING = tuple(_bernoulli_over(j, 2 * j * (2 * j - 1)) for j in range(1, 9))
-_ST2, _ST4, _ST6, _ST8, _ST10, _ST12, _ST14, _ST16 = _STIRLING
 
 _LN_SQRT_2PI = 0.9189385332046727  # log(2*pi)/2
 
 
-def _stirling_series(z, total=0.0):
-    # total + sum_j B_{2j} / (2j (2j-1) z^{2j-1}) over _STIRLING, for real or
-    # complex z, added to total term by term; first omitted term below 8e-17
-    # at |z| >= 8, log_gamma's switch.  Each power of 1/z is one step from
-    # the last.
-    z1 = 1.0 / z
-    z2 = z1 * z1
-    z3 = z1 * z2
-    z5 = z3 * z2
-    z7 = z5 * z2
-    z9 = z7 * z2
-    z11 = z9 * z2
-    z13 = z11 * z2
-    z15 = z13 * z2
-    return (
-        total + _ST2 * z1 + _ST4 * z3 + _ST6 * z5 + _ST8 * z7 + _ST10 * z9
-        + _ST12 * z11 + _ST14 * z13 + _ST16 * z15
-    )
+def _stirling_series(x: float, total: float) -> float:
+    # total + sum_j B_{2j} / (2j (2j-1) x^{2j-1}) over _STIRLING, added to
+    # total term by term; first omitted term below 8e-17 at x >= 8,
+    # log_gamma's switch.  Each power of 1/x is one step from the last.
+    xinv = 1.0 / x
+    x2 = xinv * xinv
+    for coeff in _STIRLING:
+        total += coeff * xinv
+        xinv *= x2
+    return total
 
 
 # (-1)^k (zeta(k) - 1) / k for k = 2..28, the Taylor coefficients of

@@ -31,7 +31,6 @@ METHOD_SERIES = "series"
 METHOD_IMAGINARY_DILOG = "imaginary-dilog"
 METHOD_INVERSION = "inversion"
 METHOD_QUADRATURE = "quadrature"
-METHOD_PROPOSITION_FORM = "proposition-form"
 METHOD_CLAUSEN_FORM = "clausen-form"
 
 # The power series has radius 1; beyond 0.99 its term count degrades, so the

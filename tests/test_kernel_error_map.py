@@ -12,7 +12,7 @@ import random
 import pytest
 
 from ti2kit.endpoint import aux_closed_F, phi
-from ti2kit.polylog import clausen2, li2, li2_upper_boundary
+from ti2kit.polylog import clausen2, li2
 from ti2kit.special import (
     _sine_log_sum,
     digamma_gap,
@@ -222,19 +222,6 @@ def test_li2_relative_error_across_the_power_series_edge():
         ref = mpmath.polylog(2, mpmath.mpc(z.real, z.imag))
         errors.append(float(abs((li2(z) - ref) / ref)))
     assert _worst(errors) <= 3e-15
-
-
-def test_li2_upper_boundary_real_part():
-    # Worst measured: 7.8e-16 of |ref| + 1 near x = 12.4 (40000 x in
-    # (1, 100] over two seeds, half log-uniform).
-    rng = random.Random(18)
-    xs = [_log_uniform(rng, 1.0 + 1e-12, 100.0) for _ in range(100)]
-    xs += [rng.uniform(1.0, 100.0) for _ in range(100)] + [100.0]
-    errors = []
-    for x in xs:
-        ref = mpmath.polylog(2, x).real
-        errors.append(float(abs(li2_upper_boundary(x).real - ref) / (abs(ref) + 1)))
-    assert _worst(errors) <= 2.2e-15
 
 
 def test_hurwitz_zeta_relative_error():

@@ -1,9 +1,9 @@
 """The straight-line kernels against their loop and recursive forms, bit for bit.
 
-The dilogarithm reduces without recursion, every fixed-degree sum is
-written out term by term, and so is the Gauss-Kronrod panel.  Each reference
-below is the earlier form of the same kernel: a recursive reduction or a
-loop over the coefficient or node tuple.  The endpoint solve's reference is
+The dilogarithm reduces without recursion, the fixed-degree sums on hot
+paths are written out term by term, and so is the Gauss-Kronrod panel.
+Each reference below is the earlier form of the same kernel: a recursive
+reduction or a loop over the coefficient or node tuple.  The endpoint solve's reference is
 a generic root finder with bisection, Newton and Halley modes; the solve is
 its Halley mode written out for phi_a.
 Both make the same floating-point operations in the same order, so every
@@ -24,7 +24,6 @@ from ti2kit.numerics import BudgetError, DomainError
 
 PI = math.pi
 _PI2_6 = polylog._PI2_6
-_PI2_3 = polylog._PI2_3
 _THRESHOLD = polylog._INVERSION_THRESHOLD
 
 
@@ -51,12 +50,9 @@ def _series_ref(w):
 
 
 def _li2_real_ref(x):
+    if x == 1.0:
+        return _PI2_6
     if x > 0.5:
-        if x >= 1.0:
-            if x == 1.0:
-                return _PI2_6
-            lx = math.log(x)
-            return _PI2_3 - 0.5 * lx * lx - _li2_real_ref(1.0 / x)
         return _PI2_6 - math.log(x) * math.log1p(-x) - _li2_real_ref(1.0 - x)
     if x < -_THRESHOLD:
         lg = math.log(-x)
@@ -65,10 +61,6 @@ def _li2_real_ref(x):
 
 
 def _li2_any_ref(z):
-    if z == 0:
-        return 0j
-    if z == 1:
-        return complex(_PI2_6, 0.0)
     if z.imag == 0.0:
         return complex(_li2_real_ref(z.real), z.imag)
     if abs(z) > _THRESHOLD:
@@ -88,15 +80,6 @@ def _ti2_horner_ref(y):
     for c in coeffs:
         p = p * u + c
     return y + y * (u * p)
-
-
-def _stirling_ref(z, total=0.0):
-    zinv = 1.0 / z
-    z2 = zinv * zinv
-    for coeff in special._STIRLING:
-        total += coeff * zinv
-        zinv *= z2
-    return total
 
 
 def _log_gamma_two_plus_ref(e):
@@ -325,9 +308,9 @@ def test_li2_any_matches_recursive_form_at_the_edges():
         zs.append(cmath.rect(_THRESHOLD * (1.0 + rng.uniform(-1e-15, 1e-15)), rng.uniform(-PI, PI)))
         a, b = _log_uniform(rng, 0.4, 20.0), rng.uniform(0.0, PI)
         zs += [-a * cmath.exp(1j * b), complex(1.0, a), complex(0.0, a)]
-    for x in (0.0, 0.7, -0.5, -3.0, 1.0):
+    for x in (0.0, -0.0, 0.7, -0.7, 0.5, -0.5, -3.0, 1.0, -1.0):
         for im in (0.0, -0.0):
-            zs += [complex(x, im), complex(-x, im)]
+            zs.append(complex(x, im))
     zs += [
         complex(1e300, 1e-300),
         complex(-1e300, -1e-300),
@@ -343,13 +326,15 @@ def test_li2_any_matches_recursive_form_at_the_edges():
 
 def test_li2_real_matches_recursive_form_on_each_side_of_minus_one_half_and_one():
     rng = random.Random(41)
-    xs = [5e-324, -5e-324, 0.0, -0.0, 1.0, 2.0, -_THRESHOLD, 1.7976931348623157e308]
-    for c in (-1.0, -_THRESHOLD, 0.5, 1.0, 2.0):
+    # Real x <= 1 only: above 1 lies the cut, where li2 refuses to evaluate.
+    xs = [5e-324, -5e-324, 0.0, -0.0, 1.0, -_THRESHOLD]
+    for c in (-1.0, -_THRESHOLD, 0.5, 1.0):
         for scale in (1.0, 1e-3, 1e-8, 1e-14):
             xs += [c + rng.uniform(-1.0, 1.0) * scale for _ in range(300)]
         xs += [math.nextafter(c, -math.inf), math.nextafter(c, math.inf)]
-    xs += [sign * _log_uniform(rng, 1e-300, 1e308) for sign in (1, -1) for _ in range(2000)]
-    for x in xs:
+    xs += [_log_uniform(rng, 1e-300, 1.0) for _ in range(2000)]
+    xs += [-_log_uniform(rng, 1e-300, 1e308) for _ in range(2000)]
+    for x in (x for x in xs if x <= 1.0):
         assert _bits(polylog._li2_real(x)) == _bits(_li2_real_ref(x)), x
 
 
@@ -378,18 +363,6 @@ def test_ti2_bands_match_loop_over_horner_bands():
     for y in ys:
         if y <= 0.5:
             assert _bits(ti2core._ti2_series(y)) == _bits(_ti2_horner_ref(y)), y
-
-
-def test_stirling_series_matches_loop():
-    rng = random.Random(53)
-    for _ in range(2000):
-        x = _log_uniform(rng, 10.0, 1e6)
-        total = rng.uniform(-50.0, 50.0)
-        z = complex(_log_uniform(rng, 12.0, 1e4), rng.uniform(-1e4, 1e4))
-        assert _bits(special._stirling_series(x)) == _bits(_stirling_ref(x)), x
-        assert _bits(special._stirling_series(x, total)) == _bits(_stirling_ref(x, total)), x
-        assert _bits(special._stirling_series(z)) == _bits(_stirling_ref(z)), z
-        assert _bits(special._stirling_series(z, total)) == _bits(_stirling_ref(z, total)), z
 
 
 def test_log_gamma_taylor_series_matches_loop():

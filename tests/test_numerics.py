@@ -129,7 +129,8 @@ class TestIntegrateAdaptive:
             assert res.evaluations % 42 == 21  # 21 * (1 + 2 * splits)
         assert res.evaluations > 1000  # the oscillating integrand split many times
 
-    def test_budget_error_counts_the_integrand_calls(self):
+    def test_budget_error_counts_the_integrand_calls(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_MAX_SUBDIVISIONS", 3)
         calls = []
 
         def f(x):
@@ -137,13 +138,13 @@ class TestIntegrateAdaptive:
             return math.sin(50.0 / (x + 0.01))
 
         with pytest.raises(BudgetError) as err:
-            integrate_adaptive(f, 0.0, 1.0, 1e-14, max_subdivisions=3)
+            integrate_adaptive(f, 0.0, 1.0, 1e-14)
         assert err.value.best.evaluations == len(calls) == 21 * 7
 
     def test_endpoint_limit_keywords_are_gone(self):
         # One path: integrands own their endpoint values, nothing is declared.
         params = list(inspect.signature(integrate_adaptive).parameters)
-        assert params == ["f", "lo", "hi", "tol", "max_subdivisions"]
+        assert params == ["f", "lo", "hi", "tol"]
         for end in ("lo", "hi"):
             with pytest.raises(TypeError):
                 integrate_adaptive(lambda x: 1.0, 0.0, 1.0, 1e-12, **{f"limit_{end}": 1.0})
@@ -156,10 +157,11 @@ class TestIntegrateAdaptive:
         with pytest.raises(DomainError):
             integrate_adaptive(lambda x: float("nan") if x > 0.99 else x, 0.0, 1.0, 1e-10)
 
-    def test_budget_error_carries_best_estimate(self):
+    def test_budget_error_carries_best_estimate(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_MAX_SUBDIVISIONS", 3)
         f = lambda x: math.sin(50.0 / (x + 0.01))
         with pytest.raises(BudgetError) as err:
-            integrate_adaptive(f, 0.0, 1.0, 1e-14, max_subdivisions=3)
+            integrate_adaptive(f, 0.0, 1.0, 1e-14)
         best = err.value.best
         assert isinstance(best, QuadratureResult)
         assert best.abs_error_estimate > 1e-14

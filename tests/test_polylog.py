@@ -18,10 +18,8 @@ from ti2kit.numerics import DomainError, integrate_adaptive
 from ti2kit.polylog import (
     _BERNOULLI,
     _SERIES_COEFF,
-    BranchCutError,
     clausen2,
     li2,
-    li2_upper_boundary,
 )
 
 PI = math.pi
@@ -41,10 +39,14 @@ def test_log_series_coefficients_match_fractions():
 class TestLi2:
     def test_zero(self):
         assert li2(0.0) == 0.0
+        # The signs of zero parts carry through, as at every other real x.
+        assert math.copysign(1.0, li2(-0.0).real) == -1.0
+        assert math.copysign(1.0, li2(complex(0.0, -0.0)).imag) == -1.0
 
     def test_one(self):
         assert li2(1.0).real == pytest.approx(PI2_6, abs=1e-14)
         assert li2(1.0).imag == 0.0
+        assert math.copysign(1.0, li2(complex(1.0, -0.0)).imag) == -1.0
 
     def test_minus_one(self):
         # Alternating series oracle: partial sums bracket the limit.
@@ -106,9 +108,9 @@ class TestLi2:
         assert v.imag == pytest.approx(cl, abs=bound + 1e-12)
 
     def test_cut_rejected(self):
-        with pytest.raises(BranchCutError):
+        with pytest.raises(DomainError, match="branch cut"):
             li2(1.5)
-        with pytest.raises(BranchCutError):
+        with pytest.raises(DomainError, match="branch cut"):
             li2(complex(10.0, 0.0))
 
     def test_nonfinite_rejected(self):
@@ -126,18 +128,17 @@ class TestLi2:
 
 
 class TestLi2UpperBoundary:
+    """li2 just above the cut (1, oo): the inversion's Log(-z) lies next to
+    its own cut there, and must take the branch that gives +i*pi*log(x)."""
+
     def test_at_two(self):
-        # Oracle: inversion law evaluated just above the cut.
-        eps = 1e-9
-        oracle = li2(complex(2.0, eps))
-        v = li2_upper_boundary(2.0)
-        assert v.real == pytest.approx(PI * PI / 4.0, abs=1e-12)
-        assert v.real == pytest.approx(oracle.real, abs=1e-8)
-        assert v.imag == pytest.approx(oracle.imag, abs=1e-8)
-        assert v.imag == pytest.approx(PI * math.log(2.0), abs=1e-13)
+        # Li2(2 + i0) = pi^2/4 + i*pi*log(2); eps moves it by about 1e-300.
+        v = li2(complex(2.0, 1e-300))
+        assert v.real == pytest.approx(PI * PI / 4.0, abs=1e-15)
+        assert v.imag == pytest.approx(PI * math.log(2.0), abs=1e-15)
 
     def test_continuity_at_one(self):
-        assert li2_upper_boundary(1.0 + 1e-12).real == pytest.approx(PI2_6, abs=1e-10)
+        assert li2(complex(1.0 + 1e-12, 1e-300)).real == pytest.approx(PI2_6, abs=1e-10)
 
     def test_at_ten_against_path_continuation(self):
         # Independent continuation: Li2(z) = -int_0^z Log(1-t)/t dt along a
@@ -161,17 +162,8 @@ class TestLi2UpperBoundary:
             10.0,
         )
         continued = up + across - down
-        v = li2_upper_boundary(10.0)
+        v = li2(complex(10.0, eps))
         assert abs(v - continued) < 1e-9
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            li2_upper_boundary(1.0)
-        with pytest.raises(DomainError):
-            li2_upper_boundary(0.5)
-        for x in (math.inf, math.nan):
-            with pytest.raises(DomainError):
-                li2_upper_boundary(x)
 
 
 def _li2_slope(z, h=1e-5):

@@ -235,6 +235,8 @@ COMMANDS = (
     # Domain errors print no report.
     ("test_domain_error_exits_3", "compute ei 0", 3, "",
      "domain error: ei_negative requires x > 0, got 0.0\n"),
+    ("test_command[compute li2 2 0]", "compute li2 2 0", 3, "",
+     "domain error: z=2.0 lies on the branch cut"),
     # The bracket sum's direct terms grow as 4A/pi: A = 1e200 would never
     # finish, and a non-finite A has no term count.
     *(
@@ -296,6 +298,9 @@ COMMANDS = (
             ("compute ti2 2", "1.57601540344632\n"),
             ("compute ti2 1e300", "1085.06766186232\n"),
             ("compute li2 -0.5 0", "-0.448414206923646 0\n"),
+            # The sign of a zero imaginary part carries through at 0 and 1 too.
+            ("compute li2 1 -0", "1.64493406684823 -0\n"),
+            ("compute li2 0 -0", "0 -0\n"),
             ("compute li2 0.05 0.05", "0.0499706098599233 0.0512777241784229\n"),
             ("compute li2 1.2 0.9", "0.857238739498068 1.5532975175564\n"),
             ("compute li2 0.9 0.3", "1.10498635152422 0.617053028084862\n"),
@@ -569,11 +574,12 @@ class TestPackageApi:
         import ti2kit
 
         assert sorted(ti2kit._EXPORTS) == list(MODULES)
-        assert len(ti2kit.__all__) == 43
+        assert len(ti2kit.__all__) == 39
         gone = {"catalan_via_endpoint", "h_quadrature", "kummer_sine_log_sum", "expint_T",
                 "digamma", "phi_derivative", "li2_derivative", "find_root_increasing",
                 "BracketError", "catalan_family", "corollary2_series", "lemma1_catalan",
-                "pointwise_identity", "theorem1_identity", "run_all", "write_reports"}
+                "pointwise_identity", "theorem1_identity", "run_all", "write_reports",
+                "li2_upper_boundary", "xi_k", "BranchCutError", "PoleError"}
         assert not gone & set(ti2kit.__all__)
 
     def test_removed_settings_stay_removed(self):
@@ -583,7 +589,7 @@ class TestPackageApi:
 
         gone = (("solve_endpoint_b", "use_derivative"), ("h_series", "J"),
                 ("ti2_via_quadrature", "tol"), ("VerificationConfig", "tolerances"),
-                ("VerificationConfig", "out"))
+                ("VerificationConfig", "out"), ("integrate_adaptive", "max_subdivisions"))
         for name, setting in gone:
             assert setting not in inspect.signature(getattr(ti2kit, name)).parameters, name
         assert "boundary" not in ti2kit.endpoint.AdmissibilityResult._fields
