@@ -82,21 +82,3 @@ def __getattr__(name: str):
 def __dir__() -> list[str]:
     return sorted({*globals(), *__all__, *_EXPORTS})
 
-
-class _LazyModule:
-    """A module global that stands in for ``name`` until first used.
-
-    The first attribute access imports the module and rebinds the global in
-    ``namespace`` to it, so every later use is a plain module attribute
-    lookup.  ``name`` is absolute, or relative to this package with a
-    leading dot.
-    """
-
-    def __init__(self, namespace: dict, name: str):
-        self._namespace = namespace
-        self._name = name
-
-    def __getattr__(self, attr: str):
-        module = importlib.import_module(self._name, __name__)
-        self._namespace[self._name.lstrip(".")] = module
-        return getattr(module, attr)

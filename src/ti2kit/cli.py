@@ -5,8 +5,7 @@ import sys
 from types import SimpleNamespace
 from typing import Optional, Sequence
 
-from . import _LazyModule
-from .numerics import DomainError
+import ti2kit  # its public names load their modules on first use
 
 # The help text is an assigned constant, not a docstring, so that python -OO
 # (which strips docstrings) still has the usage lines main prints.  It is the
@@ -42,16 +41,6 @@ Exit codes: 0 all checks passed, 1 some check failed or no check ran,
 """
 __doc__ = HELP
 
-# A process imports only the modules its command runs: each of these is
-# imported on first use, and is a plain module from then on.
-decomp = _LazyModule(globals(), ".decomp")
-endpoint = _LazyModule(globals(), ".endpoint")
-polylog = _LazyModule(globals(), ".polylog")
-report = _LazyModule(globals(), ".report")
-special = _LazyModule(globals(), ".special")
-ti2core = _LazyModule(globals(), ".ti2core")
-verify = _LazyModule(globals(), ".verify")
-
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
@@ -60,17 +49,17 @@ EXIT_IO = 4
 
 # compute functions: name -> (arity, callable returning float or complex)
 _COMPUTE_FNS = {
-    "ti2": (1, lambda a: ti2core.ti2(a[0])),
-    "li2": (2, lambda a: polylog.li2(complex(a[0], a[1]))),
-    "clausen2": (1, lambda a: polylog.clausen2(a[0])),
-    "hurwitz": (2, lambda a: special.hurwitz_zeta(a[0], a[1])),
-    "ei": (1, lambda a: special.ei_negative(a[0])),
-    "catalan": (0, lambda a: special.catalan_reference(1e-14)),
-    "psi": (1, lambda a: endpoint.psi(a[0])),
-    "phi": (2, lambda a: endpoint.phi(a[0], a[1])),
-    "b-of-a": (1, lambda a: endpoint.solve_endpoint_b(a[0]).b),
-    "H": (2, lambda a: decomp.h_series(a[0], a[1]).value),
-    "K1": (0, lambda a: decomp.k1_closed()),
+    "ti2": (1, lambda a: ti2kit.ti2(a[0])),
+    "li2": (2, lambda a: ti2kit.li2(complex(a[0], a[1]))),
+    "clausen2": (1, lambda a: ti2kit.clausen2(a[0])),
+    "hurwitz": (2, lambda a: ti2kit.hurwitz_zeta(a[0], a[1])),
+    "ei": (1, lambda a: ti2kit.ei_negative(a[0])),
+    "catalan": (0, lambda a: ti2kit.catalan_reference(1e-14)),
+    "psi": (1, lambda a: ti2kit.psi(a[0])),
+    "phi": (2, lambda a: ti2kit.phi(a[0], a[1])),
+    "b-of-a": (1, lambda a: ti2kit.solve_endpoint_b(a[0]).b),
+    "H": (2, lambda a: ti2kit.h_series(a[0], a[1]).value),
+    "K1": (0, lambda a: ti2kit.k1_closed()),
 }
 
 
@@ -166,7 +155,7 @@ def _cmd_compute(args: SimpleNamespace) -> int:
         return EXIT_USAGE
     try:
         value = call(args.args)
-    except DomainError as exc:
+    except ti2kit.DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     print(_format_value(value))
@@ -175,13 +164,13 @@ def _cmd_compute(args: SimpleNamespace) -> int:
 
 def _cmd_verify(args: SimpleNamespace) -> int:
     identity = args.identity
-    if identity != "all" and identity not in verify.IDENTITY_NAMES:
+    if identity != "all" and identity not in ti2kit.IDENTITY_NAMES:
         print(f"error: unknown identity {identity!r}; expected one of "
-              f"{', '.join(verify.IDENTITY_NAMES)} or 'all'", file=sys.stderr)
+              f"{', '.join(ti2kit.IDENTITY_NAMES)} or 'all'", file=sys.stderr)
         return EXIT_USAGE
-    names = verify.IDENTITY_NAMES if identity == "all" else (identity,)
+    names = ti2kit.IDENTITY_NAMES if identity == "all" else (identity,)
 
-    cfg = verify.VerificationConfig(tol=args.tol)
+    cfg = ti2kit.VerificationConfig(tol=args.tol)
     if args.a is not None:
         cfg.a_grid = tuple(args.a)
     if args.theta is not None:
@@ -210,14 +199,14 @@ def _cmd_verify(args: SimpleNamespace) -> int:
     reports, domain_error = [], False
     for name in names:
         try:
-            reports += verify.run_identity(name, cfg)
-        except DomainError as exc:
+            reports += ti2kit.run_identity(name, cfg)
+        except ti2kit.DomainError as exc:
             print(f"domain error: {name}: {exc}", file=sys.stderr)
             domain_error = True
     if domain_error and not reports:
         return EXIT_DOMAIN
 
-    text = (report.render_json if cfg.format == "json" else report.render_table)(reports)
+    text = (ti2kit.render_json if cfg.format == "json" else ti2kit.render_table)(reports)
     try:
         if args.out is None:
             sys.stdout.write(text)

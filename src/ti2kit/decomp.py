@@ -68,6 +68,7 @@ from .numerics import (
 )
 from .special import (
     EULER_GAMMA,
+    _half_pi_minus,
     _sine_log_sum,
     cot_partial_fraction_sum,
     digamma_gap,
@@ -75,7 +76,7 @@ from .special import (
     hurwitz_zeta,
     loggamma_im_gap,
 )
-from .ti2core import ti2
+from .ti2core import _MAX_K, ti2
 
 __all__ = _EXPORTS["decomp"]
 
@@ -210,7 +211,7 @@ def _h_ei_series(A: float, alpha: float) -> SeriesResult:
     log_two_a = math.log(two_a) if two_a < math.inf else math.log(A) + math.log(2.0)
     value = (
         ser.value
-        + (PI / 2.0 - alpha) * (EULER_GAMMA + log_two_a)
+        + _half_pi_minus(alpha) * (EULER_GAMMA + log_two_a)
         + _sine_log_sum(alpha)
     )
     return ser._replace(value=value)
@@ -288,10 +289,10 @@ def remark1_partial(K: int) -> float:
     Summed term by term, it telescopes to Ti2(1) - Ti2(1/(2K+1)) for any
     Ti2.  remark1 adds Ti2(1/(2K+1)) back by quadrature, not by ti2, so an
     error in ti2's series route, which serves every term past Ti2(1), stays
-    in the sum and fails the check.
+    in the sum and fails the check.  K is an integer in 1..100000.
     """
-    if K < 1:
-        raise DomainError(f"remark1_partial requires K >= 1, got {K!r}")
+    if not (isinstance(K, int) and 1 <= K <= _MAX_K):
+        raise DomainError(f"remark1_partial requires an integer K in 1..{_MAX_K}, got {K!r}")
     total = 0.0
     for k in range(1, K + 1):
         total += ti2(1.0 / (2 * k - 1)) - ti2(1.0 / (2 * k + 1))
@@ -304,7 +305,7 @@ def s_r(r: int) -> float:
     r = 1 goes through the cotangent partial fractions (S_1 = 1 - cot 1);
     r >= 3 through pi^{-r} [zeta(r, 1 - 1/pi) - zeta(r, 1 + 1/pi)].
     """
-    if r < 1 or r % 2 == 0:
+    if not (r >= 1 and r % 2 == 1):
         raise DomainError(f"s_r requires odd r >= 1, got {r!r}")
     if r == 1:
         return 2.0 * cot_partial_fraction_sum(1.0)

@@ -12,10 +12,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional, Sequence
 
-from . import _EXPORTS, _LazyModule
-
-# Imported by the first JSON render; table output never loads it.
-json = _LazyModule(globals(), "json")
+from . import _EXPORTS
 
 __all__ = _EXPORTS["report"]
 
@@ -68,9 +65,9 @@ def _real(x: float) -> str:
     return format(x, ".17g")
 
 
-def _report_json(r: IdentityReport) -> str:
-    parts = [f'"name": {json.dumps(r.name)}']
-    inner = ", ".join(f"{json.dumps(k)}: {_real(v)}" for k, v in r.params.items())
+def _report_json(r: IdentityReport, dumps) -> str:
+    parts = [f'"name": {dumps(r.name)}']
+    inner = ", ".join(f"{dumps(k)}: {_real(v)}" for k, v in r.params.items())
     parts.append(f'"params": {{{inner}}}')
     parts.append(f'"lhs": {_real(r.lhs)}')
     parts.append(f'"rhs": {_real(r.rhs)}')
@@ -79,17 +76,18 @@ def _report_json(r: IdentityReport) -> str:
     if r.tail_bound is not None:
         parts.append(f'"tail_bound": {_real(r.tail_bound)}')
     parts.append(f'"pass": {"true" if r.passed else "false"}')
-    parts.append(f'"method_lhs": {json.dumps(r.method_lhs)}')
-    parts.append(f'"method_rhs": {json.dumps(r.method_rhs)}')
+    parts.append(f'"method_lhs": {dumps(r.method_lhs)}')
+    parts.append(f'"method_rhs": {dumps(r.method_rhs)}')
     if r.terms_used is not None:
         parts.append(f'"terms_used": {r.terms_used}')
     return "{" + ", ".join(parts) + "}"
 
 
 def render_json(reports: Sequence[IdentityReport]) -> str:
+    import json  # here, so that table output never loads it
     if not reports:
         return "[]\n"
-    body = ",\n  ".join(_report_json(r) for r in reports)
+    body = ",\n  ".join(_report_json(r, json.dumps) for r in reports)
     return "[\n  " + body + "\n]\n"
 
 

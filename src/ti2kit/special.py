@@ -7,8 +7,9 @@ pinned by overlap tests and by measured error against a high-precision
 reference rather than tuning.
 
 log Gamma has one implementation, :func:`log_gamma`; the sine-log sum takes
-Kummer's log Gamma(a) - log Gamma(1 - a) from two of its values.  The digamma
-and Im log Gamma gaps take the gap of their asymptotic series in 1/z from one
+Kummer's log Gamma(a) - log Gamma(1 - a) from two of its values, or next to
+a = 1/2 from one divided difference of its Taylor polynomial.  The digamma and
+Im log Gamma gaps take the gap of their asymptotic series in 1/z from one
 divided difference, so that no two asymptotic sums are subtracted.
 """
 
@@ -448,6 +449,21 @@ def catalan_reference(tol: float) -> float:
     return s / d
 
 
+# Within this of pi/2, pi/2 - alpha takes pi's low part (PI/2 - alpha is
+# exact there), and the sine-log sum its log Gamma gap from one divided
+# difference; both vanish at pi/2.  Elsewhere they keep PI/2 - alpha.
+_NEAR_HALF_PI = 0.25
+# _log_gamma_two_plus's coefficients from e^27 down to e^1, and
+# gamma + log(2 pi) - 2 rounded once from its 40-digit value.
+_LGAMMA2_DOWN = (*_LGAMMA2_COEFF[-2::-1], _ONE_MINUS_EULER_GAMMA)
+_GAMMA_LOG_2PI_LESS_2 = 0.41509273131087837
+
+
+def _half_pi_minus(alpha: float) -> float:
+    gap = PI / 2.0 - alpha
+    return gap + 0.5 * _PI_LO if abs(gap) < _NEAR_HALF_PI else gap
+
+
 def _sine_log_sum(alpha: float) -> float:
     """sum_{j>=1} sin(2 j alpha) log(j) / j for 0 < alpha < pi, in closed form.
 
@@ -460,14 +476,30 @@ def _sine_log_sum(alpha: float) -> float:
 
         sum = (pi/2) [log Gamma(a) - log Gamma(1 - a)] - (pi/2 - alpha)(gamma + log 2 pi).
 
-    The sum is odd about pi/2, so alpha > pi/2 is taken as minus the sum at
-    pi - alpha, formed from pi's two parts.  At alpha itself, the rounding of
-    a = alpha/pi would cost 1 - a about 4e-17/(pi - alpha) of its digits,
-    which log Gamma(1 - a) passes on to the sum.  Both log_gamma values err
-    below 7e-16 relative, and the sum within 1.2e-15 of |sum| + 1 (measured
-    against 40-digit mpmath); next to pi/2, where the sum vanishes, its
-    relative error grows, to 2.8e-8 at alpha - pi/2 = 1e-8.
+    The sum vanishes at pi/2.  Within 1/4 of it, with a = 1/2 + d and
+    delta = alpha - pi/2 = pi d, the log Gamma gap is 2d times the divided
+    difference D of log Gamma(2 + e)'s Taylor polynomial between d - 1/2 and
+    -d - 1/2, less 2 atanh(2d), so that
+
+        sum = delta (D + gamma + log 2 pi - 2) - pi (atanh(2d) - 2d),
+
+    and the sum keeps 1.2e-15 of itself (against 40-digit mpmath).  Elsewhere
+    two log_gamma values are subtracted, with alpha > pi/2 taken as minus the
+    sum at pi - alpha from pi's two parts (a = alpha/pi rounded would cost
+    1 - a about 4e-17/(pi - alpha) of its digits): 1.2e-15 of |sum| + 1.
     """
+    delta = -_half_pi_minus(alpha)
+    if abs(delta) < _NEAR_HALF_PI:
+        # D in one Horner pass over both nodes: a step p -> p x + c of the
+        # polynomial's Horner sums takes D -> D x1 + p(x0).
+        d = delta / PI
+        x1, x0 = d - 0.5, -d - 0.5
+        p, slope = _LG28, 0.0
+        for c in _LGAMMA2_DOWN:
+            slope = slope * x1 + p
+            p = p * x0 + c
+        slope = slope * x1 + p
+        return delta * (slope + _GAMMA_LOG_2PI_LESS_2) - PI * (math.atanh(2.0 * d) - 2.0 * d)
     sign = 1.0
     if alpha > PI / 2.0:
         sign, alpha = -1.0, (PI - alpha) + _PI_LO
@@ -476,4 +508,3 @@ def _sine_log_sum(alpha: float) -> float:
         (PI / 2.0) * (log_gamma(a) - log_gamma(1.0 - a))
         - (PI / 2.0 - alpha) * (EULER_GAMMA + math.log(2.0 * PI))
     )
-

@@ -12,32 +12,25 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-from . import _EXPORTS, _LazyModule
+# decomp, endpoint and special are reached as ti2kit.decomp and so on, which
+# the package imports on first use: verify theorem1 loads neither decomp nor special.
+import ti2kit
+
 from .numerics import DomainError
 from .report import IdentityReport
 from .ti2core import (
     METHOD_CLAUSEN_FORM,
     METHOD_QUADRATURE,
+    _MAX_K,
     ti2,
     ti2_clausen_form,
     ti2_method,
     ti2_via_quadrature,
 )
 
-# Imported by the first row that uses them, so ``verify theorem1`` loads
-# neither decomp nor special.
-decomp = _LazyModule(globals(), ".decomp")
-endpoint = _LazyModule(globals(), ".endpoint")
-special = _LazyModule(globals(), ".special")
-
-__all__ = _EXPORTS["verify"]
+__all__ = ti2kit._EXPORTS["verify"]
 
 PI = math.pi
-
-
-# remark1 sums K terms directly, ~2 us each: K = 1e5 takes 0.23 s, and is
-# the largest K its tolerance was measured at (see _IDENTITIES).
-_MAX_K = 100_000
 
 
 _ALPHA_X_GRID = tuple(
@@ -101,8 +94,8 @@ def _theorem1(adm, tol: float) -> IdentityReport:
     # admissibility result, and I(a, b) by *quadrature*: the comparison is a
     # genuine two-route test rather than algebra cancelling itself.
     a = adm.a
-    sol = endpoint._solve(adm, _SOLVER_TOL)
-    quad = endpoint.aux_integral_I(a, sol.b, _QUAD_TOL)
+    sol = ti2kit.endpoint._solve(adm, _SOLVER_TOL)
+    quad = ti2kit.endpoint.aux_integral_I(a, sol.b, _QUAD_TOL)
     rhs = (
         math.atan(a) * math.log(a)
         + quad.value
@@ -117,9 +110,9 @@ def _theorem1(adm, tol: float) -> IdentityReport:
 
 
 def _corollary1(_point, tol: float) -> IdentityReport:
-    sol = endpoint.solve_endpoint_b(1.0, 1e-13)
+    sol = ti2kit.endpoint.solve_endpoint_b(1.0, 1e-13)
     return IdentityReport.build(
-        "corollary1", {"a": 1.0, "b": sol.b}, special.catalan_reference(1e-14),
+        "corollary1", {"a": 1.0, "b": sol.b}, ti2kit.special.catalan_reference(1e-14),
         sol.b * sol.b / 4.0 - 0.25 * PI * math.log(2.0), tol,
         "alternating-series-acceleration", "endpoint-root-solve", None, sol.iterations,
     )
@@ -129,8 +122,8 @@ def _h_plus_poles(A: float, alpha: float) -> tuple[float, float, int]:
     # H(A, alpha) plus the full bracket sum; the tail bound adds the bracket
     # sum's Hurwitz n-series bound to h_series' (its quadrature error
     # estimate below A = 3), and the terms are the bracket sum's.
-    h = decomp.h_series(A, alpha)
-    pole = decomp._pole_bracket(A, alpha)
+    h = ti2kit.decomp.h_series(A, alpha)
+    pole = ti2kit.decomp._pole_bracket(A, alpha)
     return h.value + pole.value, pole.tail_bound + h.tail_bound, pole.terms_used
 
 
@@ -138,7 +131,7 @@ def _corollary2(point, tol: float) -> IdentityReport:
     # A beyond 1e4, or not finite, is a DomainError rather than ~4A/pi
     # brackets summed directly.
     A, alpha = point
-    decomp._check_alpha(alpha)
+    ti2kit.decomp._check_alpha(alpha)
     if not 0.0 < A <= _COROLLARY2_MAX_A:
         raise DomainError(f"requires 0 < A <= {_COROLLARY2_MAX_A:g}, got {A!r}")
     rhs, tail, terms = _h_plus_poles(A, alpha)
@@ -156,7 +149,7 @@ def _corollary3(n: int, tol: float) -> IdentityReport:
         raise DomainError(f"requires n >= 2, got {n!r}")
     rhs, tail, terms = _h_plus_poles(PI / n, PI / n)
     return IdentityReport.build(
-        "corollary3", {"n": float(n)}, special.catalan_reference(1e-14), rhs, tol,
+        "corollary3", {"n": float(n)}, ti2kit.special.catalan_reference(1e-14), rhs, tol,
         "alternating-series-acceleration", "hyperbolic-term+ti2-differences", tail, terms,
     )
 
@@ -175,8 +168,8 @@ def _remark1(K: int, tol: float) -> IdentityReport:
     # the tail added back is Ti2(1/(2K+1)) by quadrature: an error in Ti2's
     # series route then stays in the rhs instead of cancelling.
     return IdentityReport.build(
-        "remark1", {"K": float(K)}, special.catalan_reference(1e-14),
-        decomp.remark1_partial(K) + ti2_via_quadrature(1.0 / (2 * K + 1)), tol,
+        "remark1", {"K": float(K)}, ti2kit.special.catalan_reference(1e-14),
+        ti2kit.decomp.remark1_partial(K) + ti2_via_quadrature(1.0 / (2 * K + 1)), tol,
         "alternating-series-acceleration", "telescoping+quadrature-tail", None, K,
     )
 
@@ -188,11 +181,12 @@ def _lemma1(_point, tol: float) -> IdentityReport:
     # that bracket order carries (k pi - 1)^{-r} - (k pi + 1)^{-r}, and the
     # opposite order misses G by about 2e-2 (the tests pin it).  The tail
     # bound adds the n-series bound to K(1)'s Ei-series bound.
-    k1 = decomp._h_ei_series(1.0, 1.0)
-    ser = decomp._hurwitz_n_series(1.0, 1.0, 0)
+    k1 = ti2kit.decomp._h_ei_series(1.0, 1.0)
+    ser = ti2kit.decomp._hurwitz_n_series(1.0, 1.0, 0)
     return IdentityReport.build(
-        "lemma1", {}, special.catalan_reference(1e-14), k1.value + decomp.s_r(1) + ser.value,
-        tol, "alternating-series-acceleration", "hurwitz-ei-loggamma-assembly",
+        "lemma1", {}, ti2kit.special.catalan_reference(1e-14),
+        k1.value + ti2kit.decomp.s_r(1) + ser.value, tol,
+        "alternating-series-acceleration", "hurwitz-ei-loggamma-assembly",
         ser.tail_bound + k1.tail_bound, ser.terms_used,
     )
 
@@ -203,14 +197,14 @@ def _pointwise(point, tol: float) -> IdentityReport:
     # Stirling remainder of its tail is below 1e-19, so no tail bound is
     # reported and tol is the whole budget.
     alpha, x = point
-    decomp._check_alpha(alpha)
+    ti2kit.decomp._check_alpha(alpha)
     if not 0.0 <= x < math.inf:
         raise DomainError(f"requires 0 <= x < inf, got {x!r}")
     principal = math.atan(math.cos(alpha) / math.sin(alpha) * math.tanh(x))
     return IdentityReport.build(
         "pointwise", {"alpha": alpha, "x": x}, math.atan(x / alpha),
-        principal + decomp._xi_sum(alpha, x), tol, "arctan", "pole-sum",
-        None, decomp._XI_DIRECT_TERMS,
+        principal + ti2kit.decomp._xi_sum(alpha, x), tol, "arctan", "pole-sum",
+        None, ti2kit.decomp._XI_DIRECT_TERMS,
     )
 
 
@@ -229,7 +223,7 @@ _IDENTITIES = {
     # solve residual was 9.99e-15; on the first seed the quadrature at 1e-13
     # gave 1.13e-14.
     "theorem1": (
-        lambda cfg: [r for r in map(endpoint.admissibility, cfg.a_grid) if r.admissible],
+        lambda cfg: [r for r in map(ti2kit.endpoint.admissibility, cfg.a_grid) if r.admissible],
         _theorem1,
     ),
     # corollary1: residual 0 at its one point.

@@ -25,6 +25,7 @@ from ti2kit.decomp import (
 )
 from ti2kit.numerics import DomainError
 from ti2kit.special import (
+    _PI_LO,
     EULER_GAMMA,
     _sine_log_sum,
     catalan_reference,
@@ -209,9 +210,10 @@ class TestHRoutes:
     @pytest.mark.parametrize("alpha", [1.0, PI / 2.0, 2.5])
     def test_huge_A_is_finite(self, A, alpha):
         # 2A overflows from 8.99e307, which made log 2A and Ei(-2A) give nan;
-        # there H is (pi/2 - alpha)(gamma + log 2A) + the sine-log sum.
+        # there H is (pi/2 - alpha)(gamma + log 2A) + the sine-log sum.  At
+        # alpha = PI/2, pi/2 - alpha is pi's low part over 2, and H is 4.3e-14.
         h = h_series(A, alpha).value
-        lead = (PI / 2.0 - alpha) * (EULER_GAMMA + math.log(A) + math.log(2.0))
+        lead = (PI / 2.0 - alpha + _PI_LO / 2.0) * (EULER_GAMMA + math.log(A) + math.log(2.0))
         assert h == pytest.approx(lead + _sine_log_sum(alpha), rel=1e-15, abs=1e-15)
 
 
@@ -254,6 +256,19 @@ class TestHSeriesDefaultRoute:
                 ref = _h_reference(mpmath, A, alpha)
                 err = abs(h_series(A, alpha).value - ref)
                 assert err <= 1e-14 * (abs(ref) + 1), (A, alpha, float(err))
+
+    @pytest.mark.parametrize("A", [3.0, 5.0, 1e3])
+    def test_relative_error_next_to_half_pi(self, A):
+        # H vanishes at alpha = pi/2, and the Ei route's pi/2 - alpha and
+        # sine-log sum vanish with it; both keep their digits there.  Worst
+        # measured: 3.0e-16 relative (1.2e-4 when both dropped pi's low part).
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            for d in (1e-2, 1e-5, 1e-8, 1e-12):
+                for alpha in (PI / 2.0 + d, PI / 2.0 - d):
+                    ref = _h_reference(mpmath, A, alpha)
+                    err = abs((h_series(A, alpha).value - ref) / ref)
+                    assert err <= 1e-15, (alpha, float(err))
 
     def test_route_and_counts_switch_at_crossover(self):
         below = h_series(math.nextafter(_H_QUADRATURE_BELOW, 0.0), 1.0)
@@ -387,6 +402,12 @@ class TestRemark1:
     def test_telescoping_exactness(self, K):
         total = remark1_partial(K) + ti2(1.0 / (2 * K + 1))
         assert abs(total - catalan_reference(1e-14)) <= 1e-11
+
+    @pytest.mark.parametrize("K", [0, 100_001])
+    def test_K_outside_1_to_100000_is_a_domain_error(self, K):
+        # verify's K ceiling: no call starts a longer loop.
+        with pytest.raises(DomainError, match="integer K in 1..100000"):
+            remark1_partial(K)
 
 
 class TestCatalanFamily:

@@ -141,14 +141,21 @@ def test_phi_and_aux_closed_F_above_one():
     assert _worst(f_errors) <= 4e-15
 
 
+def _sine_log_ref(alpha):
+    # Kummer's closed form at a = mpf(alpha)/pi.
+    x = mpmath.mpf(alpha)
+    a = x / mpmath.pi
+    return mpmath.pi / 2 * (mpmath.loggamma(a) - mpmath.loggamma(1 - a)) - (
+        mpmath.pi / 2 - x
+    ) * (mpmath.euler + mpmath.log(2 * mpmath.pi))
+
+
 def test_sine_log_sum_error():
-    # Against Kummer's closed form at a = mpf(alpha)/pi, in units of
-    # |ref| + 1: the sum vanishes at pi/2, where only its absolute error
-    # means anything.  Uniform alpha, plus alpha within 1e-3 of 0, pi/2 and
-    # pi, where a = alpha/pi rounded at alpha itself would cost 1 - a about
-    # 4e-17/(pi - alpha) of its digits.  Worst measured: 1.2e-15 (40000
-    # uniform and 10000 near each of the three, ten seeds).  Its relative
-    # error next to pi/2 is not bounded here.
+    # In units of |ref| + 1: uniform alpha, plus alpha within 1e-3 of 0,
+    # pi/2 and pi, where a = alpha/pi rounded at alpha itself would cost
+    # 1 - a about 4e-17/(pi - alpha) of its digits.  Worst measured: 1.2e-15
+    # (40000 uniform and 10000 near each of the three, ten seeds).  Next to
+    # pi/2, where the sum vanishes, the next test bounds its relative error.
     rng = random.Random(23)
     alphas = [rng.uniform(1e-6, math.pi - 1e-6) for _ in range(400)]
     for _ in range(100):
@@ -157,15 +164,25 @@ def test_sine_log_sum_error():
             math.pi / 2.0 + rng.uniform(-1e-3, 1e-3),
             math.pi - rng.uniform(1e-9, 1e-3),
         ]
-    two_pi_log = mpmath.euler + mpmath.log(2 * mpmath.pi)
     errors = []
     for alpha in alphas:
-        x = mpmath.mpf(alpha)
-        a = x / mpmath.pi
-        ref = mpmath.pi / 2 * (mpmath.loggamma(a) - mpmath.loggamma(1 - a)) - (
-            mpmath.pi / 2 - x
-        ) * two_pi_log
+        ref = _sine_log_ref(alpha)
         errors.append(float(abs(_sine_log_sum(alpha) - ref) / (abs(ref) + 1)))
+    assert _worst(errors) <= 3.5e-15
+
+
+def test_sine_log_sum_relative_error_next_to_half_pi():
+    # Plain relative error for alpha - pi/2 log-uniform in [1e-300, 1/4] on
+    # either side, where the log Gamma gap is one divided difference.  Worst
+    # measured: 1.2e-15 (13500 alpha, three seeds); 2.8e-8 at 1e-8 when two
+    # log_gamma values were subtracted.
+    rng = random.Random(24)
+    alphas = [math.pi / 2.0 + rng.choice((-1.0, 1.0)) * _log_uniform(rng, 1e-300, 0.25)
+              for _ in range(600)]
+    errors = []
+    for alpha in alphas:
+        ref = _sine_log_ref(alpha)
+        errors.append(float(abs((_sine_log_sum(alpha) - ref) / ref)))
     assert _worst(errors) <= 3.5e-15
 
 

@@ -1,10 +1,11 @@
+import ast
 import importlib
 import json
 import math
 import os
 import subprocess
 import sys
-import types
+from pathlib import Path
 
 import pytest
 
@@ -301,6 +302,7 @@ COMMANDS = (
             # The sign of a zero imaginary part carries through at 0 and 1 too.
             ("compute li2 1 -0", "1.64493406684823 -0\n"),
             ("compute li2 0 -0", "0 -0\n"),
+            ("compute ti2 -0", "-0\n"),
             ("compute li2 0.05 0.05", "0.0499706098599233 0.0512777241784229\n"),
             ("compute li2 1.2 0.9", "0.857238739498068 1.5532975175564\n"),
             ("compute li2 0.9 0.3", "1.10498635152422 0.617053028084862\n"),
@@ -473,6 +475,10 @@ for _name, _cases in _CASES.items():
     setattr(TestCli, _name, _command_test(_cases))
 
 
+# The package's modules, each with its public names in ti2kit._EXPORTS.
+MODULES = ("decomp", "endpoint", "numerics", "polylog", "report", "special", "ti2core", "verify")
+
+
 class TestImportFootprint:
     # dataclasses pulls in inspect, ast, dis and tokenize, and fractions
     # pulls in decimal: 1.3 MB of RSS in every ti2kit process.
@@ -524,6 +530,57 @@ class TestImportFootprint:
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == "0 []"
 
+    # README's load table: argv -> the ti2kit modules the process loads
+    # besides cli, and whether it loads json.
+    _LOADS = {
+        **dict.fromkeys(("compute li2 1 0", "compute clausen2 1"), ("numerics", "polylog")),
+        "compute ti2 1": ("numerics", "polylog", "ti2core"),
+        **dict.fromkeys(("compute hurwitz 2 1", "compute ei 1", "compute catalan"),
+                        ("numerics", "polylog", "special")),
+        **dict.fromkeys(("compute psi 1", "compute phi 2 1", "compute b-of-a 2"),
+                        ("numerics", "polylog", "endpoint")),
+        **dict.fromkeys(("compute H 5 1", "compute K1"),
+                        ("numerics", "polylog", "ti2core", "special", "decomp")),
+        "verify corollary4": ("numerics", "polylog", "ti2core", "report", "verify"),
+        "verify theorem1": ("numerics", "polylog", "ti2core", "report", "verify", "endpoint"),
+        "verify corollary1": ("numerics", "polylog", "ti2core", "report", "verify", "endpoint",
+                              "special"),
+        **dict.fromkeys(
+            ("verify corollary2", "verify corollary3", "verify remark1", "verify lemma1",
+             "verify pointwise"),
+            ("numerics", "polylog", "ti2core", "report", "verify", "special", "decomp"),
+        ),
+        **dict.fromkeys(("verify all", "verify all --format json"), MODULES),
+    }
+
+    @pytest.mark.parametrize("argv", list(_LOADS))
+    def test_command_loads_exactly_its_modules(self, argv):
+        probe = (
+            "import contextlib, io, sys, ti2kit.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = ti2kit.cli.main({argv.split()!r})\n"
+            "print(code, sorted(m for m in sys.modules if m.startswith('ti2kit.')),\n"
+            "      'json' in sys.modules)"
+        )
+        res = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60
+        )
+        assert res.returncode == 0, res.stderr
+        loaded = sorted(f"ti2kit.{m}" for m in ("cli", *self._LOADS[argv]))
+        assert res.stdout.strip() == f"0 {loaded} {argv.endswith('json')}"
+
+    def test_only_the_package_imports_importlib(self):
+        # The package's PEP 562 table is its one lazy loader.
+        package = Path(cli.__file__).parent
+        importers = []
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                         else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+                if any(n.partition(".")[0] == "importlib" for n in names):
+                    importers.append(path.name)
+        assert importers == ["__init__.py"]
+
     def test_json_output_loads_json(self):
         probe = (
             "import contextlib, io, sys, ti2kit.cli\n"
@@ -536,10 +593,6 @@ class TestImportFootprint:
         )
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == "0 True 1"
-
-
-# The package's modules, each with its public names in ti2kit._EXPORTS.
-MODULES = ("decomp", "endpoint", "numerics", "polylog", "report", "special", "ti2core", "verify")
 
 
 class TestPackageApi:
@@ -639,21 +692,6 @@ class TestPackageApi:
         )
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == "[0, 0, 0] []"
-
-    def test_lazy_globals_are_plain_modules_after_first_use(self, capsys):
-        # A stand-in left in place would re-enter the import system on every
-        # access, on the hot path of each verify row.
-        from ti2kit import cli, report, verify
-
-        for argv in (["verify", "all", "--format", "json"], ["compute", "li2", "1", "0"],
-                     ["compute", "ti2", "1"], ["compute", "ei", "1"],
-                     ["compute", "psi", "1"], ["compute", "K1"]):
-            assert cli.main(argv) == 0
-        lazy = {cli: ("decomp", "endpoint", "polylog", "report", "special", "ti2core", "verify"),
-                verify: ("decomp", "endpoint", "special"), report: ("json",)}
-        for module, names in lazy.items():
-            for name in names:
-                assert isinstance(vars(module)[name], types.ModuleType), (module, name)
 
 
 class TestCorollaryTolerances:
