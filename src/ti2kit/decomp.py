@@ -34,19 +34,20 @@ Lemma 1's K(1), whose statement it is.
 
 Corollary 2's bracket sum (and the Catalan family's, its A = alpha = pi/n
 case) is summed over every k with a fixed number of Ti2 calls.  The first
-K0 = max(20, ceil((4A + alpha)/pi)) brackets are summed directly; the rest,
+K0 = max(12, ceil((4A + alpha)/pi)) brackets are summed directly; the rest,
 T(K0) = sum over k > K0, is a digamma difference plus an alternating series
 of Hurwitz-zeta differences whose ratio A/((K0+1) pi - alpha) stays below
 1/4.  That n-series stops at its first omitted term below 1e-17, which is
-the reported tail bound.  Lemma 1's n-series is the same series at
-A = alpha = 1, m = 0 (ratio 1/(pi - 1)), summed to the end by the same code
-in 20 terms.
+the reported tail bound; all its x^r zeta(r, .) come from one
+special._odd_zeta_rungs pass per side.  Lemma 1's n-series is the same
+series at A = alpha = 1, m = 0 (ratio 1/(pi - 1)), summed to the end by the
+same code in 20 terms.
 
 The pointwise identity's pole sum is summed to the end the same way.
 Xi_k(x) = Im[log(k - a + iy) - log(k + a + iy)] with a = alpha/pi and
 y = x/pi, so the sum over k > m telescopes through log Gamma(z+1) =
 log Gamma(z) + log z to Im[log Gamma(m+1+a+iy) - log Gamma(m+1-a+iy)].  The
-first 20 terms are summed directly and the rest is that tail at m = 20,
+first 12 terms are summed directly and the rest is that tail at m = 12,
 from the complex Stirling series differenced term by term
 (special.loggamma_im_gap), whose remainder is below 1e-19.
 
@@ -57,6 +58,7 @@ module holds the sums they compare.
 from __future__ import annotations
 
 import math
+from operator import mul, sub
 
 from . import _EXPORTS
 from .numerics import (
@@ -69,11 +71,11 @@ from .numerics import (
 from .special import (
     EULER_GAMMA,
     _half_pi_minus,
+    _odd_zeta_rungs,
     _sine_log_sum,
     cot_partial_fraction_sum,
     digamma_gap,
     ei_negative,
-    hurwitz_zeta,
     loggamma_im_gap,
 )
 from .ti2core import _MAX_K, ti2
@@ -106,8 +108,10 @@ def _xi_term(k: int, alpha: float, x: float) -> float:
     return math.atan(2.0 * alpha * x / (x * x + c))
 
 
-# Pole corrections summed one by one before the Stirling tail takes over.
-_XI_DIRECT_TERMS = 20
+# Pole terms summed before the Stirling tail: the least loggamma_im_gap
+# allows.  Against 20: 11.2 against 13.8 us per seeded point, and a worst
+# pointwise residual of 6.7e-16 to 7.8e-16 at either count (3 x 4000 points).
+_XI_DIRECT_TERMS = 12
 
 
 def _xi_sum(alpha: float, x: float) -> float:
@@ -118,7 +122,7 @@ def _xi_sum(alpha: float, x: float) -> float:
 
         T(m) = sum_{k>m} Xi_k(x) = Im[log Gamma(m+1+a+iy) - log Gamma(m+1-a+iy)].
 
-    The first 20 terms are summed directly, the rest as T(20) by
+    The first 12 terms are summed directly, the rest as T(12) by
     loggamma_im_gap.
     """
     direct = math.fsum(_xi_term(k, alpha, x) for k in range(1, _XI_DIRECT_TERMS + 1))
@@ -217,6 +221,11 @@ def _h_ei_series(A: float, alpha: float) -> SeriesResult:
     return ser._replace(value=value)
 
 
+# (-1)^n / (2n + 1)^2 for n up to the n-series' term budget.
+_N_SERIES_MAX_TERMS = 64
+_N_SERIES_COEFF = tuple((-1.0) ** n / (2 * n + 1) ** 2 for n in range(1, _N_SERIES_MAX_TERMS + 1))
+
+
 def _pole_tail(A: float, alpha: float, m: int) -> SeriesResult:
     """T(m) = sum_{k>m} [Ti2(A/(k pi - alpha)) - Ti2(A/(k pi + alpha))] via Hurwitz zeta.
 
@@ -227,7 +236,7 @@ def _pole_tail(A: float, alpha: float, m: int) -> SeriesResult:
         T(m) = (A/pi) [psi(m+1+a) - psi(m+1-a)] + _hurwitz_n_series(A, alpha, m).
 
     The digamma difference is taken by digamma_gap, which keeps its digits
-    when A/pi is large; it needs m + 1 - a >= 12.
+    when A/pi is large; it needs m + 1 - a >= 12, so m >= 12.
     """
     ser = _hurwitz_n_series(A, alpha, m)
     return ser._replace(value=A / PI * digamma_gap(m + 1.0, alpha / PI) + ser.value)
@@ -239,34 +248,37 @@ def _hurwitz_n_series(A: float, alpha: float, m: int) -> SeriesResult:
     With x = A/pi and a = alpha/pi this is the pole tail's n-series; it needs
     q = x/lo < 1, lo = m+1-a.  Its terms alternate and decrease, so the rest
     is below the first omitted term, bounded through x^r zeta(r, lo) <=
-    q^r (1 + lo/(r-1)) (first term plus the integral of the rest).  The sum
-    stops once that bound falls below 1e-17 and reports it as the tail bound.
+    q^r (1 + lo/(r-1)) (first term plus the integral of the rest).  The
+    depth N is the first at which that bound falls below 1e-17, at most 64,
+    and the bound is the tail bound; each side's x^r zeta(r, .) for all N
+    rungs comes from one _odd_zeta_rungs pass.
     """
     x = A / PI
     lo = m + 1 - alpha / PI
     hi = m + 1 + alpha / PI
-
-    def term(n: int) -> float:
-        r = 2 * n + 1
-        return (-1.0) ** n * x**r / (r * r) * (hurwitz_zeta(r, lo) - hurwitz_zeta(r, hi))
-
-    def first_omitted(n: int) -> float:
+    for n in range(1, _N_SERIES_MAX_TERMS + 1):
         r = 2 * n + 3
-        return (x / lo) ** r * (1.0 + lo / (r - 1)) / (r * r)
-
-    return sum_series(term, first_omitted, tol=1e-17, max_terms=64)
+        bound = (x / lo) ** r * (1.0 + lo / (r - 1)) / (r * r)
+        if bound <= 1e-17:
+            break
+    diffs = map(sub, _odd_zeta_rungs(x, lo, 3, n), _odd_zeta_rungs(x, hi, 3, n))
+    return SeriesResult(
+        math.fsum(map(mul, _N_SERIES_COEFF, diffs)), n, bound, truncated=bound > 1e-17
+    )
 
 
 def _pole_direct_terms(A: float, alpha: float) -> int:
     # K0 with A/((K0+1) pi - alpha) < 1/4: the Hurwitz n-series then gains
-    # at least 1.2 digits per term.
-    return max(20, math.ceil((4.0 * A + alpha) / PI))
+    # at least 1.2 digits per term.  The floor is the least digamma_gap
+    # allows: 46.0 us per corollary2 point at 12, 54.6 at 20 (40 points as
+    # verify's); over 4000 the worst residual is 2.1e-15 (3.0e-15 before).
+    return max(12, math.ceil((4.0 * A + alpha) / PI))
 
 
 def _pole_bracket(A: float, alpha: float) -> SeriesResult:
     """sum_{k>=1} [Ti2(A/(k pi - alpha)) - Ti2(A/(k pi + alpha))].
 
-    The first K0 = max(20, ceil((4A + alpha)/pi)) brackets are summed
+    The first K0 = max(12, ceil((4A + alpha)/pi)) brackets are summed
     directly and the rest as T(K0) from the Hurwitz expansion, whose
     n-series bound is the tail bound.
     """
@@ -300,16 +312,22 @@ def remark1_partial(K: int) -> float:
 
 
 def s_r(r: int) -> float:
-    """S_r = sum_k [(k pi - 1)^{-r} - (k pi + 1)^{-r}] for odd r >= 1; positive.
+    """S_r = sum_k [(k pi - 1)^{-r} - (k pi + 1)^{-r}] for odd r >= 1; positive until it underflows.
 
     r = 1 goes through the cotangent partial fractions (S_1 = 1 - cot 1);
-    r >= 3 through pi^{-r} [zeta(r, 1 - 1/pi) - zeta(r, 1 + 1/pi)].
+    r >= 3 through pi^{-r} [zeta(r, lo) - zeta(r, hi)], lo = 1 - 1/pi and
+    hi = 1 + 1/pi, taken as q^r [1 + lo^r zeta(r, lo + 1) - lo^r zeta(r, hi)]
+    with q = 1/(pi lo) < 1.  Both rungs, from _odd_zeta_rungs, are below 1,
+    so their 1e-17 budget is relative to the bracket, and q^r underflows to
+    0 from r = 979 on instead of overflowing.
     """
     if not (r >= 1 and r % 2 == 1):
         raise DomainError(f"s_r requires odd r >= 1, got {r!r}")
     if r == 1:
         return 2.0 * cot_partial_fraction_sum(1.0)
-    return PI ** (-r) * (hurwitz_zeta(r, 1.0 - 1.0 / PI) - hurwitz_zeta(r, 1.0 + 1.0 / PI))
+    lo = 1.0 - 1.0 / PI
+    (near,), (far,) = _odd_zeta_rungs(lo, lo + 1.0, r, 1), _odd_zeta_rungs(lo, 1.0 + 1.0 / PI, r, 1)
+    return (1.0 / (PI * lo)) ** r * (1.0 + near - far)
 
 
 def k1_closed() -> float:

@@ -6,6 +6,10 @@ briskly, continued fraction / asymptotic tail elsewhere) with the switchovers
 pinned by overlap tests and by measured error against a high-precision
 reference rather than tuning.
 
+Besides :func:`hurwitz_zeta`, ``_odd_zeta_rungs`` gives x^r zeta(r, c) at a
+run of odd r in one pass with one shared Euler-Maclaurin tail (F. Johansson,
+Numer. Algorithms 69 (2015) 253-270), for the pole tails, Lemma 1 and S_r.
+
 log Gamma has one implementation, :func:`log_gamma`; the sine-log sum takes
 Kummer's log Gamma(a) - log Gamma(1 - a) from two of its values, or next to
 a = 1/2 from one divided difference of its Taylor polynomial.  The digamma and
@@ -17,6 +21,8 @@ from __future__ import annotations
 
 import math
 import sys
+from itertools import accumulate, repeat
+from operator import mul
 
 from . import _EXPORTS
 from .numerics import DomainError
@@ -116,6 +122,56 @@ def hurwitz_zeta(s: float, c: float) -> float:
         + _EM10 * poch5 * xp5
         + _EM12 * poch6 * xp6
     )
+
+
+# log(1.5 |B_14/14!| / 1e-17): _odd_zeta_rungs' tail budget.
+_EM14_BUDGET = math.log(1.5 * abs(_bernoulli_over(7, math.factorial(14))) / 1e-17)
+
+
+def _odd_zeta_rungs(x: float, c: float, r0: int, count: int) -> list[float]:
+    """[x^r zeta(r, c) for odd r = r0, r0 + 2, ..., r0 + 2 (count - 1)], 0 <= x < c, r0 >= 3.
+
+    One pass: the direct sum over k < M climbs (x/(k + c))^r by (x/(k + c))^2,
+    and one Euler-Maclaurin tail at X = M + c, through B_12, serves each rung:
+        (x/X)^r [X/(r-1) + 1/2 + (r/X) sum_j B_2j/(2j)! prod_{i<j} (r+2i-1)(r+2i)/X^2].
+    For real r the remainder is below the first omitted correction,
+    |B_14/14!| (r)_13 x^r X^{-r-13}; X is the least M + c that puts it below
+    1e-17/1.5 at r0 and, with more than one rung, X >= 4x, so that it grows
+    by at most 17/12 (from r = 3 to 5) over the later rungs.  A rung skips the
+    tail, and so do the rungs after it, once the whole tail, at most
+    (x/X)^r (1 + X/(r-1)), is below 1e-17.  So each rung is within 1e-17,
+    plus rounding.  M is 11 at lemma1's x = 1/pi, c = 1 - 1/pi, and 0 at the
+    default grid's pole tails (c > 12, x < 2/pi).  No term exceeds 1, so
+    nothing overflows.
+    """
+    e = r0 + 13.0
+    big = math.exp((_EM14_BUDGET + math.lgamma(r0 + 13.0) - math.lgamma(r0)) / e) * x ** (r0 / e)
+    if count > 1:
+        big = max(big, 4.0 * x)
+    m = max(0, math.ceil(big - c))
+    big = m + c
+    rows = []
+    for k in range(m):
+        t = x / (k + c)
+        rows.append(accumulate(repeat(t * t, count - 1), mul, initial=t ** r0))
+    u = x / big
+    p = u ** r0
+    h2 = 1.0 / (big * big)
+    tail = [0.0] * count
+    r = r0
+    for i in range(count):
+        if p * (1.0 + big / (r - 1.0)) <= 1e-17:
+            break
+        s = _EM10 + (r + 9.0) * (r + 10.0) * h2 * _EM12
+        s = _EM8 + (r + 7.0) * (r + 8.0) * h2 * s
+        s = _EM6 + (r + 5.0) * (r + 6.0) * h2 * s
+        s = _EM4 + (r + 3.0) * (r + 4.0) * h2 * s
+        s = _EM2 + (r + 1.0) * (r + 2.0) * h2 * s
+        tail[i] = p * (big / (r - 1.0) + 0.5 + r / big * s)
+        p *= u * u
+        r += 2
+    rows.append(tail)
+    return list(map(math.fsum, zip(*rows)))
 
 
 # B_{2j} / (2j) for j = 1..7, the asymptotic digamma coefficients.

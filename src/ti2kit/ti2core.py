@@ -147,7 +147,7 @@ def ti2_via_quadrature(y: float) -> float:
     if not y >= 0.0:
         raise DomainError(f"ti2_via_quadrature requires y >= 0, got {y!r}")
     if y == 0.0:
-        return 0.0
+        return y  # keeps the sign of zero, as ti2 does
     return integrate_adaptive(
         lambda x: math.atan(x) / x if x != 0.0 else 1.0, 0.0, y, 1e-12
     ).value

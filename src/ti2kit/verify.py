@@ -177,10 +177,11 @@ def _remark1(K: int, tol: float) -> IdentityReport:
 def _lemma1(_point, tol: float) -> IdentityReport:
     # G = K(1) + (1 - cot 1) + sum_{n>=1} (-1)^n/(2n+1)^2 S_{2n+1}, the
     # n-series being the pole tail's at A = alpha = 1, m = 0, summed to the
-    # end (20 terms).  There S_r = pi^{-r} [zeta(r, 1 - 1/pi) - zeta(r, 1 + 1/pi)]:
-    # that bracket order carries (k pi - 1)^{-r} - (k pi + 1)^{-r}, and the
-    # opposite order misses G by about 2e-2 (the tests pin it).  The tail
-    # bound adds the n-series bound to K(1)'s Ei-series bound.
+    # end (20 terms).  There S_r = pi^{-r} [zeta(r, 1 - 1/pi) - zeta(r, 1 + 1/pi)],
+    # all 20 from two special._odd_zeta_rungs passes: that bracket order
+    # carries (k pi - 1)^{-r} - (k pi + 1)^{-r}, and the opposite order misses
+    # G by about 2e-2 (the tests pin it).  The tail bound adds the n-series
+    # bound to K(1)'s Ei-series bound.
     k1 = ti2kit.decomp._h_ei_series(1.0, 1.0)
     ser = ti2kit.decomp._hurwitz_n_series(1.0, 1.0, 0)
     return IdentityReport.build(
@@ -228,10 +229,11 @@ _IDENTITIES = {
     ),
     # corollary1: residual 0 at its one point.
     "corollary1": (lambda cfg: [None], _corollary1),
-    # corollary2 and corollary3 sum their pole series to the end: over 4000
-    # seeded corollary2 points (A log-stratified in [0.05, 2], alpha uniform
-    # in [0.2, 3]) the worst residual was 2.4e-15, and over corollary3's
-    # n = 2..12 it was 1.1e-16, so 1e-12 leaves a factor of about 400 for
+    # corollary2 and corollary3 sum their pole series to the end, 12 brackets
+    # directly and the rest by the Hurwitz n-series: over 4000 seeded
+    # corollary2 points (A log-stratified in [0.05, 2], alpha uniform in
+    # [0.2, 3]) the worst residual was 2.1e-15, and over corollary3's
+    # n = 2..12 it was 2.2e-16, so 1e-12 leaves a factor of about 400 for
     # other platforms' libm while a 1e-11 error in either sum fails.
     "corollary2": (lambda cfg: cfg.A_alpha_grid, _corollary2),
     "corollary3": (lambda cfg: cfg.n_grid, _corollary3),
@@ -241,10 +243,12 @@ _IDENTITIES = {
     # remark1: worst residual 4.7e-15 for K = 1..299, 1e3, 5e3, 2e4, 1e5,
     # at 1e5.
     "remark1": (lambda cfg: [cfg.K], _remark1),
-    # lemma1 sums its Hurwitz n-series to the end too; at its one point the
-    # residual is 1.1e-16 under a tail bound of 2.4e-16, so 1e-12 holds it
-    # the same way, and a 1e-11 error in K(1) fails.
+    # lemma1 sums its Hurwitz n-series to the end too, in 20 terms; at its
+    # one point the residual is 1.1e-16 under a tail bound of 2.4e-16, so
+    # 1e-12 holds it the same way, and a 1e-11 error in K(1) fails.
     "lemma1": (lambda cfg: [None], _lemma1),
+    # pointwise: worst residual 7.8e-16 over 3 x 4000 seeded points (alpha
+    # in [0.2, 3], x in [0.05, 4]), with 12 pole terms summed directly.
     "pointwise": (lambda cfg: cfg.alpha_x_grid, _pointwise),
 }
 

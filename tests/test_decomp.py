@@ -33,6 +33,7 @@ from ti2kit.special import (
     loggamma_im_gap,
 )
 from ti2kit.ti2core import ti2
+from ti2kit.verify import VerificationConfig, run_identity
 
 PI = math.pi
 
@@ -374,7 +375,7 @@ class TestPoleBracket:
     def test_ratio_stays_below_a_quarter(self):
         for A, alpha in ((0.01, 3.1), (1.0, 1.0), (7.0, 0.3), (1e4, 2.0)):
             k0 = _pole_direct_terms(A, alpha)
-            assert k0 >= 20
+            assert k0 >= 12
             assert A / ((k0 + 1) * PI - alpha) < 0.25
 
     def test_tail_series_converges_with_honest_bound(self):
@@ -454,6 +455,24 @@ class TestSR:
             s_r(2)
         with pytest.raises(DomainError):
             s_r(-3)
+
+    def test_against_mpmath(self):
+        # Worst measured: 1.8e-16 relative (at r = 41); hurwitz_zeta's
+        # pi^{-r} [zeta(r, lo) - zeta(r, hi)] gave 6.1e-15 there.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            x = 1 / mpmath.pi
+            for r in range(3, 42, 2):
+                ref = x**r * (mpmath.zeta(r, 1 - x) - mpmath.zeta(r, 1 + x))
+                assert abs(s_r(r) - ref) <= 6e-16 * ref, r
+
+    @pytest.mark.parametrize("r", [1001, 1851, 2001, 4001])
+    def test_large_order_underflows_instead_of_overflowing(self, r):
+        # S_r rounds to 0.0 in binary64 from r = 979 on (1.6e-324 there); the
+        # hurwitz_zeta route raised DomainError from r = 1853, where
+        # zeta(r, 1 - 1/pi) passes the float range.
+        value = s_r(r)
+        assert math.isfinite(value) and value >= 0.0
 
 
 class TestK1:
@@ -556,3 +575,34 @@ class TestLemma1:
             assert math.copysign(1.0, res) == (-1.0) ** (n + 1), n
         magnitudes = [abs(r) for r in residuals] + [identity_report("lemma1").abs_residual]
         assert all(r2 < r1 for r1, r2 in zip(magnitudes, magnitudes[1:]))
+
+
+class TestSeededResiduals:
+    """Seeded points stay within the worst residuals verify._IDENTITIES records.
+
+    Those comments give 2.1e-15 for corollary2 over 4000 points, 2.2e-16 for
+    corollary3 over n = 2..12, 1.1e-16 for lemma1 and 7.8e-16 for pointwise
+    over 3 x 4000 points: 19, 2, 1 and 7 units of 2^-53, as measured.
+    """
+
+    def test_corollary2(self):
+        # A log-stratified in [0.05, 2], alpha uniform in [0.2, 3].
+        rng = random.Random(30)
+        points = []
+        for i in range(300):
+            u = (i + rng.random()) / 300
+            points.append((0.05 * 40.0**u, rng.uniform(0.2, 3.0)))
+        reports = run_identity("corollary2", VerificationConfig(A_alpha_grid=points))
+        assert max(r.abs_residual for r in reports) <= 19 * 2.0**-53
+
+    def test_corollary3_and_lemma1(self):
+        reports = run_identity("corollary3", VerificationConfig(n_grid=range(2, 13)))
+        assert max(r.abs_residual for r in reports) <= 2 * 2.0**-53
+        assert identity_report("lemma1").abs_residual <= 2.0**-53
+
+    def test_pointwise_at_the_direct_count(self):
+        rng = random.Random(30)
+        points = [(rng.uniform(0.2, 3.0), rng.uniform(0.05, 4.0)) for _ in range(300)]
+        reports = run_identity("pointwise", VerificationConfig(alpha_x_grid=points))
+        assert all(r.terms_used == _XI_DIRECT_TERMS == 12 for r in reports)
+        assert max(r.abs_residual for r in reports) <= 7 * 2.0**-53

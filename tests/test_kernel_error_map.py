@@ -6,6 +6,7 @@ of regime or switchover that costs accuracy fails here.
 """
 
 import cmath
+import itertools
 import math
 import random
 
@@ -14,6 +15,7 @@ import pytest
 from ti2kit.endpoint import aux_closed_F, phi
 from ti2kit.polylog import clausen2, li2
 from ti2kit.special import (
+    _odd_zeta_rungs,
     _sine_log_sum,
     digamma_gap,
     ei_negative,
@@ -259,6 +261,28 @@ def test_hurwitz_zeta_relative_error():
         errors.append(float(abs((hurwitz_zeta(s, c) - ref60) / ref60)))
     assert len(errors) >= 250
     assert _worst(errors) <= 3.3e-15
+
+
+def test_odd_zeta_rungs_error():
+    # c log-uniform in [0.5, 60], x/c uniform in [1/16, 1/2], first order r0
+    # odd in 3..41, 1 to 20 rungs.  The rungs carry an absolute budget of
+    # 1e-17, so, as the sine-log sum is against |sum| + 1, each is measured
+    # against |ref| + 1e-2: relative above 1e-2.  Worst measured: 8.7e-16
+    # over 3 x 1000 points, where x^r zeta(r, c) is near 1e-2 or below.  The
+    # references take 60 digits: at 40, mpmath's zeta(r, c) at large r and c
+    # is off by up to 7.9e-17 in this measure.
+    rng = random.Random(23)
+    errors = []
+    for _ in range(200):
+        c = _log_uniform(rng, 0.5, 60.0)
+        x = c * rng.uniform(1.0 / 16.0, 0.5)
+        r0 = rng.randrange(3, 42, 2)
+        rungs = _odd_zeta_rungs(x, c, r0, rng.randint(1, 20))
+        for value, r in zip(rungs, itertools.count(r0, 2)):
+            with mpmath.workdps(60):
+                ref = mpmath.mpf(x) ** r * mpmath.zeta(r, c)
+                errors.append(float(abs(value - ref) / (ref + mpmath.mpf("1e-2"))))
+    assert _worst(errors) <= 2.5e-15
 
 
 def test_clausen2_error_over_a_period():

@@ -20,6 +20,7 @@ from ti2kit.special import (
     digamma_gap,
     ei_negative,
     hurwitz_zeta,
+    _odd_zeta_rungs,
     _sine_log_sum,
     log_gamma,
     loggamma_im_gap,
@@ -120,6 +121,36 @@ class TestHurwitzZeta:
         # x^{-s-1} underflows to 0 while (s)_{2j-1} overflows to inf; the
         # product was nan.  zeta(s, c) < c^{-s} (1 + c/(s - 1)) underflows.
         assert hurwitz_zeta(s, c) == 0.0
+
+
+class TestOddZetaRungs:
+    """x^r zeta(r, c) at a run of odd r in one pass, against hurwitz_zeta."""
+
+    def test_matches_hurwitz_zeta_at_every_rung(self):
+        # lemma1's two sides (x = 1/pi, c = 1 -+ 1/pi) and pole tails
+        # (c in [12, 60], x/c in [0, 1/4]), r odd in 3..41.  The rungs carry an
+        # absolute budget of 1e-17, so the gap is measured against |want| +
+        # 1e-2: relative above 1e-2.  Worst measured: 8.1e-16 over 3 x 400.
+        rng = random.Random(31)
+        for _ in range(400):
+            if rng.random() < 0.5:
+                x, c = 1.0 / PI, rng.choice((1.0 - 1.0 / PI, 1.0 + 1.0 / PI))
+            else:
+                c = rng.uniform(12.0, 60.0)
+                x = c * rng.uniform(0.0, 0.25)
+            r0 = rng.randrange(3, 42, 2)
+            count = rng.randint(1, (41 - r0) // 2 + 1)
+            got = _odd_zeta_rungs(x, c, r0, count)
+            assert len(got) == count
+            for value, r in zip(got, range(r0, 42, 2)):
+                want = x**r * hurwitz_zeta(float(r), c)
+                assert abs(value - want) <= 2.5e-15 * (abs(want) + 1e-2), (x, c, r0, r)
+
+    def test_rungs_past_the_float_range_underflow_to_zero(self):
+        # (x/c)^r underflows from r of about 1000 at x/c = 0.47; nothing
+        # overflows, at any r.
+        for r0 in (1001, 2001, 4001, 9007199254740991.0):
+            assert _odd_zeta_rungs(1.0 / PI, 1.0 - 1.0 / PI, r0, 3) == [0.0, 0.0, 0.0]
 
 
 def log_grid(lo: float, hi: float, n: int) -> list[float]:

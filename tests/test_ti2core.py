@@ -88,6 +88,10 @@ class TestTi2ViaQuadrature:
     def test_zero(self):
         assert ti2_via_quadrature(0.0) == 0.0
 
+    def test_negative_zero_keeps_its_sign_like_ti2(self):
+        assert math.copysign(1.0, ti2_via_quadrature(-0.0)) == -1.0
+        assert math.copysign(1.0, ti2(-0.0)) == -1.0
+
     @pytest.mark.parametrize("y", [1e-310, 1e-318, 1e-322, 5e-324])
     def test_subnormal_width_takes_the_limit_at_zero(self, y):
         value = ti2_via_quadrature(y)
