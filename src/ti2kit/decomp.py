@@ -39,7 +39,7 @@ T(K0) = sum over k > K0, is a digamma difference plus an alternating series
 of Hurwitz-zeta differences whose ratio A/((K0+1) pi - alpha) stays below
 1/4.  That n-series stops at its first omitted term below 1e-17, which is
 the reported tail bound; all its x^r zeta(r, .) come from one
-special._odd_zeta_rungs pass per side.  Lemma 1's n-series is the same
+special._zeta_rungs pass per side.  Lemma 1's n-series is the same
 series at A = alpha = 1, m = 0 (ratio 1/(pi - 1)), summed to the end by the
 same code in 20 terms.
 
@@ -71,7 +71,7 @@ from .numerics import (
 from .special import (
     EULER_GAMMA,
     _half_pi_minus,
-    _odd_zeta_rungs,
+    _zeta_rungs,
     _sine_log_sum,
     cot_partial_fraction_sum,
     digamma_gap,
@@ -251,7 +251,7 @@ def _hurwitz_n_series(A: float, alpha: float, m: int) -> SeriesResult:
     q^r (1 + lo/(r-1)) (first term plus the integral of the rest).  The
     depth N is the first at which that bound falls below 1e-17, at most 64,
     and the bound is the tail bound; each side's x^r zeta(r, .) for all N
-    rungs comes from one _odd_zeta_rungs pass.
+    rungs comes from one _zeta_rungs pass.
     """
     x = A / PI
     lo = m + 1 - alpha / PI
@@ -261,7 +261,7 @@ def _hurwitz_n_series(A: float, alpha: float, m: int) -> SeriesResult:
         bound = (x / lo) ** r * (1.0 + lo / (r - 1)) / (r * r)
         if bound <= 1e-17:
             break
-    diffs = map(sub, _odd_zeta_rungs(x, lo, 3, n), _odd_zeta_rungs(x, hi, 3, n))
+    diffs = map(sub, _zeta_rungs(x, lo, 3, n), _zeta_rungs(x, hi, 3, n))
     return SeriesResult(
         math.fsum(map(mul, _N_SERIES_COEFF, diffs)), n, bound, truncated=bound > 1e-17
     )
@@ -317,8 +317,8 @@ def s_r(r: int) -> float:
     r = 1 goes through the cotangent partial fractions (S_1 = 1 - cot 1);
     r >= 3 through pi^{-r} [zeta(r, lo) - zeta(r, hi)], lo = 1 - 1/pi and
     hi = 1 + 1/pi, taken as q^r [1 + lo^r zeta(r, lo + 1) - lo^r zeta(r, hi)]
-    with q = 1/(pi lo) < 1.  Both rungs, from _odd_zeta_rungs, are below 1,
-    so their 1e-17 budget is relative to the bracket, and q^r underflows to
+    with q = 1/(pi lo) < 1.  Both rungs, from _zeta_rungs, are below 1,
+    so their 1.1e-17 budget is relative to the bracket, and q^r underflows to
     0 from r = 979 on instead of overflowing.
     """
     if not (r >= 1 and r % 2 == 1):
@@ -326,7 +326,7 @@ def s_r(r: int) -> float:
     if r == 1:
         return 2.0 * cot_partial_fraction_sum(1.0)
     lo = 1.0 - 1.0 / PI
-    (near,), (far,) = _odd_zeta_rungs(lo, lo + 1.0, r, 1), _odd_zeta_rungs(lo, 1.0 + 1.0 / PI, r, 1)
+    (near,), (far,) = _zeta_rungs(lo, lo + 1.0, r, 1), _zeta_rungs(lo, 1.0 + 1.0 / PI, r, 1)
     return (1.0 / (PI * lo)) ** r * (1.0 + near - far)
 
 

@@ -6,9 +6,9 @@ briskly, continued fraction / asymptotic tail elsewhere) with the switchovers
 pinned by overlap tests and by measured error against a high-precision
 reference rather than tuning.
 
-Besides :func:`hurwitz_zeta`, ``_odd_zeta_rungs`` gives x^r zeta(r, c) at a
-run of odd r in one pass with one shared Euler-Maclaurin tail (F. Johansson,
-Numer. Algorithms 69 (2015) 253-270), for the pole tails, Lemma 1 and S_r.
+``_zeta_rungs`` is the one Euler-Maclaurin Hurwitz pass: x^r zeta(r, c) at
+r = s0, s0 + 2, ... with one shared tail (F. Johansson, Numer. Algorithms 69
+(2015) 253-270), for the pole tails, Lemma 1, S_r and :func:`hurwitz_zeta`.
 
 log Gamma has one implementation, :func:`log_gamma`; the sine-log sum takes
 Kummer's log Gamma(a) - log Gamma(1 - a) from two of its values, or next to
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import sys
-from itertools import accumulate, repeat
+from itertools import accumulate, islice, repeat, zip_longest
 from operator import mul
 
 from . import _EXPORTS
@@ -53,125 +53,94 @@ _EM2, _EM4, _EM6, _EM8, _EM10, _EM12 = _EM_BERN
 def hurwitz_zeta(s: float, c: float) -> float:
     """Hurwitz zeta  zeta(s, c) = sum_{k>=0} (k + c)^{-s}  for finite s > 1, c > 0.
 
-    Direct summation of the first M = max(0, ceil(2s + 30 - c)) terms plus
-    the Euler-Maclaurin tail at x = M + c
-
-        x^{1-s}/(s-1) + x^{-s}/2
-          + sum_j B_{2j}/(2j)! * (s)_{2j-1} * x^{-s-2j+1}
-
-    with Bernoulli corrections through B_12.  The first omitted correction,
-    B_14/14! (s)_13 x^{-s-13}, is below 1e-16 of the leading term once
-    x >= 2s + 30 (for s up to about 50), so large c needs no shift and the
-    cost does not grow with c.
-
-    The direct sum stops sooner, with no tail, at the first n with
-    y = n + c >= c (1e17 F)^{1/s}, F = 1 + x/(s-1), if that n is below M:
-    the rest, at most y^{-s} (1 + y/(s-1)), is then below 1e-17 c^{-s} <=
-    1e-17 zeta(s, c).  That is 2 terms at s = 41, c = 1 - 1/pi.  At least
-    one term is summed: from s = 3.6e17 (at c = 1) the root rounds to 1 and n
-    to 0, and the first term is then all of zeta(s, c) that binary64 holds.
+    c^{-s} times one _zeta_rungs rung at x = c, c^s zeta(s, c) >= 1, whose
+    1.1e-17 budget is then relative: M is 14 at s = 1.1, c = 1, and the short
+    stop takes 2 terms at s = 41, c = 1 - 1/pi.  x = 1e300 (s - 1) where c/(s - 1)
+    would pass 1e300, and the scale is x^{1-s} (rung/x) where x^{-s} underflows.
+    Past the float range the value raises :class:`DomainError`.
     """
     if not 1.0 < s < math.inf:
         raise DomainError(f"hurwitz_zeta requires 1 < s < inf, got s={s!r}")
     if not 0.0 < c < math.inf:
         raise DomainError(f"hurwitz_zeta requires 0 < c < inf, got c={c!r}")
-
-    # 2s overflows from s = 8.99e307; from s = 1e300 on (1e17 F)^{1/s}
-    # rounds to 1 whatever M is, so there M is taken at s = 1e300.
-    m = max(0, math.ceil(2.0 * min(s, 1e300) + 30.0 - c))
-    x = m + c
-    # Compared as a float first: the bound is inf as s -> 1.
-    stop = c * ((1e17 * (1.0 + x / (s - 1.0))) ** (1.0 / s) - 1.0)
-    short = stop < m
-    total = 0.0
+    x = c if c < 1e300 * (s - 1.0) else 1e300 * (s - 1.0)
+    (rung,) = _zeta_rungs(x, c, s, 1)
     try:
-        for k in range(max(1, math.ceil(stop)) if short else m):
-            total += (k + c) ** (-s)
+        scale = x ** -s
     except OverflowError:
-        # (k + c)^{-s} for k + c < 1: zeta(s, c) is past the float range.
-        raise DomainError(f"hurwitz_zeta({s!r}, {c!r}) overflows binary64") from None
-    if short:
-        return total
-
-    total += x ** (1.0 - s) / (s - 1.0)
-    total += 0.5 * x ** (-s)
-    # Pochhammer (s)_{2j-1} and x^{-s-2j+1}, each one step from the last;
-    # a step's factor (s + 2j - 1)(s + 2j) rounds s + 2j before taking 1 off.
-    xp1 = x ** (-s - 1.0)
-    if xp1 == 0.0:
-        # Every correction underflows too, but (s)_{2j-1} can overflow
-        # (from s of about 1e28) and make inf * 0 = nan.
-        return total
-    x2 = 1.0 / (x * x)
-    xp2 = xp1 * x2
-    xp3 = xp2 * x2
-    xp4 = xp3 * x2
-    xp5 = xp4 * x2
-    xp6 = xp5 * x2
-    poch2 = s * ((s + 2.0 - 1.0) * (s + 2.0))
-    poch3 = poch2 * ((s + 4.0 - 1.0) * (s + 4.0))
-    poch4 = poch3 * ((s + 6.0 - 1.0) * (s + 6.0))
-    poch5 = poch4 * ((s + 8.0 - 1.0) * (s + 8.0))
-    poch6 = poch5 * ((s + 10.0 - 1.0) * (s + 10.0))
-    return (
-        total
-        + _EM2 * s * xp1
-        + _EM4 * poch2 * xp2
-        + _EM6 * poch3 * xp3
-        + _EM8 * poch4 * xp4
-        + _EM10 * poch5 * xp5
-        + _EM12 * poch6 * xp6
-    )
+        scale = math.inf
+    value = scale * rung if scale >= sys.float_info.min else x ** (1.0 - s) * (rung / x)
+    if value == math.inf:
+        raise DomainError(f"hurwitz_zeta({s!r}, {c!r}) overflows binary64")
+    return value
 
 
-# log(1.5 |B_14/14!| / 1e-17): _odd_zeta_rungs' tail budget.
+# log(1.5 |B_14/14!| / 1e-17): the tail budget of _zeta_rungs.
 _EM14_BUDGET = math.log(1.5 * abs(_bernoulli_over(7, math.factorial(14))) / 1e-17)
+_LOG_ROW_FLOOR = math.log(1e-20)
 
 
-def _odd_zeta_rungs(x: float, c: float, r0: int, count: int) -> list[float]:
-    """[x^r zeta(r, c) for odd r = r0, r0 + 2, ..., r0 + 2 (count - 1)], 0 <= x < c, r0 >= 3.
+def _zeta_rungs(x: float, c: float, s0: float, count: int) -> list[float]:
+    """[x^r zeta(r, c) for r = s0, s0 + 2, ..., s0 + 2 (count - 1)], s0 > 1, 0 <= x <= c.
 
-    One pass: the direct sum over k < M climbs (x/(k + c))^r by (x/(k + c))^2,
-    and one Euler-Maclaurin tail at X = M + c, through B_12, serves each rung:
+    Rows k < M climb (x/(k + c))^r by (x/(k + c))^2, and one Euler-Maclaurin
+    tail at X = M + c through B_12 serves each rung (x < c for more than one):
         (x/X)^r [X/(r-1) + 1/2 + (r/X) sum_j B_2j/(2j)! prod_{i<j} (r+2i-1)(r+2i)/X^2].
-    For real r the remainder is below the first omitted correction,
-    |B_14/14!| (r)_13 x^r X^{-r-13}; X is the least M + c that puts it below
-    1e-17/1.5 at r0 and, with more than one rung, X >= 4x, so that it grows
-    by at most 17/12 (from r = 3 to 5) over the later rungs.  A rung skips the
-    tail, and so do the rungs after it, once the whole tail, at most
-    (x/X)^r (1 + X/(r-1)), is below 1e-17.  So each rung is within 1e-17,
-    plus rounding.  M is 11 at lemma1's x = 1/pi, c = 1 - 1/pi, and 0 at the
-    default grid's pole tails (c > 12, x < 2/pi).  No term exceeds 1, so
-    nothing overflows.
+    X is the least M + c with |B_14/14!| (r)_13 x^r X^{-r-13} <= 1e-17/1.5 at
+    r = min(s0, 1e6), and X >= 4x for more than one rung, so that this bound on
+    the remainder grows by at most 17/12; a rung skips the tail, as do the later
+    ones, once (x/X)^r (1 + X/(r-1)) <= 1e-17.  Short stop: as no later term
+    exceeds the first rung's, the rows end with no tail at the first n in 1..M
+    with (x/(n + c))^s0 (1 + X/(s0-1)) <= 1e-17: 2 rows at s0 = 41, x = c =
+    1 - 1/pi.  Row trim: a row ends at its first term below 1e-20, 97 and 81 of
+    lemma1's 220 and 200 terms.  Each rung is within 1.1e-17 plus rounding,
+    summed by math.fsum (one rung smallest term first).
     """
+    r0 = s0 if s0 < 1e6 else 1e6
     e = r0 + 13.0
-    big = math.exp((_EM14_BUDGET + math.lgamma(r0 + 13.0) - math.lgamma(r0)) / e) * x ** (r0 / e)
-    if count > 1:
-        big = max(big, 4.0 * x)
-    m = max(0, math.ceil(big - c))
+    big = math.exp((_EM14_BUDGET + math.lgamma(e) - math.lgamma(r0)) / e) * x ** (r0 / e)
+    if count > 1 and big < 4.0 * x:
+        big = 4.0 * x
+    m = math.ceil(big - c) if big > c else 0
     big = m + c
+    stop = x * (1e17 * (1.0 + big / (s0 - 1.0))) ** (1.0 / s0) - c
+    tail = [0.0] * count
+    if stop <= m:
+        m = math.ceil(stop) if stop > 1.0 else 1
+    else:
+        u = x / big
+        p = u ** s0
+        h2 = 1.0 / (big * big)
+        r = s0
+        # f_j = (r + 2j - 1)((r + 2j)/X^2), finite where r^2 would overflow;
+        # rung r + 2 takes f_2..f_5 and one new factor.
+        f1 = (r + 1.0) * ((r + 2.0) * h2)
+        f2 = (r + 3.0) * ((r + 4.0) * h2)
+        f3 = (r + 5.0) * ((r + 6.0) * h2)
+        f4 = (r + 7.0) * ((r + 8.0) * h2)
+        f5 = (r + 9.0) * ((r + 10.0) * h2)
+        for i in range(count):
+            g = p * big / (r - 1.0)
+            if p + g <= 1e-17:
+                break
+            a = _EM2 + f1 * (_EM4 + f2 * (_EM6 + f3 * (_EM8 + f4 * (_EM10 + f5 * _EM12))))
+            tail[i] = g + p * (0.5 + r / big * a)
+            p *= u * u
+            r += 2
+            f1, f2, f3, f4, f5 = f2, f3, f4, f5, (r + 9.0) * ((r + 10.0) * h2)
+    if count == 1:
+        rung = tail[0]
+        for k in range(m - 1, -1, -1):
+            rung += (x / (k + c)) ** s0
+        return [rung]
+    if not m:
+        return tail
     rows = []
     for k in range(m):
         t = x / (k + c)
-        rows.append(accumulate(repeat(t * t, count - 1), mul, initial=t ** r0))
-    u = x / big
-    p = u ** r0
-    h2 = 1.0 / (big * big)
-    tail = [0.0] * count
-    r = r0
-    for i in range(count):
-        if p * (1.0 + big / (r - 1.0)) <= 1e-17:
-            break
-        s = _EM10 + (r + 9.0) * (r + 10.0) * h2 * _EM12
-        s = _EM8 + (r + 7.0) * (r + 8.0) * h2 * s
-        s = _EM6 + (r + 5.0) * (r + 6.0) * h2 * s
-        s = _EM4 + (r + 3.0) * (r + 4.0) * h2 * s
-        s = _EM2 + (r + 1.0) * (r + 2.0) * h2 * s
-        tail[i] = p * (big / (r - 1.0) + 0.5 + r / big * s)
-        p *= u * u
-        r += 2
-    rows.append(tail)
-    return list(map(math.fsum, zip(*rows)))
+        climbs = int((_LOG_ROW_FLOOR / (math.log(t) if t else -math.inf) - s0) / 2.0)
+        rows.append(accumulate(repeat(t * t, climbs), mul, initial=t ** s0))
+    return list(islice(map(math.fsum, zip_longest(*rows, tail, fillvalue=0.0)), count))
 
 
 # B_{2j} / (2j) for j = 1..7, the asymptotic digamma coefficients.
@@ -345,20 +314,31 @@ def _e1_lentz_cf(x: float) -> float:
 
 
 _POLE_MARGIN = 1e-10
+# zeta(2j)/pi^(2j) = |B_2j| 2^(2j-1)/(2j)!, j = 1..11: Taylor coefficients in b^2
+# that keep the sum within 1.4e-16 of 60-digit mpmath below |b| = 1/2, where
+# the closed form leaves 1.0e-14; the first omitted term is below 1.7e-18.
+_COT_TAYLOR = [
+    abs(_bernoulli_over(j, math.factorial(2 * j))) * 2 ** (2 * j - 1) for j in range(1, 12)
+]
 
 
 def cot_partial_fraction_sum(b: float) -> float:
     """Closed form of sum_{k>=1} 1/((k*pi)^2 - b^2) = 1/(2b^2) - cot(b)/(2b).
 
-    Even in b.  Arguments within 1e-10 of a multiple of pi (including 0)
-    sit on a pole of the right-hand side and are rejected with
-    :class:`DomainError`, as are b = +-inf and nan.
+    Even in b.  Arguments with |sin b| < 1e-10, next to a multiple of pi
+    (including 0), sit on a pole of the right-hand side and are rejected
+    with :class:`DomainError`, as are b = +-inf and nan.  Below |b| = 1/2,
+    where the two terms cancel to about 1/6, the Taylor series 1/6 + b^2/90
+    + ... is summed instead.
     """
     if not math.isfinite(b):
         raise DomainError(f"cot_partial_fraction_sum requires finite b, got {b!r}")
-    if abs(b - PI * round(b / PI)) < _POLE_MARGIN:
+    sin_b = math.sin(b)
+    if abs(sin_b) < _POLE_MARGIN:
         raise DomainError(f"b={b!r} is within {_POLE_MARGIN} of a pole (pi * integer)")
-    return 1.0 / (2.0 * b * b) - math.cos(b) / (2.0 * b * math.sin(b))
+    if abs(b) < 0.5:
+        return math.fsum(a * b ** (2 * j) for j, a in enumerate(_COT_TAYLOR))
+    return 1.0 / (2.0 * b * b) - math.cos(b) / (2.0 * b * sin_b)
 
 
 # Stirling coefficients B_{2j} / (2j (2j-1)) for j = 1..8.

@@ -178,10 +178,11 @@ def _lemma1(_point, tol: float) -> IdentityReport:
     # G = K(1) + (1 - cot 1) + sum_{n>=1} (-1)^n/(2n+1)^2 S_{2n+1}, the
     # n-series being the pole tail's at A = alpha = 1, m = 0, summed to the
     # end (20 terms).  There S_r = pi^{-r} [zeta(r, 1 - 1/pi) - zeta(r, 1 + 1/pi)],
-    # all 20 from two special._odd_zeta_rungs passes: that bracket order
-    # carries (k pi - 1)^{-r} - (k pi + 1)^{-r}, and the opposite order misses
-    # G by about 2e-2 (the tests pin it).  The tail bound adds the n-series
-    # bound to K(1)'s Ei-series bound.
+    # all 20 from two special._zeta_rungs passes, whose direct rows end at
+    # their first term below 1e-20 (97 and 81 terms of the full 220 and
+    # 200): that bracket order carries (k pi - 1)^{-r} - (k pi + 1)^{-r}, and
+    # the opposite order misses G by about 2e-2 (the tests pin it).  The tail
+    # bound adds the n-series bound to K(1)'s Ei-series bound.
     k1 = ti2kit.decomp._h_ei_series(1.0, 1.0)
     ser = ti2kit.decomp._hurwitz_n_series(1.0, 1.0, 0)
     return IdentityReport.build(

@@ -40,7 +40,7 @@ def _positive(a):
 
 
 def _off_pole(b):
-    return math.isfinite(b) and abs(b - PI * round(b / PI)) >= 1e-10
+    return math.isfinite(b) and abs(math.sin(b)) >= 1e-10
 
 
 # name -> the documented domain of its required arguments, or None where the

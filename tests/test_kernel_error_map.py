@@ -15,8 +15,8 @@ import pytest
 from ti2kit.endpoint import aux_closed_F, phi
 from ti2kit.polylog import clausen2, li2
 from ti2kit.special import (
-    _odd_zeta_rungs,
     _sine_log_sum,
+    _zeta_rungs,
     digamma_gap,
     ei_negative,
     hurwitz_zeta,
@@ -247,8 +247,9 @@ def test_hurwitz_zeta_relative_error():
     # s - 1 log-uniform in [1e-3, 49], c log-uniform in [1e-3, 1e4].  mpmath
     # itself loses digits at large s and c (at 200 digits its zeta(51, 1e4)
     # is off by 2.9e-13), so a point counts only where 40 and 60 digits
-    # agree to 1e-25; about 6% do not.  Worst measured: 1.1e-15 relative
-    # at s = 2.9, c = 1.8 (10000 points over two seeds).
+    # agree to 1e-25; about 6% do not.  Worst measured: 6.6e-16 relative
+    # at s = 1.0018, c = 0.97 (3000 points over two seeds; 1.0e-15 before
+    # hurwitz_zeta became one rung of _zeta_rungs).
     rng = random.Random(19)
     errors = []
     for _ in range(300):
@@ -266,7 +267,7 @@ def test_hurwitz_zeta_relative_error():
 def test_odd_zeta_rungs_error():
     # c log-uniform in [0.5, 60], x/c uniform in [1/16, 1/2], first order r0
     # odd in 3..41, 1 to 20 rungs.  The rungs carry an absolute budget of
-    # 1e-17, so, as the sine-log sum is against |sum| + 1, each is measured
+    # 1.1e-17, so, as the sine-log sum is against |sum| + 1, each is measured
     # against |ref| + 1e-2: relative above 1e-2.  Worst measured: 8.7e-16
     # over 3 x 1000 points, where x^r zeta(r, c) is near 1e-2 or below.  The
     # references take 60 digits: at 40, mpmath's zeta(r, c) at large r and c
@@ -277,7 +278,7 @@ def test_odd_zeta_rungs_error():
         c = _log_uniform(rng, 0.5, 60.0)
         x = c * rng.uniform(1.0 / 16.0, 0.5)
         r0 = rng.randrange(3, 42, 2)
-        rungs = _odd_zeta_rungs(x, c, r0, rng.randint(1, 20))
+        rungs = _zeta_rungs(x, c, r0, rng.randint(1, 20))
         for value, r in zip(rungs, itertools.count(r0, 2)):
             with mpmath.workdps(60):
                 ref = mpmath.mpf(x) ** r * mpmath.zeta(r, c)

@@ -124,26 +124,6 @@ def _gk21_ref(f, a, b):
     return result, abserr
 
 
-def _hurwitz_tail_ref(s, c):
-    # hurwitz_zeta's direct sum and Euler-Maclaurin tail, on the inputs
-    # that take the tail (the test picks them).
-    m = max(0, math.ceil(2.0 * min(s, 1e300) + 30.0 - c))
-    x = m + c
-    total = 0.0
-    for k in range(m):
-        total += (k + c) ** (-s)
-    total += x ** (1.0 - s) / (s - 1.0)
-    total += 0.5 * x ** (-s)
-    poch = s
-    xp = x ** (-s - 1.0)
-    x2 = 1.0 / (x * x)
-    for j, b in enumerate(special._EM_BERN, start=1):
-        total += b * poch * xp
-        poch *= (s + 2 * j - 1) * (s + 2 * j)
-        xp *= x2
-    return total
-
-
 class BracketError(ValueError):
     """The supplied bracket does not strictly enclose the target value."""
 
@@ -369,37 +349,6 @@ def test_log_gamma_taylor_series_matches_loop():
     rng = random.Random(61)
     for e in [0.0, -0.0, 0.5, -0.5] + [rng.uniform(-0.5, 0.5) for _ in range(3000)]:
         assert _bits(special._log_gamma_two_plus(e)) == _bits(_log_gamma_two_plus_ref(e)), e
-
-
-def test_hurwitz_zeta_tail_matches_loop():
-    # Only inputs whose direct sum does not stop early reach the tail.
-    rng = random.Random(67)
-    checked = 0
-    while checked < 1500:
-        s = rng.uniform(1.01, 8.0) if rng.random() < 0.7 else _log_uniform(rng, 1.0001, 60.0)
-        c = _log_uniform(rng, 1e-2, 1e6)
-        m = max(0, math.ceil(2.0 * s + 30.0 - c))
-        x = m + c
-        if c * ((1e17 * (1.0 + x / (s - 1.0))) ** (1.0 / s) - 1.0) < m:
-            continue
-        assert _bits(special.hurwitz_zeta(s, c)) == _bits(_hurwitz_tail_ref(s, c)), (s, c)
-        checked += 1
-
-
-def test_hurwitz_zeta_tail_matches_loop_where_the_powers_underflow():
-    # Large s or c: x^{-s-1} underflows and the tail returns early.  Up to
-    # s = 1e27 the loop's Pochhammer symbols stay finite, so it is no nan.
-    rng = random.Random(73)
-    checked = 0
-    while checked < 1500:
-        s = _log_uniform(rng, 60.0, 1e27)
-        c = _log_uniform(rng, 1.0, 1e300)
-        m = max(0, math.ceil(2.0 * s + 30.0 - c))
-        x = m + c
-        if c * ((1e17 * (1.0 + x / (s - 1.0))) ** (1.0 / s) - 1.0) < m:
-            continue
-        assert _bits(special.hurwitz_zeta(s, c)) == _bits(_hurwitz_tail_ref(s, c)), (s, c)
-        checked += 1
 
 
 # --- the Gauss-Kronrod panel -------------------------------------------------

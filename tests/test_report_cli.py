@@ -752,8 +752,9 @@ class TestKernelMutationMatrix:
     # value is scaled by 1 + 1e-9, as measured.  A row whose two sides share
     # a kernel cancels it out and cannot see it.  A 1e-9 error in the Hurwitz
     # rungs stays below 1e-12 in the small pole tails of corollary2 and
-    # corollary3, so only lemma1 catches it.  hurwitz_zeta itself serves no
-    # row; tests/test_kernel_error_map.py and test_kernel_reference.py pin it.
+    # corollary3, so only lemma1 catches it.  hurwitz_zeta, one rung of the
+    # same kernel, serves no row; test_special.py's TestHurwitzZeta and
+    # TestAgainstMpmath and test_kernel_error_map.py pin its values.
     _ROWS = {
         "polylog._series": _LI2_ROWS,
         "polylog._li2_real": {"theorem1", "corollary1"},
@@ -762,7 +763,7 @@ class TestKernelMutationMatrix:
         "ti2core._ti2_series": {"theorem1", "corollary2", "corollary3", "corollary4", "remark1"},
         "ti2core.ti2": {"theorem1", "corollary2", "corollary3", "corollary4", "remark1"},
         "ti2core.ti2_via_quadrature": {"remark1"},
-        "special._odd_zeta_rungs": {"lemma1"},
+        "special._zeta_rungs": {"lemma1"},
         "special.ei_negative": {"lemma1"},
         "special.log_gamma": {"lemma1"},
         "special._sine_log_sum": {"lemma1"},
@@ -786,7 +787,7 @@ class TestKernelMutationMatrix:
             value = original(*args)
             if isinstance(value, tuple):  # _gk21's (value, error estimate)
                 return (value[0] * (1.0 + 1e-9),) + value[1:]
-            if isinstance(value, list):  # _odd_zeta_rungs' rungs
+            if isinstance(value, list):  # _zeta_rungs' rungs
                 return [v * (1.0 + 1e-9) for v in value]
             return value * (1.0 + 1e-9)
 

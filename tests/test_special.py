@@ -20,8 +20,8 @@ from ti2kit.special import (
     digamma_gap,
     ei_negative,
     hurwitz_zeta,
-    _odd_zeta_rungs,
     _sine_log_sum,
+    _zeta_rungs,
     log_gamma,
     loggamma_im_gap,
 )
@@ -124,13 +124,14 @@ class TestHurwitzZeta:
 
 
 class TestOddZetaRungs:
-    """x^r zeta(r, c) at a run of odd r in one pass, against hurwitz_zeta."""
+    """x^r zeta(r, c) at a run of odd r in one pass, against 60-digit mpmath."""
 
-    def test_matches_hurwitz_zeta_at_every_rung(self):
+    def test_matches_mpmath_at_every_rung(self):
         # lemma1's two sides (x = 1/pi, c = 1 -+ 1/pi) and pole tails
         # (c in [12, 60], x/c in [0, 1/4]), r odd in 3..41.  The rungs carry an
-        # absolute budget of 1e-17, so the gap is measured against |want| +
-        # 1e-2: relative above 1e-2.  Worst measured: 8.1e-16 over 3 x 400.
+        # absolute budget of 1.1e-17, so the gap is measured against |want| +
+        # 1e-2: relative above 1e-2.  Worst measured: 7.4e-16 over these 400.
+        mpmath = pytest.importorskip("mpmath")
         rng = random.Random(31)
         for _ in range(400):
             if rng.random() < 0.5:
@@ -140,17 +141,19 @@ class TestOddZetaRungs:
                 x = c * rng.uniform(0.0, 0.25)
             r0 = rng.randrange(3, 42, 2)
             count = rng.randint(1, (41 - r0) // 2 + 1)
-            got = _odd_zeta_rungs(x, c, r0, count)
+            got = _zeta_rungs(x, c, r0, count)
             assert len(got) == count
             for value, r in zip(got, range(r0, 42, 2)):
-                want = x**r * hurwitz_zeta(float(r), c)
-                assert abs(value - want) <= 2.5e-15 * (abs(want) + 1e-2), (x, c, r0, r)
+                with mpmath.workdps(60):
+                    want = mpmath.mpf(x) ** r * mpmath.zeta(r, c)
+                    gap = abs(value - want) / (want + mpmath.mpf("1e-2"))
+                assert gap <= 2.5e-15, (x, c, r0, r)
 
     def test_rungs_past_the_float_range_underflow_to_zero(self):
         # (x/c)^r underflows from r of about 1000 at x/c = 0.47; nothing
         # overflows, at any r.
         for r0 in (1001, 2001, 4001, 9007199254740991.0):
-            assert _odd_zeta_rungs(1.0 / PI, 1.0 - 1.0 / PI, r0, 3) == [0.0, 0.0, 0.0]
+            assert _zeta_rungs(1.0 / PI, 1.0 - 1.0 / PI, r0, 3) == [0.0, 0.0, 0.0]
 
 
 def log_grid(lo: float, hi: float, n: int) -> list[float]:
@@ -212,6 +215,44 @@ class TestAgainstMpmath:
             for c in offsets:
                 ref = mp.zeta(s, c)
                 assert abs(hurwitz_zeta(s, c) - ref) <= 1e-14 * ref, (s, c)
+
+    def test_hurwitz_zeta_huge_order_or_offset(self, mp):
+        # s log-uniform up to 1e27 and c up to 1e300, the region where the
+        # Euler-Maclaurin tail's x^{-s-1} underflows.  Half the offsets keep
+        # s log c below 740, so that zeta(s, c) stays in the float range.
+        # zeta(s, c) < c^{-s} (1 + c/(s - 1)): where that bound is below half
+        # the least subnormal the value is 0.0, and mpmath is not asked.  The
+        # rest take 200 digits more than the s log10(c) that mpmath loses (at
+        # 220 in all, its zeta(64.4, 12217) is off by 2.8e-13 relative), and
+        # subnormal values are held to their spacing.
+        rng = random.Random(73)
+        checked = zeros = 0
+        for _ in range(200):
+            s = math.exp(rng.uniform(math.log(60.0), math.log(1e27)))
+            if rng.random() < 0.5:
+                c = math.exp(rng.uniform(0.0, math.log(1e300)))
+            else:
+                c = math.exp(rng.uniform(0.0, 740.0 / s))
+            got = hurwitz_zeta(s, c)
+            if -s * math.log(c) + math.log1p(c / (s - 1.0)) < math.log(5e-324) - math.log(2.0):
+                zeros += 1
+                assert got == 0.0, (s, c)
+                continue
+            with mp.workdps(200 + math.ceil(s * math.log10(c))):
+                ref = mp.zeta(s, c)
+            assert abs(got - ref) <= 1e-15 * ref + 1e-323, (s, c)
+            checked += 1
+        assert checked > 60 and zeros > 60
+
+    @pytest.mark.parametrize(
+        "s, c", [(1.1, 1e300), (1.0000000000000002, 1e300), (PI / 2, sys.float_info.max)]
+    )
+    def test_hurwitz_zeta_where_c_to_the_minus_s_underflows(self, mp, s, c):
+        # c^{-s} underflows while zeta(s, c) ~ c^{1-s}/(s - 1) does not; the
+        # rung c^s zeta(s, c) itself passes the float range at the last two.
+        with mp.workdps(400):
+            ref = mp.zeta(s, c)
+        assert abs(hurwitz_zeta(s, c) - ref) <= 4e-16 * ref
 
     def test_sine_log_sum(self, mp):
         # Kummer: pi logGamma(a) - (pi/2) log(pi/sin alpha) - (pi/2 - alpha)(gamma + log 2pi),
@@ -442,6 +483,41 @@ class TestCotPartialFractionSum:
         for b in (0.0, PI, -2.0 * PI, PI + 1e-11):
             with pytest.raises(DomainError, match="pole"):
                 cot_partial_fraction_sum(b)
+
+    def test_poles_against_mpmath(self):
+        # b log-uniform in [1e-3, 1e300], either sign.  A pole is |sin b| <
+        # 1e-10, taken at log10(b) + 40 digits; off the poles the value is
+        # held to 4e-16 of its two terms' size, 1/(2 b^2) + |cot b|/(2 b),
+        # since it vanishes between poles.  b - PI round(b/PI) once called
+        # b = 3.2e14 and most b past 1e20 poles.
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(41)
+        for _ in range(1500):
+            b = math.exp(rng.uniform(math.log(1e-3), math.log(1e300)))
+            b = math.copysign(b, rng.random() - 0.5)
+            with mpmath.workdps(int(math.log10(abs(b))) + 40):
+                sin_b = mpmath.sin(b)
+                size = 1 / (2 * mpmath.mpf(b) ** 2) + abs(mpmath.cos(b) / sin_b) / (2 * abs(b))
+                want = 1 / (2 * mpmath.mpf(b) ** 2) - mpmath.cos(b) / (2 * b * sin_b)
+            if abs(sin_b) < 1e-10:
+                with pytest.raises(DomainError, match="pole"):
+                    cot_partial_fraction_sum(b)
+            else:
+                assert abs(cot_partial_fraction_sum(b) - want) <= 4e-16 * size, b
+
+    def test_small_b_against_mpmath(self):
+        # 1e-9 <= |b| < 1/2, where 1/(2 b^2) - cot(b)/(2 b) cancels to about
+        # 1/6: it gave 0.0 at b = 1e-8 and 1.4e-10 relative at 1.1e-3.
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(43)
+        bs = [1e-9, 1e-8, 1e-6, 1.1e-3, 0.4999999999999999]
+        bs += [math.exp(rng.uniform(math.log(1e-9), math.log(0.5))) for _ in range(1500)]
+        for b in bs:
+            with mpmath.workdps(60):
+                want = 1 / (2 * mpmath.mpf(b) ** 2) - mpmath.cot(b) / (2 * b)
+            got = cot_partial_fraction_sum(b)
+            assert abs(got - want) <= 4e-16 * want, b
+            assert got == cot_partial_fraction_sum(-b)
 
     @pytest.mark.parametrize("b", [math.inf, -math.inf, math.nan])
     def test_non_finite_is_a_domain_error(self, b):
