@@ -9,7 +9,10 @@ It times, in microseconds per call:
   one pole tail, corollary2's default point A = 2, alpha = 2.5 with m the
   K0 that the checkout's _pole_direct_terms gives;
 - hurwitz_zeta over a fixed, seeded set of 64 points shaped like perfbench's
-  compute pool (s uniform in [1.1, 6], c log-uniform in [1e-2, 1e2]).
+  compute pool (s uniform in [1.1, 6], c log-uniform in [1e-2, 1e2]);
+- the kernels at fixed arguments, through public names only (KERNELS):
+  ti2 at 0.3, 0.7, 0.99, 1.5 and 3, ei_negative at 0.5, 2 and 30,
+  k1_closed() and h_series(3, 1).
 
 Each checkout is timed in its own child process, with ti2kit imported from
 its src directory.  Each round makes a fixed number of calls per timing
@@ -41,6 +44,15 @@ from pathlib import Path
 
 CALLS_PER_ROUND = 10
 POLE_TAIL_POINT = (2.0, 2.5)
+# (name, public function, arguments) of each kernel_us timing; each timed
+# call makes KERNEL_CALLS calls of the function.
+KERNELS = (
+    *((f"ti2({y:g})", "ti2", (y,)) for y in (0.3, 0.7, 0.99, 1.5, 3.0)),
+    *((f"ei_negative({x:g})", "ei_negative", (x,)) for x in (0.5, 2.0, 30.0)),
+    ("k1_closed", "k1_closed", ()),
+    ("h_series(3, 1)", "h_series", (3.0, 1.0)),
+)
+KERNEL_CALLS = 20
 HERE = Path(__file__).resolve().parent.parent
 
 
@@ -60,6 +72,7 @@ def _commit(root: Path):
 
 def _timings():
     # (section, name, call, calls it makes): every timing of one round.
+    import ti2kit
     from ti2kit import decomp
     from ti2kit.special import hurwitz_zeta
     from ti2kit.verify import IDENTITY_NAMES, run_identity
@@ -76,10 +89,19 @@ def _timings():
         for s, c in points:
             hurwitz_zeta(s, c)
 
+    def kernel(fn, args):
+        def call():
+            for _ in range(KERNEL_CALLS):
+                fn(*args)
+
+        return call
+
     out = [("run_identity_us", n, lambda n=n: run_identity(n), 1) for n in IDENTITY_NAMES]
     out.append(("n_series_us", "lemma1", lambda: decomp._hurwitz_n_series(1.0, 1.0, 0), 1))
     out.append(("n_series_us", "pole_tail", lambda: decomp._hurwitz_n_series(A, alpha, m), 1))
     out.append(("hurwitz_zeta_us", "compute_pool", hurwitz, len(points)))
+    for name, fn, args in KERNELS:
+        out.append(("kernel_us", name, kernel(getattr(ti2kit, fn), args), KERNEL_CALLS))
     return out, {"A": A, "alpha": alpha, "m": m}
 
 

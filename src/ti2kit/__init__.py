@@ -39,7 +39,6 @@ _EXPORTS = {
         "QuadratureResult",
         "SeriesResult",
         "integrate_adaptive",
-        "sum_series",
     ),
     "polylog": ("clausen2", "li2"),
     "report": ("IdentityReport", "render_json", "render_table"),

@@ -61,13 +61,7 @@ import math
 from operator import mul, sub
 
 from . import _EXPORTS
-from .numerics import (
-    DomainError,
-    QuadratureResult,
-    SeriesResult,
-    integrate_adaptive,
-    sum_series,
-)
+from .numerics import DomainError, QuadratureResult, SeriesResult, integrate_adaptive
 from .special import (
     EULER_GAMMA,
     _half_pi_minus,
@@ -78,7 +72,7 @@ from .special import (
     ei_negative,
     loggamma_im_gap,
 )
-from .ti2core import _MAX_K, ti2
+from .ti2core import _MAX_K, _SERIES_COEFF, ti2
 
 __all__ = _EXPORTS["decomp"]
 
@@ -202,28 +196,34 @@ _H_EI_MAX_TERMS = 64
 
 
 def _h_ei_series(A: float, alpha: float) -> SeriesResult:
-    # h_series' exponential-integral route, which K(1) takes at A = 1.
+    # h_series' exponential-integral route, which K(1) takes at A = 1.  The
+    # Ei terms are Kahan-summed from n = 1 on; the sum stops at the first n
+    # whose tail bound e^{-2nA}/(2A n^2 (1 - e^{-2A})) is at most 1e-15, or
+    # at n = _H_EI_MAX_TERMS with the bound there.
     geom = 1.0 - math.exp(-2.0 * A)
-    ser = sum_series(
-        lambda j: -math.sin(2.0 * j * alpha) / j * ei_negative(2.0 * j * A),
-        lambda k: math.exp(-2.0 * k * A) / (2.0 * A * k * k * geom),
-        tol=1e-15,
-        max_terms=_H_EI_MAX_TERMS,
-    )
+    total = comp = 0.0
+    for n in range(1, _H_EI_MAX_TERMS + 1):
+        y = -math.sin(2.0 * n * alpha) / n * ei_negative(2.0 * n * A) - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        bound = math.exp(-2.0 * n * A) / (2.0 * A * n * n * geom)
+        if bound <= 1e-15:
+            break
     # 2A overflows from A = 8.99e307, where log 2A is taken as log A + log 2.
     two_a = 2.0 * A
     log_two_a = math.log(two_a) if two_a < math.inf else math.log(A) + math.log(2.0)
     value = (
-        ser.value
+        total
         + _half_pi_minus(alpha) * (EULER_GAMMA + log_two_a)
         + _sine_log_sum(alpha)
     )
-    return ser._replace(value=value)
+    return SeriesResult(value, n, bound)
 
 
 # (-1)^n / (2n + 1)^2 for n up to the n-series' term budget.
 _N_SERIES_MAX_TERMS = 64
-_N_SERIES_COEFF = tuple((-1.0) ** n / (2 * n + 1) ** 2 for n in range(1, _N_SERIES_MAX_TERMS + 1))
+_N_SERIES_COEFF = _SERIES_COEFF[1:]
 
 
 def _pole_tail(A: float, alpha: float, m: int) -> SeriesResult:
@@ -262,9 +262,7 @@ def _hurwitz_n_series(A: float, alpha: float, m: int) -> SeriesResult:
         if bound <= 1e-17:
             break
     diffs = map(sub, _zeta_rungs(x, lo, 3, n), _zeta_rungs(x, hi, 3, n))
-    return SeriesResult(
-        math.fsum(map(mul, _N_SERIES_COEFF, diffs)), n, bound, truncated=bound > 1e-17
-    )
+    return SeriesResult(math.fsum(map(mul, _N_SERIES_COEFF, diffs)), n, bound)
 
 
 def _pole_direct_terms(A: float, alpha: float) -> int:
@@ -291,7 +289,6 @@ def _pole_bracket(A: float, alpha: float) -> SeriesResult:
         value=total + tail.value,
         terms_used=k0 + tail.terms_used,
         tail_bound=tail.tail_bound,
-        truncated=tail.truncated,
     )
 
 

@@ -1,4 +1,4 @@
-"""Foundation kernels: adaptive quadrature and tail-bounded sums.
+"""Foundation kernels: adaptive quadrature, and the result and error types.
 
 Everything here is pure and deterministic: fixed evaluation order, no shared
 state, binary64 throughout.  The Gauss-Kronrod panel is written out with no
@@ -46,17 +46,15 @@ class QuadratureResult(NamedTuple):
 
 
 class SeriesResult(NamedTuple):
-    """Partial sum of a series with a rigorous bound on the omitted tail.
+    """Partial sum of a series with a bound on the omitted tail.
 
-    When the supplied tail-bound function is valid, the true sum lies in
-    ``[value - tail_bound, value + tail_bound]``.  ``truncated`` is set when
-    the requested tolerance was not reached within the term budget.
+    The true sum lies in ``[value - tail_bound, value + tail_bound]``;
+    ``terms_used`` is the number of terms summed.
     """
 
     value: float
     terms_used: int
     tail_bound: float
-    truncated: bool = False
 
 
 # 21-point Kronrod extension of the 10-point Gauss rule, QUADPACK's QK21
@@ -237,34 +235,3 @@ def integrate_adaptive(
             best=QuadratureResult(total, toterr, 21 * (1 + 2 * splits)),
         )
     return QuadratureResult(total, toterr, 21 * (1 + 2 * splits))
-
-
-def sum_series(
-    term: Callable[[int], float],
-    tail_bound: Callable[[int], float],
-    tol: float,
-    max_terms: int,
-) -> SeriesResult:
-    """Sum ``term(1) + term(2) + ...`` until ``tail_bound(K) <= tol``.
-
-    ``tail_bound(K)`` must bound ``|sum_{k>K} term(k)|`` and be non-increasing
-    in K.  Always evaluates at least one term.  If the tolerance is not
-    reached within ``max_terms``, the partial sum is returned with
-    ``truncated=True`` and the (still valid) tail bound at the stopping index.
-    """
-    if not tol > 0.0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
-    if max_terms < 1:
-        raise DomainError(f"max_terms must be >= 1, got {max_terms}")
-    total = 0.0
-    comp = 0.0  # Kahan compensation; keeps long sums at the analytic bound
-    tb = math.inf
-    for k in range(1, max_terms + 1):
-        y = term(k) - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        tb = tail_bound(k)
-        if tb <= tol:
-            return SeriesResult(total, k, tb)
-    return SeriesResult(total, max_terms, tb, truncated=True)

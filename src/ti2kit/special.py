@@ -289,23 +289,17 @@ def _ei_series_sum(x: float) -> float:
 
 def _e1_lentz_cf(x: float) -> float:
     # Continued fraction x + 1 - 1^2/(x + 3 - 2^2/(x + 5 - ...)) by
-    # modified Lentz; about 60 steps at x = 1.5, 22 at x = 6.
-    tiny = 1e-300
+    # modified Lentz; about 60 steps at x = 1.5, 22 at x = 6.  For x > 0 no
+    # step divides by zero: since n^2/(x + n) < n, by induction
+    # c_n > x + n + 1 and 0 < d_n < 1/(n + 1).
     f = x + 1.0
-    if f == 0.0:
-        f = tiny
     c = f
     d = 0.0
     for n in range(1, 200):
         a = -float(n * n)
         b = x + 2.0 * n + 1.0
-        d = b + a * d
-        if d == 0.0:
-            d = tiny
+        d = 1.0 / (b + a * d)
         c = b + a / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
         delta = c * d
         f *= delta
         if abs(delta - 1.0) < 1e-16:

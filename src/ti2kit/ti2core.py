@@ -82,8 +82,9 @@ def ti2(y: float) -> float:
     return _li2_any(complex(0.0, y)).imag
 
 
-# (-1)^n / (2n+1)^2 for n = 0..22, each correctly rounded (int / int).
-_SERIES_COEFF = tuple((-1) ** n / (2 * n + 1) ** 2 for n in range(23))
+# (-1)^n / (2n+1)^2 for n = 0..64, each correctly rounded (int / int).  The
+# bands below use n <= 22; decomp's Hurwitz n-series takes n = 1..64.
+_SERIES_COEFF = tuple((-1) ** n / (2 * n + 1) ** 2 for n in range(65))
 
 # (top of band, N): on 0 < y <= top the series keeps its first N terms, the
 # least N whose first omitted term y^(2N+1) / (2N+1)^2 at the top is below
@@ -96,7 +97,7 @@ _HORNER_BANDS = tuple(
 
 # The coefficients n = 1..22 as names, for the written-out polynomials.
 (_T1, _T2, _T3, _T4, _T5, _T6, _T7, _T8, _T9, _T10, _T11,
- _T12, _T13, _T14, _T15, _T16, _T17, _T18, _T19, _T20, _T21, _T22) = _SERIES_COEFF[1:]
+ _T12, _T13, _T14, _T15, _T16, _T17, _T18, _T19, _T20, _T21, _T22) = _SERIES_COEFF[1:23]
 
 
 def _ti2_series(y: float) -> float:

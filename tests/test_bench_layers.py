@@ -9,6 +9,10 @@ from ti2kit.verify import IDENTITY_NAMES
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "bench" / "layers.py"
+KERNEL_NAMES = {
+    "ti2(0.3)", "ti2(0.7)", "ti2(0.99)", "ti2(1.5)", "ti2(3)",
+    "ei_negative(0.5)", "ei_negative(2)", "ei_negative(30)", "k1_closed", "h_series(3, 1)",
+}
 
 
 def _check_record(record, repeat):
@@ -20,10 +24,12 @@ def _check_record(record, repeat):
     assert set(record["run_identity_us"]) == set(IDENTITY_NAMES)
     assert set(record["n_series_us"]) == {"lemma1", "pole_tail"}
     assert set(record["hurwitz_zeta_us"]) == {"compute_pool"}
+    assert set(record["kernel_us"]) == KERNEL_NAMES
     timings = [
         *record["run_identity_us"].values(),
         *record["n_series_us"].values(),
         *record["hurwitz_zeta_us"].values(),
+        *record["kernel_us"].values(),
     ]
     for timing in timings:
         assert 0.0 < timing["min"] <= timing["median"]
@@ -54,7 +60,7 @@ def test_parent_rounds_alternate_between_two_checkouts(tmp_path):
     assert set(data) == {"parent", "change", "ratio"}
     _check_record(data["parent"], 2)
     _check_record(data["change"], 2)
-    for section in ("run_identity_us", "n_series_us", "hurwitz_zeta_us"):
+    for section in ("run_identity_us", "n_series_us", "hurwitz_zeta_us", "kernel_us"):
         assert set(data["ratio"][section]) == set(data["change"][section])
         assert all(ratio > 0.0 for ratio in data["ratio"][section].values())
 

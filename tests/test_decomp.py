@@ -281,7 +281,13 @@ class TestHSeriesDefaultRoute:
         assert at == _h_ei_series(_H_QUADRATURE_BELOW, 1.0)
 
     def test_quadrature_route_pinned_to_the_bit(self):
-        assert h_series(0.5, 0.01) == (6.163332930310567, 231, 2.4202096973019223e-14, False)
+        assert h_series(0.5, 0.01) == (6.163332930310567, 231, 2.4202096973019223e-14)
+
+    def test_ei_route_pinned_to_the_bit(self):
+        # K(1)'s sum and the Ei route's first point: value, term count and
+        # tail bound of the Kahan-summed Ei terms.
+        assert _h_ei_series(1.0, 1.0) == (0.5676349189508212, 15, 2.404945790591815e-16)
+        assert h_series(3.0, 1.0) == (1.1520357317411067, 5, 6.253917223490535e-16)
 
     @pytest.mark.parametrize("A, alpha", [(1e-6, 1.0), (0.01, 0.01)])
     def test_small_A_costs_under_a_millisecond(self, A, alpha):
@@ -385,7 +391,7 @@ class TestPoleBracket:
         m = _pole_direct_terms(A, alpha)
         t0, t1 = _pole_tail(A, alpha, m), _pole_tail(A, alpha, m + 1)
         for t in (t0, t1):
-            assert not t.truncated and 0.0 < t.tail_bound <= 1e-17
+            assert 0.0 < t.tail_bound <= 1e-17
         single = ti2(A / ((m + 1) * PI - alpha)) - ti2(A / ((m + 1) * PI + alpha))
         assert t0.value - t1.value == pytest.approx(single, rel=1e-12, abs=0.0)
 
@@ -531,7 +537,7 @@ class TestLemma1:
         # term n is (-1)^n S_r / r^2; the explicit S_r sum to the same depth
         # agrees to rounding.
         ser = _hurwitz_n_series(1.0, 1.0, 0)
-        assert not ser.truncated and 0.0 < ser.tail_bound <= 1e-17
+        assert 0.0 < ser.tail_bound <= 1e-17
         report = identity_report("lemma1")
         assert report.terms_used == ser.terms_used == 20
         assert report.rhs == k1_closed() + s_r(1) + ser.value

@@ -26,11 +26,11 @@ EXTREMES = (0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 0.5, 1.0, -1.0, 2.5, PI
             1e308, -1e308, BIG, -BIG, math.inf, -math.inf, math.nan)
 
 # Public names that take no float: records, constants, the report writers,
-# the verify entry point, and the two loops that take the caller's function.
+# the verify entry point, and the quadrature loop that takes the caller's function.
 NOT_FLOAT_TAKING = {
     "AdmissibilityResult", "BudgetError", "DomainError", "EULER_GAMMA", "EndpointSolution",
     "IDENTITY_NAMES", "IdentityReport", "QuadratureResult", "SeriesResult",
-    "VerificationConfig", "integrate_adaptive", "sum_series", "render_json", "render_table",
+    "VerificationConfig", "integrate_adaptive", "render_json", "render_table",
     "run_identity",
 }
 

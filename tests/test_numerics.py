@@ -11,8 +11,8 @@ from ti2kit.numerics import (
     BudgetError,
     DomainError,
     QuadratureResult,
+    SeriesResult,
     integrate_adaptive,
-    sum_series,
 )
 
 PI = math.pi
@@ -237,40 +237,6 @@ class TestFindRootIncreasing:
         assert 0.0 < err.value.best < 1e300
 
 
-class TestSumSeries:
-    def test_zero_series(self):
-        res = sum_series(lambda k: 0.0, lambda k: 0.0, 1e-10, 100)
-        assert res.value == 0.0
-        assert res.terms_used == 1
-        assert not res.truncated
-
-    def test_basel_series(self):
-        res = sum_series(lambda k: 1.0 / (k * k), lambda K: 1.0 / K, 1e-4, 20_000)
-        assert res.terms_used == 10_000
-        assert abs(res.value - PI * PI / 6.0) <= 1e-4
-        assert abs(res.value - PI * PI / 6.0) <= res.tail_bound
-
-    def test_cotangent_pole_series(self):
-        # sum 2/((k pi)^2 - 1) -> 1 - cot(1), tail 2/(pi^2 (K-1)).
-        truth = 1.0 - math.cos(1.0) / math.sin(1.0)
-        res = sum_series(
-            lambda k: 2.0 / ((k * PI) ** 2 - 1.0),
-            lambda K: 2.0 / (PI * PI * (K - 1)) if K > 1 else math.inf,
-            1e-8,
-            25_000_000,
-        )
-        assert not res.truncated
-        assert res.tail_bound <= 1e-8
-        # 1e-12 allowance for floating-point accumulation on ~2e7 terms
-        assert abs(res.value - truth) <= res.tail_bound + 1e-12
-
-    def test_truncation_flag(self):
-        res = sum_series(lambda k: 1.0 / (k * k), lambda K: 1.0 / K, 1e-8, 50)
-        assert res.truncated
-        assert res.terms_used == 50
-        assert res.tail_bound > 1e-8
-
-    def test_series_honesty_geometric(self):
-        # sum 2^-k = 1 with exact geometric tail 2^-K.
-        res = sum_series(lambda k: 2.0 ** -k, lambda K: 2.0 ** -K, 1e-9, 100)
-        assert abs(res.value - 1.0) <= res.tail_bound
+def test_series_result_fields():
+    # A sum's value, its term count and the bound on its omitted tail.
+    assert SeriesResult._fields == ("value", "terms_used", "tail_bound")

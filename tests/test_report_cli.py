@@ -627,12 +627,12 @@ class TestPackageApi:
         import ti2kit
 
         assert sorted(ti2kit._EXPORTS) == list(MODULES)
-        assert len(ti2kit.__all__) == 39
+        assert len(ti2kit.__all__) == 38
         gone = {"catalan_via_endpoint", "h_quadrature", "kummer_sine_log_sum", "expint_T",
                 "digamma", "phi_derivative", "li2_derivative", "find_root_increasing",
                 "BracketError", "catalan_family", "corollary2_series", "lemma1_catalan",
                 "pointwise_identity", "theorem1_identity", "run_all", "write_reports",
-                "li2_upper_boundary", "xi_k", "BranchCutError", "PoleError"}
+                "li2_upper_boundary", "xi_k", "BranchCutError", "PoleError", "sum_series"}
         assert not gone & set(ti2kit.__all__)
 
     def test_removed_settings_stay_removed(self):

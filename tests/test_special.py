@@ -406,6 +406,17 @@ class TestEiNegative:
             cf = -math.exp(-x) / _e1_lentz_cf(x)
             assert abs(series - cf) <= 4e-14 * abs(cf), x
 
+    @pytest.mark.parametrize("x", [5e-324, 1e-300, 1e-8, 0.5, 1.5, 745.0, 1e300, sys.float_info.max])
+    def test_continued_fraction_never_divides_by_zero(self, x):
+        # The Lentz loop has no zero guards: for x > 0 every divisor stays
+        # above n + 1, so the fraction is finite and positive from the least
+        # subnormal up to the largest float.
+        from ti2kit.special import _e1_lentz_cf
+
+        cf = _e1_lentz_cf(x)
+        assert 0.0 < cf < math.inf
+        assert cf <= x + 1.0
+
     def test_underflows_to_negative_zero(self):
         v = ei_negative(800.0)
         assert v == 0.0 and math.copysign(1.0, v) == -1.0

@@ -73,7 +73,8 @@ class TestTi2:
             assert coeffs == _SERIES_COEFF[n - 1 : 0 : -1]
 
     def test_series_coefficients_are_correctly_rounded(self):
-        assert len(_SERIES_COEFF) == 23
+        # n = 0..64: the Horner bands use n <= 22, decomp's n-series n = 1..64.
+        assert len(_SERIES_COEFF) == 65
         for n, c in enumerate(_SERIES_COEFF):
             assert c == float(Fraction((-1) ** n, (2 * n + 1) ** 2)), n
 
