@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import central_difference
+from test_kernel_error_map import KEPT_IDS, ROWS, check, kept_test
 from ti2kit.numerics import DomainError, integrate_adaptive
 from ti2kit.polylog import _BERNOULLI, clausen2
 from ti2kit.special import (
@@ -124,30 +125,7 @@ class TestHurwitzZeta:
 
 
 class TestOddZetaRungs:
-    """x^r zeta(r, c) at a run of odd r in one pass, against 60-digit mpmath."""
-
-    def test_matches_mpmath_at_every_rung(self):
-        # lemma1's two sides (x = 1/pi, c = 1 -+ 1/pi) and pole tails
-        # (c in [12, 60], x/c in [0, 1/4]), r odd in 3..41.  The rungs carry an
-        # absolute budget of 1.1e-17, so the gap is measured against |want| +
-        # 1e-2: relative above 1e-2.  Worst measured: 7.4e-16 over these 400.
-        mpmath = pytest.importorskip("mpmath")
-        rng = random.Random(31)
-        for _ in range(400):
-            if rng.random() < 0.5:
-                x, c = 1.0 / PI, rng.choice((1.0 - 1.0 / PI, 1.0 + 1.0 / PI))
-            else:
-                c = rng.uniform(12.0, 60.0)
-                x = c * rng.uniform(0.0, 0.25)
-            r0 = rng.randrange(3, 42, 2)
-            count = rng.randint(1, (41 - r0) // 2 + 1)
-            got = _zeta_rungs(x, c, r0, count)
-            assert len(got) == count
-            for value, r in zip(got, range(r0, 42, 2)):
-                with mpmath.workdps(60):
-                    want = mpmath.mpf(x) ** r * mpmath.zeta(r, c)
-                    gap = abs(value - want) / (want + mpmath.mpf("1e-2"))
-                assert gap <= 2.5e-15, (x, c, r0, r)
+    """x^r zeta(r, c) at a run of odd r in one pass."""
 
     def test_rungs_past_the_float_range_underflow_to_zero(self):
         # (x/c)^r underflows from r of about 1000 at x/c = 0.47; nothing
@@ -156,65 +134,14 @@ class TestOddZetaRungs:
             assert _zeta_rungs(1.0 / PI, 1.0 - 1.0 / PI, r0, 3) == [0.0, 0.0, 0.0]
 
 
-def log_grid(lo: float, hi: float, n: int) -> list[float]:
-    return [lo * (hi / lo) ** (i / (n - 1)) for i in range(n)]
-
-
 class TestAgainstMpmath:
-    """Differential tests against mpmath.
-
-    The Hurwitz reference runs at 150 digits: mpmath's zeta(s, c) loses
-    about s*log10(c) digits, which at 40 digits leaves zeta(21, 100) off by
-    2e-10.
-    """
+    """Differential tests against mpmath that check more than an error bound."""
 
     @pytest.fixture(autouse=True)
     def mp(self):
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(150):
             yield mpmath
-
-    def test_digamma_gap(self, mp):
-        points = [(x, h) for x in (13.0, 21.0, 400.0, 2001.0, 1e6) for h in (0.0, 0.07, 0.5, 0.95)]
-        # Up to the float range: 2h and x + h overflow at x = 1.5e308.
-        far = [(1e20, 1e-3), (1e100, 1.0), (1e200, 1e150), (1e300, 1e299), (1.5e308, 1e308)]
-        for x, h in points + far + [(21.3, 0.3), (300.0, 0.9), (12.0, 0.0)]:
-            ref = mp.digamma(mp.mpf(x) + h) - mp.digamma(mp.mpf(x) - h)
-            assert abs(digamma_gap(x, h) - ref) <= 4e-16 * abs(ref), (x, h)
-
-    def test_digamma_gap_at_tiny_h(self, mp):
-        # To first order the gap is 2h psi'(x), exact to (h/x)^2 relative;
-        # subnormal h gives a subnormal gap, which keeps fewer digits.
-        for x in (12.5, 30.0, 1e8, 1e300):
-            for h in (5e-324, 1e-310, 1e-300, 1e-200, 1e-20):
-                ref = 2 * mp.mpf(h) * mp.psi(1, x)
-                assert abs(digamma_gap(x, h) - ref) <= 4e-16 * ref + 5e-324, (x, h)
-
-    def test_loggamma_im_gap(self, mp):
-        for x in (13.0, 21.0, 400.0, 5001.0, 1e7):
-            for y in (0.0, 1e-3, 0.3, 16.0, 300.0, 3e5):
-                for h in (0.0, 0.07, 0.5, 0.99):
-                    lo = mp.mpc(mp.mpf(x) - h, y)
-                    ref = mp.im(mp.loggamma(lo + 2 * h) - mp.loggamma(lo))
-                    err = abs(loggamma_im_gap(x, y, h) - ref)
-                    assert err <= 1e-15 * abs(ref), (x, y, h)
-
-    def test_hurwitz_zeta_odd_s(self, mp):
-        for s in range(3, 32, 2):
-            for c in log_grid(1e-2, 1e6, 33) + [2.0 * s + 29.5, 2.0 * s + 30.5]:
-                ref = mp.zeta(s, c)
-                assert abs(hurwitz_zeta(float(s), c) - ref) <= 1e-14 * ref, (s, c)
-
-    def test_hurwitz_zeta_short_direct_sum(self, mp):
-        # Large s and small c, where the direct sum stops after a handful of
-        # terms and no Euler-Maclaurin tail is added; 1 +- 1/pi are Lemma 1's
-        # offsets.
-        orders = [float(s) for s in range(3, 62, 2)] + [2.5, 7.3, 11.7, 19.9, 33.3, 40.2, 55.5, 60.9]
-        offsets = log_grid(1e-3, 3.0, 11) + [1.0 - 1.0 / PI, 1.0 + 1.0 / PI]
-        for s in orders:
-            for c in offsets:
-                ref = mp.zeta(s, c)
-                assert abs(hurwitz_zeta(s, c) - ref) <= 1e-14 * ref, (s, c)
 
     def test_hurwitz_zeta_huge_order_or_offset(self, mp):
         # s log-uniform up to 1e27 and c up to 1e300, the region where the
@@ -244,31 +171,9 @@ class TestAgainstMpmath:
             checked += 1
         assert checked > 60 and zeros > 60
 
-    @pytest.mark.parametrize(
-        "s, c", [(1.1, 1e300), (1.0000000000000002, 1e300), (PI / 2, sys.float_info.max)]
-    )
-    def test_hurwitz_zeta_where_c_to_the_minus_s_underflows(self, mp, s, c):
-        # c^{-s} underflows while zeta(s, c) ~ c^{1-s}/(s - 1) does not; the
-        # rung c^s zeta(s, c) itself passes the float range at the last two.
-        with mp.workdps(400):
-            ref = mp.zeta(s, c)
-        assert abs(hurwitz_zeta(s, c) - ref) <= 4e-16 * ref
-
-    def test_sine_log_sum(self, mp):
-        # Kummer: pi logGamma(a) - (pi/2) log(pi/sin alpha) - (pi/2 - alpha)(gamma + log 2pi),
-        # a = alpha/pi; alpha near pi/2 is where log_gamma(a) - log_gamma(1 - a)
-        # cancels, so there only the absolute error is small.
-        for alpha in (0.01, 0.3, 1.0, 1.5, PI / 2.0, 1.6, 2.5, PI - 0.01):
-            a = mp.mpf(alpha)
-            ref = (mp.pi * mp.loggamma(a / mp.pi) - mp.pi / 2 * mp.log(mp.pi / mp.sin(a))
-                   - (mp.pi / 2 - a) * (mp.euler + mp.log(2 * mp.pi)))
-            assert abs(_sine_log_sum(alpha) - ref) <= 4e-15 * (abs(ref) + 1), alpha
-
-    def test_ei_negative(self, mp):
-        # (2, 6] included: the series used to lose ~1e-11 relative there.
-        for x in log_grid(1e-3, 700.0, 121) + [1.5, 1.5000000000000002, 2.5, 4.0, 6.0]:
-            ref = mp.ei(-x)
-            assert abs(ei_negative(x) - ref) <= 1e-14 * abs(ref), x
+    @pytest.mark.parametrize("s, c", ROWS["hurwitz_zeta_c_to_the_minus_s_underflows"].points())
+    def test_hurwitz_zeta_where_c_to_the_minus_s_underflows(self, s, c):
+        check("hurwitz_zeta_c_to_the_minus_s_underflows", points=[(s, c)])
 
 
 class TestHurwitzCost:
@@ -590,28 +495,6 @@ class TestLogGamma:
             with pytest.raises(DomainError, match="overflows binary64"):
                 log_gamma(x)
 
-    def test_relative_error_against_mpmath(self):
-        # The docstring's 1e-15 relative, including next to the zeros at 1
-        # and 2 where the upward recursion once gave 3.3e-12 (x = 0.999) and
-        # 3.8e-12 (x = 1.999): x log-stratified on [1e-10, 30], plus dense
-        # bands within 0.2 of 1 and of 2 and the points next to them.
-        mpmath = pytest.importorskip("mpmath")
-        rng = np.random.default_rng(20261018)
-        n = 400
-        u = (np.arange(n) + rng.random(n)) / n
-        xs = list(np.exp(np.log(1e-10) + u * (np.log(30.0) - np.log(1e-10))))
-        for centre in (1.0, 2.0):
-            xs += list(centre + rng.uniform(-0.2, 0.2, 300))
-            xs += [centre + d for d in (-1e-3, -1e-8, 1e-8, 1e-3)]
-        worst, at = 0.0, None
-        with mpmath.workdps(40):
-            for x in map(float, xs):
-                ref = mpmath.loggamma(x)
-                err = float(abs((log_gamma(x) - ref) / ref))
-                if err > worst:
-                    worst, at = err, x
-        assert worst <= 1e-15, f"relative error {worst:.2e} at x={at!r}"
-
 
 class TestCatalanReference:
     def test_first_partial_sums(self):
@@ -675,3 +558,10 @@ class TestKummerSineLogSum:
         # The two gamma coefficients in the hyperbolic-term assembly are
         # (pi/2 - 1) and (1 - pi/2); their sum is exactly zero.
         assert (PI / 2.0 - 1.0) + (1.0 - PI / 2.0) == 0.0
+
+
+# Accuracy tests that became rows of bench/error_map.py keep their ids, unless written out above.
+for _test_id in filter(None, KEPT_IDS):
+    _scope, _, _name = _test_id.rpartition("::")
+    if _scope and not hasattr(globals()[_scope], _name):
+        setattr(globals()[_scope], _name, kept_test(_test_id))

@@ -1,8 +1,8 @@
-"""Checks on the test modules themselves.
+"""Checks on the test modules themselves, and on the bench scripts.
 
-No test module defines a function name twice in one scope: a second
-``def`` of a name in the same module or class body silently replaces the
-first, so pytest never collects the first test.
+No test module or bench script defines a function name twice in one scope:
+a second ``def`` of a name in the same module or class body silently
+replaces the first, so pytest never collects the first test.
 
 No ``approx`` call passes ``rel=`` without ``abs=``: pytest then also
 allows an absolute error of 1e-12, so the check is weaker than it reads.
@@ -22,7 +22,9 @@ import pytest
 
 from test_report_cli import COMMANDS
 
-TEST_MODULES = sorted(Path(__file__).resolve().parent.glob("*.py"))
+TESTS = Path(__file__).resolve().parent
+# bench/error_map.py holds the error map's rows, which tier-1 runs.
+TEST_MODULES = sorted([*TESTS.glob("*.py"), *(TESTS.parent / "bench").glob("*.py")])
 
 
 def _redefinitions(tree: ast.Module) -> list[tuple[str, str, int]]:
