@@ -131,6 +131,18 @@ def _phi_points():
         (1e308, 1.0), (math.nextafter(1.0, 2.0), 1.0)]
 
 
+def _aux_integral_points(seed=32, count=200):
+    # (a, b(a)) at seeded admissible a, log-uniform over the admissibility
+    # window, and at the window's two ends: theorem1's quadrature points.
+    draws = [a for a in _sample(seed, (count, _lu(0.4513, 18.92)))
+             if endpoint.admissibility(a).admissible] + [0.4513, 18.92]
+    return [(a, endpoint.solve_endpoint_b(a, 1e-14).b) for a in draws]
+
+
+def _aux_closed_ref(a, b):
+    return mpmath.pi * b / 2 - mpmath.mpf(b) ** 2 / 2 + _phi_ref(a, b)[0]
+
+
 def _sine_log_ref(alpha):
     # Kummer's closed form at a = mpf(alpha)/pi.
     x, pi = mpmath.mpf(alpha), mpmath.pi
@@ -236,9 +248,13 @@ ROWS = (
     # 1.3e-15 for F (40000 points over four seeds).
     Row("phi_above_one", endpoint.phi, _phi_points, _phi_ref, 1e-15,
         "test_phi_and_aux_closed_F_above_one", lambda got, ref: abs(got - ref[0]) / ref[1]),
-    Row("aux_closed_F_above_one", endpoint.aux_closed_F, _phi_points,
-        lambda a, b: mpmath.pi * b / 2 - mpmath.mpf(b) ** 2 / 2 + _phi_ref(a, b)[0], 4e-15,
+    Row("aux_closed_F_above_one", endpoint.aux_closed_F, _phi_points, _aux_closed_ref, 4e-15,
         "test_phi_and_aux_closed_F_above_one"),
+    # I(a, b(a)) at theorem1's tolerance, 1e-13, where every admissible a
+    # takes a Gauss-Legendre rung.  Worst measured: 9.1e-16 at a = 0.454,
+    # next to the window's lower end (5010 points over five seeds).
+    Row("aux_integral_I", lambda a, b: endpoint.aux_integral_I(a, b, 1e-13).value,
+        _aux_integral_points, _aux_closed_ref, 2.7e-15, digits=30),
     # Against |ref| + 1.  Within 1e-3 of 0, pi/2 and pi, a = alpha/pi rounded
     # at alpha itself would cost 1 - a about 4e-17/(pi - alpha) of its
     # digits.  Worst measured: 1.2e-15 (40000 uniform and 10000 near each of

@@ -12,7 +12,9 @@ It times, in microseconds per call:
   compute pool (s uniform in [1.1, 6], c log-uniform in [1e-2, 1e2]);
 - the kernels at fixed arguments, through public names only (KERNELS):
   ti2 at 0.3, 0.7, 0.99, 1.5 and 3, ei_negative at 0.5, 2 and 30,
-  k1_closed() and h_series(3, 1).
+  k1_closed(), h_series(3, 1), aux_integral_I at theorem1's points
+  (a, b(a)) and tolerance 1e-13 for a = 0.46, 0.75 and 3, and
+  solve_endpoint_b at 0.75, 1 and 3 with its default tolerance.
 
 Each checkout is timed in its own child process, with ti2kit imported from
 its src directory.  Each round makes a fixed number of calls per timing
@@ -45,12 +47,17 @@ from pathlib import Path
 CALLS_PER_ROUND = 10
 POLE_TAIL_POINT = (2.0, 2.5)
 # (name, public function, arguments) of each kernel_us timing; each timed
-# call makes KERNEL_CALLS calls of the function.
+# call makes KERNEL_CALLS calls of the function.  The b(a) are the solved
+# endpoints at 1e-14.
 KERNELS = (
     *((f"ti2({y:g})", "ti2", (y,)) for y in (0.3, 0.7, 0.99, 1.5, 3.0)),
     *((f"ei_negative({x:g})", "ei_negative", (x,)) for x in (0.5, 2.0, 30.0)),
     ("k1_closed", "k1_closed", ()),
     ("h_series(3, 1)", "h_series", (3.0, 1.0)),
+    *((f"aux_integral_I({a:g}, b({a:g}))", "aux_integral_I", (a, b, 1e-13))
+      for a, b in ((0.46, 3.0039167202877635), (0.75, 2.508633634796271),
+                   (3.0, 2.4765670555140837))),
+    *((f"solve_endpoint_b({a:g})", "solve_endpoint_b", (a,)) for a in (0.75, 1.0, 3.0)),
 )
 KERNEL_CALLS = 20
 HERE = Path(__file__).resolve().parent.parent

@@ -32,11 +32,17 @@ term c = -Li2(-a) or Li2(-1/a), and the first or second of each pair,
 
 The solve of b(a) is its own safeguarded Halley loop on the bracket (0, pi),
 one u per step.  Cost: the admissibility test's three dilogarithms (psi(a),
-c and phi_a(pi)), then one Li2(-u) per step from the root of the cubic
-Hermite interpolant of phi_a on [0, pi]; a solve to 1e-14 takes 2-4 steps
-(3.1 on average over seeded admissible a).  Every dilogarithm takes polylog's
-complex or real route without the public wrapper's checks; ``_check_a`` is
-the guard.
+c and phi_a(pi)), then one Li2(-u) per step.  On (0.6, 10) but at a = 1 the
+loop starts from a polynomial in log a within 1.7e-6 of b(a), and a solve
+to 1e-14 takes 2 steps; elsewhere it starts from the root of the cubic
+Hermite interpolant of phi_a on [0, pi], exact at a = 1 (1 step), and a
+solve takes 2-4; over seeded admissible a the mean is 2.2 steps.  Every
+dilogarithm takes polylog's complex or real route without the public
+wrapper's checks; ``_check_a`` is the guard.
+
+I(a, b) is integrated on one Gauss-Legendre panel of 20 to 32 nodes, the
+fewest whose a-priori error bound meets the tolerance; the bound is the
+reported error.
 """
 
 from __future__ import annotations
@@ -64,6 +70,93 @@ _PI_SNAP = 1e-12
 # and its step budget.
 _BRACKET_FLOOR = 1e-14
 _MAX_STEPS = 200
+
+# b(a) on (0.6, 10) as a polynomial in x = log(a) * _FIT_SCALE + _FIT_SHIFT,
+# which maps the band onto [-1, 1]: the degree-14 least-squares Chebyshev
+# fit to the solved b(a) at 400 Chebyshev points, in monomials, x^14 first.
+# It is within 1.7e-6 of b(a) over the band (20001 log-spaced a), close
+# enough that one Halley step meets 1e-14.  b(a) reaches pi with a vertical
+# slope at the admissibility window's lower end, a = 0.4513, which is what
+# keeps the band from reaching further down.
+_FIT_LO, _FIT_HI = 0.6, 10.0
+_FIT_SCALE, _FIT_SHIFT = 0.7108809204733635, -0.6368638103758525
+_FIT = (
+    0.014106340441299015, -0.01475821386314087, -0.03364260429089159, 0.030826091283759897,
+    0.039674158833586604, -0.03390947889499764, -0.01734897305846135, 0.010658531884965149,
+    0.011992742797492288, -0.01453357542836952, 0.03337956738346338, -0.12230230308271349,
+    0.2793652263209833, 0.26469601370792994, 2.4329690488087827,
+)
+
+# aux_integral_I's Gauss-Legendre rungs, least first, and the machine epsilon.
+_RUNGS = (20, 24, 28, 32)
+_EPS = 2.0**-52
+
+# Gauss-Legendre rules on [-1, 1] with n = 20, 24, 28 and 32 nodes, each as
+# its n/2 pairs (x, w), x > 0, from the outermost in: the nodes are -x and x.
+# Legendre roots refined by Newton's method at 50 digits, each rounded once
+# to binary64.  aux_integral_I sums its integrand on them.
+_GAUSS_LEGENDRE = {
+    20: (
+        (0.9931285991850949, 0.017614007139152118),
+        (0.9639719272779138, 0.04060142980038694),
+        (0.912234428251326, 0.06267204833410907),
+        (0.8391169718222188, 0.08327674157670475),
+        (0.7463319064601508, 0.10193011981724044),
+        (0.636053680726515, 0.11819453196151841),
+        (0.5108670019508271, 0.13168863844917664),
+        (0.37370608871541955, 0.14209610931838204),
+        (0.22778585114164507, 0.14917298647260374),
+        (0.07652652113349734, 0.15275338713072584),
+    ),
+    24: (
+        (0.9951872199970213, 0.0123412297999872),
+        (0.9747285559713095, 0.028531388628933663),
+        (0.9382745520027328, 0.04427743881741981),
+        (0.8864155270044011, 0.05929858491543678),
+        (0.820001985973903, 0.0733464814110803),
+        (0.7401241915785544, 0.08619016153195327),
+        (0.6480936519369755, 0.09761865210411388),
+        (0.5454214713888396, 0.10744427011596563),
+        (0.4337935076260451, 0.1155056680537256),
+        (0.3150426796961634, 0.12167047292780339),
+        (0.1911188674736163, 0.1258374563468283),
+        (0.06405689286260563, 0.12793819534675216),
+    ),
+    28: (
+        (0.9964424975739544, 0.009124282593094517),
+        (0.9813031653708727, 0.02113211259277126),
+        (0.9542592806289382, 0.03290142778230438),
+        (0.9156330263921321, 0.04427293475900423),
+        (0.8658925225743951, 0.05510734567571675),
+        (0.8056413709171791, 0.0652729239669996),
+        (0.7356108780136318, 0.07464621423456878),
+        (0.656651094038865, 0.08311341722890121),
+        (0.5697204718114017, 0.09057174439303284),
+        (0.4758742249551183, 0.09693065799792992),
+        (0.3762515160890787, 0.10211296757806076),
+        (0.2720616276351781, 0.10605576592284642),
+        (0.16456928213338076, 0.10871119225829413),
+        (0.05507928988403427, 0.1100470130164752),
+    ),
+    32: (
+        (0.9972638618494816, 0.007018610009470096),
+        (0.9856115115452684, 0.01627439473090567),
+        (0.9647622555875064, 0.02539206530926206),
+        (0.9349060759377397, 0.03427386291302143),
+        (0.8963211557660521, 0.04283589802222668),
+        (0.84936761373257, 0.050998059262376175),
+        (0.7944837959679424, 0.058684093478535544),
+        (0.7321821187402897, 0.06582222277636185),
+        (0.6630442669302152, 0.0723457941088485),
+        (0.5877157572407623, 0.07819389578707031),
+        (0.5068999089322294, 0.08331192422694675),
+        (0.42135127613063533, 0.08765209300440381),
+        (0.33186860228212767, 0.09117387869576389),
+        (0.23928736225213706, 0.09384439908080457),
+        (0.1444719615827965, 0.09563872007927486),
+        (0.04830766568773832, 0.0965400885147278),
+    ),
+}
 
 
 class AdmissibilityResult(NamedTuple):
@@ -131,19 +224,111 @@ def _phi_curve(a: float, u: complex) -> float:
 def aux_integral_I(a: float, b: float, tol: float = 1e-11) -> QuadratureResult:
     """Quadrature of arctan((a + cos beta)/sin beta) over [0, b], 0 < b < pi.
 
-    The integrand takes its limit pi/2 at beta = 0.  It needs no value at pi:
-    sin beta > 0 for every float beta < pi, even b within an ulp of pi.
+    The integrand is pi/2 - beta/2 - arctan(k tan(beta/2)), k = (1 - a)/(1 + a)
+    (both are the angle whose cotangent is (a + cos beta)/sin beta), so the
+    linear part integrates to pi b/2 - b^2/4 in closed form and a rule sums
+    the arctangent alone.  That rule is one Gauss-Legendre panel on [0, b]
+    with the fewest of 20, 24, 28 or 32 nodes whose a-priori bound (see
+    ``_gauss_legendre_rung``) is at most ``tol``; the bound is
+    ``abs_error_estimate`` and the node count ``evaluations``.  Where no rung
+    meets ``tol`` (a next to 1 with b next to pi, |log a| of about 4 or more
+    with b above 2.5, a subnormal b, or tol below the rule's rounding
+    allowance, about 1e-14 at b = 2.5) the integral is integrate_adaptive's,
+    with its error estimate.  Neither needs a value at pi: tan(beta/2) is
+    finite for every float beta < pi.
     """
     _check_a(a, "aux_integral_I")
     if not 0.0 < b < PI:
         raise DomainError(f"aux_integral_I requires 0 < b < pi, got b={b!r}")
+    k = (1.0 - a) / (1.0 + a)
+    n, bound = _gauss_legendre_rung(a, b, tol)
+    if n:
+        return QuadratureResult(_gauss_legendre_I(k, b, n), bound, n)
 
     def f(beta: float) -> float:
-        if beta == 0.0:
-            return PI / 2.0
-        return math.atan((a + math.cos(beta)) / math.sin(beta))
+        return 0.5 * (PI - beta) - math.atan(k * math.tan(0.5 * beta))
 
     return integrate_adaptive(f, 0.0, b, tol)
+
+
+def _gauss_legendre_rung(a: float, b: float, tol: float) -> tuple[int, float]:
+    """The least rung n whose a-priori error bound is at most tol, and that bound.
+
+    (0, inf) if none is.  The rule integrates g(beta) = arctan(k tan(beta/2)),
+    whose derivative is (1 - a^2)/(2D), D = 1 + 2a cos(beta) + a^2 =
+    4a sin(w0) sin(w1), w_j = (beta - t_j)/2, t_j = pi -+ i |log a|.  On [0, b]
+    mapped to [-1, 1], t_0 lies on the Bernstein ellipse of semi-major axis
+    alpha_s; the rule's ellipse takes alpha = 0.1 + 0.9 alpha_s, capped so that
+    every |w_j| on it is at most R = (b/4)(alpha_s + alpha) <= 3 (with these
+    two constants every admissible a takes a rung at b(a) and 1e-13).  Every
+    |w_j| is at least d/2, d = (b/2)(alpha_s - alpha) being the distance from
+    that ellipse to t_0 and t_1 (the confocal ellipses' gap at the major
+    axis), and the larger of the two at least |log a|/2.  With
+    |sin w| >= sin|w| for |w| <= pi,
+
+        |g'| <= K = |a - 1/a| / (8 P),  P = min(sin(d/2), sin R) *
+                                            min(sin(max(d, |log a|)/2), sin R),
+
+    and g less its value at b/2 is at most (b/2) alpha K on the ellipse,
+    which bounds the n-point error by
+
+        64 (b/2)^2 alpha K / (15 (rho^2 - 1) rho^(2n)),  rho = alpha + sqrt(alpha^2 - 1)
+
+    (Trefethen, SIAM Rev. 50 (2008), Thm 4.5; ATAP, Thm 19.3).  The bound
+    adds the rounding of the sum, eps b (9 + b (n/8 + 2 + 2 |g'(b)|)): each
+    node's arctangent to 4 eps, its node's rounding through |g'| <= |g'(b)|
+    on [0, b], the n/2 summed terms of one sign, and the closed-form linear
+    part.
+    """
+    # t_0 - b/2 = h (u + i v) with h = b/2; divisions by b overflow to inf
+    # rather than raise for a subnormal b, which then takes no rung.
+    # The mins are written out: each builtin call costs as much as a sine.
+    h = 0.5 * b
+    log_a = abs(math.log(a))
+    u = (2.0 * PI - b) / b
+    v = 2.0 * log_a / b
+    alpha_s = 0.5 * (math.hypot(u - 1.0, v) + math.hypot(u + 1.0, v))
+    if not alpha_s < math.inf:
+        return 0, math.inf
+    alpha = 0.1 + 0.9 * alpha_s
+    cap = 12.0 / b - alpha_s
+    if cap < alpha:
+        alpha = cap
+    if alpha > 64.0:
+        # Small b: rho^40 would overflow, and rho <= 128 already bounds the
+        # error below 1e-80.
+        alpha = 64.0
+    if not alpha > 1.0:
+        return 0, math.inf
+    rho = alpha + math.sqrt(alpha * alpha - 1.0)
+    half_d = 0.5 * h * (alpha_s - alpha)
+    sin_r = math.sin(0.5 * h * (alpha_s + alpha))
+    s0 = math.sin(half_d)
+    s1 = math.sin(half_d if half_d > 0.5 * log_a else 0.5 * log_a)
+    p = (s0 if s0 < sin_r else sin_r) * (s1 if s1 < sin_r else sin_r)
+    error = 8.0 * h * h * alpha * abs(a - 1.0 / a) / (15.0 * p * (rho * rho - 1.0) * rho**40)
+    # On [0, b] itself |g'| is at most its value at b, where D is least.
+    c = math.cos(h)
+    slope = abs(1.0 - a * a) / (2.0 * ((1.0 - a) * (1.0 - a) + 4.0 * a * c * c))
+    rounding = _EPS * b * (9.0 + b * (2.0 + 2.0 * slope))
+    for n in _RUNGS:
+        bound = error + rounding + _EPS * b * b * n / 8.0
+        if bound <= tol:
+            return n, bound
+        error /= rho**8
+    return 0, math.inf
+
+
+def _gauss_legendre_I(k: float, b: float, n: int) -> float:
+    # I(a, b) on the n-point rule: pi b/2 - b^2/4 less the rule's sum of
+    # arctan(k tan(beta/2)), k = (1 - a)/(1 + a), written into its loop.
+    atan, tan = math.atan, math.tan
+    q = 0.25 * b
+    s = 0.0
+    for x, w in _GAUSS_LEGENDRE[n]:
+        d = q * x
+        s += w * (atan(k * tan(q - d)) + atan(k * tan(q + d)))
+    return 0.5 * PI * b - q * b - 2.0 * q * s
 
 
 def aux_closed_F(a: float, b: float) -> float:
@@ -206,6 +391,19 @@ def solve_endpoint_b(a: float, tol: float = 1e-12) -> EndpointSolution:
     return _solve(admissibility(a), tol)
 
 
+def _start(adm: AdmissibilityResult) -> float:
+    # The solve's first b: the fitted polynomial inside its band, and the
+    # Hermite root outside it and at a = 1, where that root is exact.
+    a = adm.a
+    if _FIT_LO < a < _FIT_HI and a != 1.0:
+        x = math.log(a) * _FIT_SCALE + _FIT_SHIFT
+        b = 0.0
+        for c in _FIT:
+            b = b * x + c
+        return b
+    return _hermite_start(adm)
+
+
 def _hermite_start(adm: AdmissibilityResult) -> float:
     # The root in (0, pi) of the cubic Hermite interpolant of phi_a on
     # [0, pi], built from what the admissibility test already holds:
@@ -242,7 +440,7 @@ def _solve(adm: AdmissibilityResult, tol: float) -> EndpointSolution:
     c = adm.phi_const
     lo, hi = 0.0, PI
     evals = 2
-    b = _hermite_start(adm)
+    b = _start(adm)
     if not lo < b < hi:
         b = 0.5 * (lo + hi)
     for _ in range(_MAX_STEPS):

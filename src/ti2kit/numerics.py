@@ -8,7 +8,9 @@ engine calls the integrand only at interior Kronrod nodes, so an integrand
 with a removable singularity at an endpoint (an arctan kernel divided by its
 argument, and similar) needs a value there only when the interval is so
 narrow that a node rounds onto the endpoint; such an integrand returns its
-own limit at that point.  Theorem 1's root solve is written out in ``endpoint``.
+own limit at that point.  Theorem 1's root solve, and the fixed
+Gauss-Legendre rule that integrates I(a, b) with an a-priori bound, are
+written out in ``endpoint``.
 """
 
 from __future__ import annotations

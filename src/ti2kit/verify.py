@@ -78,8 +78,7 @@ class VerificationConfig:
             raise ValueError(f"format must be 'json' or 'table', got {self.format!r}")
 
 
-# theorem1's quadrature and root-solve tolerances.
-_QUAD_TOL = 1e-11
+# theorem1's root-solve tolerance.
 _SOLVER_TOL = 1e-14
 
 # corollary2's largest A.  The bracket sum's K0 ~ 4A/pi direct terms make
@@ -92,10 +91,13 @@ def _theorem1(adm, tol: float) -> IdentityReport:
     #   arctan(a) log(a) + I(a, b) - pi b/2 + b^2/2 - (pi/4) log(a^2 + 1),
     # b = b(a) solved on phi_a's dilogarithm closed form from the
     # admissibility result, and I(a, b) by *quadrature*: the comparison is a
-    # genuine two-route test rather than algebra cancelling itself.
+    # genuine two-route test rather than algebra cancelling itself.  b enters
+    # the rhs only through I - pi b/2 + b^2/2 = phi_a(b), so the tail bound is
+    # the quadrature's a-priori bound, asked to be at most 1e-13, plus the
+    # solve residual |phi_a(b) - psi(a)|.
     a = adm.a
     sol = ti2kit.endpoint._solve(adm, _SOLVER_TOL)
-    quad = ti2kit.endpoint.aux_integral_I(a, sol.b, _QUAD_TOL)
+    quad = ti2kit.endpoint.aux_integral_I(a, sol.b, 1e-13)
     rhs = (
         math.atan(a) * math.log(a)
         + quad.value
@@ -105,16 +107,18 @@ def _theorem1(adm, tol: float) -> IdentityReport:
     )
     return IdentityReport.build(
         "theorem1", {"a": a, "b": sol.b}, ti2(a), rhs, tol,
-        ti2_method(a), f"{METHOD_QUADRATURE}+root-solve", None, sol.iterations,
+        ti2_method(a), f"{METHOD_QUADRATURE}+root-solve",
+        quad.abs_error_estimate + sol.residual, sol.iterations,
     )
 
 
 def _corollary1(_point, tol: float) -> IdentityReport:
+    # b^2/4 = phi_1(b), so the rhs misses G by the solve residual, its tail bound.
     sol = ti2kit.endpoint.solve_endpoint_b(1.0, 1e-13)
     return IdentityReport.build(
         "corollary1", {"a": 1.0, "b": sol.b}, ti2kit.special.catalan_reference(1e-14),
         sol.b * sol.b / 4.0 - 0.25 * PI * math.log(2.0), tol,
-        "alternating-series-acceleration", "endpoint-root-solve", None, sol.iterations,
+        "alternating-series-acceleration", "endpoint-root-solve", sol.residual, sol.iterations,
     )
 
 
@@ -220,10 +224,9 @@ _IDENTITIES = {
     # theorem1's points are the admissibility results of the admissible a, so
     # the check solves from the test it was filtered by instead of redoing it.
     # Its worst residual is set by its root solve, not by its quadrature of
-    # I(a, b) to 1e-11: over 3000 seeded admissible a (two seeds, a in
-    # [0.45, 19]) it was 1.09e-14 with the solve at 1e-14, where the worst
-    # solve residual was 9.99e-15; on the first seed the quadrature at 1e-13
-    # gave 1.13e-14.
+    # I(a, b): over 3000 seeded admissible a (two seeds, a in [0.45, 19]) it
+    # was 1.09e-14 with the solve at 1e-14, where the worst solve residual
+    # was 9.99e-15.
     "theorem1": (
         lambda cfg: [r for r in map(ti2kit.endpoint.admissibility, cfg.a_grid) if r.admissible],
         _theorem1,

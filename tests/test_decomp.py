@@ -2,6 +2,7 @@ import math
 import random
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -522,6 +523,61 @@ def lemma1_partial(N):
         r = 2 * n + 1
         total += (-1.0) ** n * s_r(r) / (r * r)
     return total
+
+
+def _n_series_depth_by_loop(A, alpha, m):
+    # The n-series depth and tail bound found by trying n = 1, 2, ... up to 64.
+    x = A / PI
+    lo = m + 1 - alpha / PI
+    for n in range(1, 65):
+        r = 2 * n + 3
+        bound = (x / lo) ** r * (1.0 + lo / (r - 1)) / (r * r)
+        if bound <= 1e-17:
+            break
+    return n, bound
+
+
+class TestHurwitzNSeriesDepth:
+    """The depth from one Newton step is the loop's, bound bits included."""
+
+    @staticmethod
+    def _check(tails):
+        for A, alpha, m in tails:
+            ser = _hurwitz_n_series(A, alpha, m)
+            assert (ser.terms_used, ser.tail_bound) == _n_series_depth_by_loop(A, alpha, m), (
+                A, alpha, m)
+
+    def test_lemma1_and_every_verified_pole_tail(self):
+        # lemma1's point, and the pole tails of verify's default grid and of
+        # perfbench's verify passes, seeds 1-3.
+        sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+        try:
+            import inputs
+        finally:
+            sys.path.pop(0)
+        cfg = VerificationConfig()
+        points = list(cfg.A_alpha_grid) + [(PI / n, PI / n) for n in cfg.n_grid]
+        for seed in (1, 2, 3):
+            for name, point in inputs.verify_grid(seed):
+                if name == "corollary2":
+                    points.append((point["A"], point["alpha"]))
+                elif name == "corollary3":
+                    points.append((PI / point["n"], PI / point["n"]))
+        assert len(points) == 29
+        self._check([(1.0, 1.0, 0)] + [(A, al, _pole_direct_terms(A, al)) for A, al in points])
+
+    def test_seeded_tails(self):
+        # A log-uniform in [1e-6, 1e4], alpha in (0, pi), m the pole sum's K0
+        # or any of 0..40, wherever q = x/lo < 1.
+        rng = random.Random(32)
+        tails = []
+        while len(tails) < 20000:
+            A = math.exp(rng.uniform(math.log(1e-6), math.log(1e4)))
+            alpha = rng.uniform(1e-6, PI - 1e-6)
+            m = _pole_direct_terms(A, alpha) if rng.random() < 0.5 else rng.randint(0, 40)
+            if A / PI < m + 1 - alpha / PI:
+                tails.append((A, alpha, m))
+        self._check(tails)
 
 
 class TestLemma1:

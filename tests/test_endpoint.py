@@ -59,20 +59,74 @@ class TestAuxIntegral:
         assert math.isfinite(res.value)
         assert abs(res.value - PI * b / 2.0) <= 1e-13
 
+    @pytest.mark.parametrize("a", [0.5, 3.0])
+    @pytest.mark.parametrize("b", [1e-300, 1e-100, 1e-8])
+    def test_small_b_takes_the_least_rung(self, a, b):
+        # The ellipse grows as 1/b; its bound stays finite, far below tol.
+        # I = pi b/2 - (1 + k) b^2/4 + O(b^4), k = (1 - a)/(1 + a).
+        res = aux_integral_I(a, b, 1e-13)
+        assert res.evaluations == 20 and res.abs_error_estimate <= 1e-20
+        k = (1.0 - a) / (1.0 + a)
+        expected = PI * b / 2.0 - (1.0 + k) * b * b / 4.0
+        assert res.value == pytest.approx(expected, rel=1e-15, abs=0.0)
+
     @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
     def test_b_within_an_ulp_of_pi(self, a):
         # sin(beta) > 0 for every float beta < pi: no value at pi is needed.
         b = math.nextafter(PI, 0.0)
         assert aux_integral_I(a, b).value == pytest.approx(aux_closed_F(a, b), abs=1e-10)
 
-    # Each quadrature's result to the bit: a change to the panel, the
-    # subdivision or the integrand shows here as a moved bit.
+    # Each quadrature's result to the bit: a change to the rule, its bound
+    # or the integrand shows here as a moved bit.  Both take the 20-point
+    # rule, whose bound is mostly its rounding allowance.
     @pytest.mark.parametrize("a, b, expected", [
-        (0.7, 2.5420684378056677, (1.960352263624714, 8.017405648927388e-18, 63)),
-        (3.0, 2.4765670555140833, (3.314789428152709, 1.8703278248502278e-14, 21)),
+        (0.7, 2.5420684378056677, (1.960352263624714, 1.561366691018253e-14, 20)),
+        (3.0, 2.4765670555140833, (3.3147894281527086, 1.3141721424622435e-14, 20)),
     ])
     def test_pinned_to_the_bit(self, a, b, expected):
         assert aux_integral_I(a, b, 1e-11) == expected
+
+    def test_estimate_bounds_the_error_at_every_sampled_point(self):
+        # The a-priori bound against 30-digit mpmath: at theorem1's points and
+        # tolerance, and at seeded (a, b) off the solved endpoint at 1e-11.
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(36)
+        points = [(a, solve_endpoint_b(a, 1e-14).b, 1e-13)
+                  for a in _seeded_admissible_a(60, seed=36) + [0.4513, 18.92]]
+        points += [(math.exp(rng.uniform(math.log(0.05), math.log(20.0))),
+                    rng.uniform(0.01, 3.1), 1e-11) for _ in range(100)]
+        rules = 0
+        with mpmath.workdps(30):
+            for a, b, tol in points:
+                res = aux_integral_I(a, b, tol)
+                x = mpmath.mpf(a)
+                ref = (mpmath.pi * b / 2 - mpmath.mpf(b) ** 2 / 2 - mpmath.polylog(2, -x)
+                       + mpmath.re(mpmath.polylog(2, -x * mpmath.expj(b))))
+                assert abs(res.value - ref) <= res.abs_error_estimate <= tol, (a, b)
+                rules += res.evaluations in endpoint._RUNGS
+        assert rules >= 150
+
+    def test_every_admissible_a_takes_a_rung_at_theorem1s_tolerance(self):
+        # A fine log grid of the admissibility window, both ends included.
+        lo, hi = 0.45125, 18.924
+        grid = [lo * (hi / lo) ** (i / 2000) for i in range(2001)]
+        admissible = [a for a in grid if admissibility(a).admissible]
+        assert admissible[0] == lo and admissible[-1] == hi and len(admissible) == 2001
+        for a in admissible:
+            n, bound = endpoint._gauss_legendre_rung(a, solve_endpoint_b(a, 1e-14).b, 1e-13)
+            assert n in endpoint._RUNGS and bound <= 1e-13, a
+
+    @pytest.mark.parametrize("a", [1.0 - 1e-6, 1.0 + 1e-6])
+    @pytest.mark.parametrize("tol", [1e-12, 1e-14])
+    def test_no_rung_next_to_the_pinch_takes_the_adaptive_rule(self, a, tol):
+        # Next to a = 1 and b = pi the singularities pi -+ i|log a| pinch
+        # the interval's end: no rung's bound meets tol, and integrate_adaptive
+        # serves the call.
+        b = math.nextafter(PI, 0.0)
+        assert endpoint._gauss_legendre_rung(a, b, tol) == (0, math.inf)
+        res = aux_integral_I(a, b, tol)
+        assert res.evaluations not in endpoint._RUNGS
+        assert abs(res.value - aux_closed_F(a, b)) <= 1e-14
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -301,7 +355,7 @@ class TestSolveEndpoint:
     @pytest.mark.parametrize("a, tol, expected", [
         (0.4513, 1e-12, (3.1307202101906695, 1.290079154614432e-13, 5)),
         (1.0, 1e-13, (2.416908866095799, 4.440892098500626e-16, 3)),
-        (3.0, 1e-12, (2.4765670555140833, 4.440892098500626e-16, 5)),
+        (3.0, 1e-12, (2.4765670555140837, 4.440892098500626e-16, 4)),
         (18.92, 1e-12, (3.1415009688119735, 8.881784197001252e-16, 4)),
     ])
     def test_pinned_to_the_bit(self, a, tol, expected):
@@ -390,9 +444,10 @@ class TestSolveCost:
             assert abs(sol.b - b) <= 1e-12, a
 
     def test_mean_iterations_over_seeded_a(self, dilog_calls):
-        # The Hermite start leaves about three Halley steps: 5.117 (4-6)
-        # here.  From pi/2 with Newton steps the mean at tolerance 1e-12 was
-        # 8.0 (7-11).
+        # The fitted start leaves one Halley step inside (0.6, 10), the
+        # Hermite start two or three outside it: 4.213 (4-6) here, 5.117
+        # with the Hermite start everywhere.  From pi/2 with Newton steps the
+        # mean at tolerance 1e-12 was 8.0 (7-11).
         its = []
         for a in _seeded_admissible_a(600, seed=5):
             dilog_calls[0] = 0
@@ -401,25 +456,23 @@ class TestSolveCost:
             assert dilog_calls[0] == sol.iterations + 1, a
             its.append(sol.iterations)
         assert 4 <= min(its) and max(its) <= 7
-        assert sum(its) / len(its) == pytest.approx(5.117, abs=0.05)
+        assert sum(its) / len(its) == pytest.approx(4.213, abs=0.05)
 
     def test_total_iterations_over_seeded_a_are_pinned(self):
         # The exact count of phi_a evaluations at tolerance 1e-14, which
-        # repeats run to run: 3.125 interior steps a solve on average (4 for
-        # most a < 1.1, 3 on [2, 5), 2-3 from 5 on).  A change to the
-        # Hermite start, the Halley steps or what the solve counts shows here.
-        # Above a = 1 phi_a takes the inversion law's form, whose last bits
-        # differ from the old form's.  That moved five solves near a = 8.9 and
-        # 11.4 whose residual sits at the tolerance (4.4e-16 or 9.8e-15 on
-        # one side or the other): two took one step fewer, three one more
-        # (5125 before, 166/543/291).
+        # repeats run to run: 2.185 interior steps a solve on average (2 for
+        # every a in the fitted start's band (0.6, 10) and most above it, 3
+        # on (10, 11.5), 4 below 0.6).  A change to either start, the Halley
+        # steps or what the solve counts shows here.  With the Hermite start
+        # everywhere it was 5126 (165/544/291).
         its = [solve_endpoint_b(a, 1e-14).iterations for a in _seeded_admissible_a(1000, seed=13)]
-        assert sum(its) == 5126
-        assert (its.count(4), its.count(5), its.count(6)) == (165, 544, 291)
+        assert sum(its) == 4185
+        assert (its.count(4), its.count(5), its.count(6)) == (888, 39, 73)
 
     def test_hermite_start_is_exact_at_one(self):
-        # phi_1(b) = b^2/4 is its own cubic Hermite interpolant.
-        start = endpoint._hermite_start(admissibility(1.0))
+        # phi_1(b) = b^2/4 is its own cubic Hermite interpolant, which the
+        # solve starts from at a = 1 although the fitted start's band holds it.
+        start = endpoint._start(admissibility(1.0))
         assert start == pytest.approx(B_OF_ONE, abs=1e-15)
         assert solve_endpoint_b(1.0, 1e-14).iterations == 3
 
@@ -454,7 +507,7 @@ class TestSolveSafeguards:
             steps.append(b)
             return phi_u(a, b)
 
-        monkeypatch.setattr(endpoint, "_hermite_start", lambda adm: start)
+        monkeypatch.setattr(endpoint, "_start", lambda adm: start)
         monkeypatch.setattr(endpoint, "_phi_u", recorded)
         sol = solve_endpoint_b(2.0, 1e-14)
         assert steps[0] == PI / 2.0
@@ -466,7 +519,7 @@ class TestSolveSafeguards:
         monkeypatch.setattr(endpoint, "_phi_curve", lambda a, u: curve)
         for a, unpatched in zip((0.5, 2.0, 5.0), halley):
             sol = solve_endpoint_b(a, 1e-14)
-            start = endpoint._hermite_start(admissibility(a))
+            start = endpoint._start(admissibility(a))
             assert tuple(sol)[1:] == _reference_solve(a, 1e-14, True, start), a
             assert sol != unpatched, a
 
@@ -475,7 +528,7 @@ class TestSolveSafeguards:
         monkeypatch.setattr(endpoint, "_phi_slope", lambda a, b, u: slope)
         for a in (0.5, 2.0, 5.0):
             sol = solve_endpoint_b(a, 1e-14)
-            start = endpoint._hermite_start(admissibility(a))
+            start = endpoint._start(admissibility(a))
             assert tuple(sol)[1:] == _reference_solve(a, 1e-14, False, start), a
             assert sol.iterations > 30, a
 

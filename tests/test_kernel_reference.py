@@ -238,7 +238,7 @@ def _solve_ref(adm, tol):
         tol,
         derivative=lambda b: math.atan2(u.imag, 1.0 + u.real) + (b if inverted else 0.0),
         second_derivative=lambda b: (1.0 / (1.0 + u) if inverted else u / (1.0 + u)).real,
-        start=endpoint._hermite_start(adm),
+        start=endpoint._start(adm),
     )
     midpoint = last[0] != b
     phi_b = phi_a(b) if midpoint else last[1]
