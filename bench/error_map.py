@@ -20,7 +20,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from ti2kit import endpoint, polylog, special, ti2core
+from ti2kit import decomp, endpoint, polylog, special, ti2core
 
 PI = math.pi
 
@@ -149,6 +149,19 @@ def _sine_log_ref(alpha):
     a = x / pi
     return (pi / 2 * (mpmath.loggamma(a) - mpmath.loggamma(1 - a))
             - (pi / 2 - x) * (mpmath.euler + mpmath.log(2 * pi)))
+
+
+def _cot_partial_fraction_ref(b):
+    x = mpmath.mpf(b)
+    return 1 / (2 * x * x) - mpmath.cot(x) / (2 * x)
+
+
+def _s_r_ref(r):
+    # S_1 = 1 - cot 1 from the partial fractions; zeta(1, c) has a pole.
+    if r == 1:
+        return 1 - mpmath.cot(1)
+    pi = mpmath.pi
+    return pi ** -r * (mpmath.zeta(r, 1 - 1 / pi) - mpmath.zeta(r, 1 + 1 / pi))
 
 
 def _rung(x, c, r0, count, i):
@@ -322,6 +335,20 @@ ROWS = (
         lambda: _rungs(_sample(31, (400, _lemma1_or_pole_draw))), _rung_ref, 2.5e-15,
         "TestOddZetaRungs::test_matches_mpmath_at_every_rung", against(mpmath.mpf("1e-2")),
         digits=60),
+    # |b| <= 3, off the poles at 0 and pi: the Taylor series below 1/2, the
+    # closed form 1/(2b^2) - cot(b)/(2b) above, whose two terms cancel to
+    # about 1/6 there.  Worst measured: 3.3e-15 at b = 0.576, just above the
+    # switch (40000 b over four seeds, half uniform, half log-uniform in
+    # |b| from 1e-9).
+    Row("cot_partial_fraction_sum", special.cot_partial_fraction_sum, lambda: _sample(
+        33, (200, _u(-3.0, 3.0)), (200, lambda rng: rng.choice((-1.0, 1.0)) * _lu(1e-9, 3.0)(rng)))
+        + [0.5, math.nextafter(0.5, 1.0), -0.5, 3.0, -3.0], _cot_partial_fraction_ref, 1e-14),
+    # S_r at every odd r up to 399, against pi^-r [zeta(r, 1 - 1/pi) -
+    # zeta(r, 1 + 1/pi)] where 40 and 60 digits agree (all do).  Worst
+    # measured: 1.5e-15 at r = 399, growing with r; with pi rounded to a
+    # float the reference would move 2.1e-14 there.
+    Row("s_r", decomp.s_r, lambda: list(range(1, 400, 2)), _s_r_ref, 4.5e-15, agree=60,
+        min_samples=200),
     # The Hurwitz grids take 150 digits: mpmath's zeta(s, c) loses about
     # s log10(c) digits, which at 40 digits leaves zeta(21, 100) off by 2e-10.
     Row("hurwitz_zeta_odd_s", special.hurwitz_zeta, lambda: [(float(s), c) for s in range(3, 32, 2)

@@ -14,7 +14,7 @@ It times, in microseconds per call:
   ti2 at 0.3, 0.7, 0.99, 1.5 and 3, ei_negative at 0.5, 2 and 30,
   k1_closed(), h_series(3, 1), aux_integral_I at theorem1's points
   (a, b(a)) and tolerance 1e-13 for a = 0.46, 0.75 and 3, and
-  solve_endpoint_b at 0.75, 1 and 3 with its default tolerance.
+  solve_endpoint_b at 0.46, 0.75, 1, 3 and 15 with its default tolerance.
 
 Each checkout is timed in its own child process, with ti2kit imported from
 its src directory.  Each round makes a fixed number of calls per timing
@@ -57,7 +57,7 @@ KERNELS = (
     *((f"aux_integral_I({a:g}, b({a:g}))", "aux_integral_I", (a, b, 1e-13))
       for a, b in ((0.46, 3.0039167202877635), (0.75, 2.508633634796271),
                    (3.0, 2.4765670555140837))),
-    *((f"solve_endpoint_b({a:g})", "solve_endpoint_b", (a,)) for a in (0.75, 1.0, 3.0)),
+    *((f"solve_endpoint_b({a:g})", "solve_endpoint_b", (a,)) for a in (0.46, 0.75, 1.0, 3.0, 15.0)),
 )
 KERNEL_CALLS = 20
 HERE = Path(__file__).resolve().parent.parent
@@ -186,7 +186,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0] if __doc__ else None)
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--parent", type=Path, help="a second checkout, timed under 'parent'")
-    parser.add_argument("--repeat", type=int, default=15)
+    parser.add_argument("--repeat", type=int, default=40)
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")

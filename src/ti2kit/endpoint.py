@@ -32,11 +32,10 @@ term c = -Li2(-a) or Li2(-1/a), and the first or second of each pair,
 
 The solve of b(a) is its own safeguarded Halley loop on the bracket (0, pi),
 one u per step.  Cost: the admissibility test's three dilogarithms (psi(a),
-c and phi_a(pi)), then one Li2(-u) per step.  On (0.6, 10) but at a = 1 the
-loop starts from a polynomial in log a within 1.7e-6 of b(a), and a solve
-to 1e-14 takes 2 steps; elsewhere it starts from the root of the cubic
-Hermite interpolant of phi_a on [0, pi], exact at a = 1 (1 step), and a
-solve takes 2-4; over seeded admissible a the mean is 2.2 steps.  Every
+c and phi_a(pi)), then one Li2(-u) per step.  The loop starts from one
+polynomial in s = sqrt(log(a / a_min)), a_min the window's lower end, within
+8.9e-7 of b(a) over the whole window, and a solve to 1e-14 takes 2 steps at
+every seeded admissible a, wherever it falls in the window.  Every
 dilogarithm takes polylog's complex or real route without the public
 wrapper's checks; ``_check_a`` is the guard.
 
@@ -71,20 +70,25 @@ _PI_SNAP = 1e-12
 _BRACKET_FLOOR = 1e-14
 _MAX_STEPS = 200
 
-# b(a) on (0.6, 10) as a polynomial in x = log(a) * _FIT_SCALE + _FIT_SHIFT,
-# which maps the band onto [-1, 1]: the degree-14 least-squares Chebyshev
-# fit to the solved b(a) at 400 Chebyshev points, in monomials, x^14 first.
-# It is within 1.7e-6 of b(a) over the band (20001 log-spaced a), close
-# enough that one Halley step meets 1e-14.  b(a) reaches pi with a vertical
-# slope at the admissibility window's lower end, a = 0.4513, which is what
-# keeps the band from reaching further down.
-_FIT_LO, _FIT_HI = 0.6, 10.0
-_FIT_SCALE, _FIT_SHIFT = 0.7108809204733635, -0.6368638103758525
+# The solve's start.  a_min and a_max are the admissibility window's ends,
+# where psi(a) = phi_a(pi).  In s = sqrt(log(a / a_min)), b(a) is analytic on
+# the closed window: phi_a is even about pi, with phi_a'(pi) = 0 below a = 1,
+# so pi - b(a) vanishes like s at the lower end, and like s_max - s at the
+# upper, where phi_a'(pi) = pi; so a Chebyshev fit converges geometrically
+# (Trefethen, Approximation Theory and Approximation Practice, ch. 8).  The
+# start is pi - s (s_max - s) q(x), x = 2 s / s_max - 1, with q the degree-12
+# least-squares Chebyshev fit to (pi - b(a)) / (s (s_max - s)) at 200
+# Chebyshev points, b(a) solved by mpmath at 30 digits, in monomials, x^12
+# first.  It is within 8.9e-7 of b(a) over the window (20001 log-spaced a),
+# close enough that one Halley step meets 1e-14.
+_A_MIN, _A_MAX = 0.45124630058833868334, 18.924174234265879322
+_LOG_A_MIN = math.log(_A_MIN)
+_S_MAX = math.sqrt(math.log(_A_MAX / _A_MIN))
 _FIT = (
-    0.014106340441299015, -0.01475821386314087, -0.03364260429089159, 0.030826091283759897,
-    0.039674158833586604, -0.03390947889499764, -0.01734897305846135, 0.010658531884965149,
-    0.011992742797492288, -0.01453357542836952, 0.03337956738346338, -0.12230230308271349,
-    0.2793652263209833, 0.26469601370792994, 2.4329690488087827,
+    0.0061524112065331924, -0.0013751781461110257, -0.024491667028333112, 0.007683165074917678,
+    0.041316009378965575, -0.023747693461380427, -0.04178308523424394, 0.06020882286247697,
+    0.04721407201920305, -0.12940178634496036, -0.15512743840885956, 0.2444206749352865,
+    0.80016119951943,
 )
 
 # aux_integral_I's Gauss-Legendre rungs, least first, and the machine epsilon.
@@ -381,8 +385,8 @@ def solve_endpoint_b(a: float, tol: float = 1e-12) -> EndpointSolution:
 
     Requires ``a`` admissible, so that the bracket (0, pi) is strict.  Halley
     steps (Newton's where Halley's divisor is not in (0, inf), bisection
-    where a step leaves the bracket) refine the root of the cubic Hermite
-    interpolant of phi_a on [0, pi], and stop on the bracket's midpoint once
+    where a step leaves the bracket) refine a start fitted to b(a) over the
+    admissibility window, and stop on the bracket's midpoint once
     it is narrower than 1e-14; 200 steps raise :class:`BudgetError`.
     ``iterations`` counts the steps' phi_a values and the two bracket ends,
     so a solve makes ``iterations + 1`` dilogarithm calls (one more if it
@@ -392,41 +396,14 @@ def solve_endpoint_b(a: float, tol: float = 1e-12) -> EndpointSolution:
 
 
 def _start(adm: AdmissibilityResult) -> float:
-    # The solve's first b: the fitted polynomial inside its band, and the
-    # Hermite root outside it and at a = 1, where that root is exact.
-    a = adm.a
-    if _FIT_LO < a < _FIT_HI and a != 1.0:
-        x = math.log(a) * _FIT_SCALE + _FIT_SHIFT
-        b = 0.0
-        for c in _FIT:
-            b = b * x + c
-        return b
-    return _hermite_start(adm)
-
-
-def _hermite_start(adm: AdmissibilityResult) -> float:
-    # The root in (0, pi) of the cubic Hermite interpolant of phi_a on
-    # [0, pi], built from what the admissibility test already holds:
-    # phi_a(0) = 0 with slope Arg(1 + a) = 0, and phi_a(pi) with slope
-    # Arg(1 - a) = pi for a > 1, 0 for a < 1 and pi/2 at a = 1, where the
-    # interpolant b^2/4 is exact.  In t = b/pi it is t^2 (c2 + c3 t).
-    a, target, top = adm.a, adm.psi, adm.phi_pi
-    if a < 1.0:
-        # top (3t^2 - 2t^3) = target, inverted in closed form.
-        t = 0.5 - math.sin(math.asin(1.0 - 2.0 * target / top) / 3.0)
-    else:
-        slope = PI if a > 1.0 else PI / 2.0
-        c2 = 3.0 * top - PI * slope
-        c3 = PI * slope - 2.0 * top
-        # The cubic rises and is convex on [root, 1]: Newton from t = 1
-        # falls monotonically onto the root.
-        t = 1.0
-        for _ in range(50):
-            step = (t * t * (c2 + c3 * t) - target) / (t * (2.0 * c2 + 3.0 * c3 * t))
-            t -= step
-            if step <= 1e-16:
-                break
-    return PI * min(max(t, 0.0), 1.0)
+    # The solve's first b, from the fit in s = sqrt(log(a / a_min)) above;
+    # an admissible a puts s strictly inside (0, s_max).
+    s = math.sqrt(math.log(adm.a) - _LOG_A_MIN)
+    x = 2.0 * s / _S_MAX - 1.0
+    q = 0.0
+    for c in _FIT:
+        q = q * x + c
+    return PI - s * (_S_MAX - s) * q
 
 
 def _solve(adm: AdmissibilityResult, tol: float) -> EndpointSolution:

@@ -193,7 +193,9 @@ def integrate_adaptive(
     with a removable singularity at an endpoint returns its limit there.
 
     Strategy: nested 21-point Gauss-Kronrod panels, always bisecting the
-    panel with the largest error estimate, up to 10 000 splits.
+    panel with the largest error estimate, up to 10 000 splits.  The
+    error estimate is the panels' sum, summed afresh once its running total
+    reaches ``tol``, so that it never cancels below zero.
     ``evaluations`` is 21 per panel, 21 * (1 + 2 * splits) in all.  Raises
     :class:`BudgetError` (with the best estimate attached) if the budget
     runs out, and :class:`DomainError` if ``f`` returns NaN.
@@ -207,6 +209,7 @@ def integrate_adaptive(
     total, toterr = val, err
     counter = 0  # heap tiebreaker, keeps ordering deterministic
     heap = [(-err, counter, lo, hi, val, err)]
+    dropped = []  # errors of the panels at floating-point resolution
     splits = 0
 
     while toterr > tol and heap:
@@ -220,6 +223,7 @@ def integrate_adaptive(
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:
             # Interval at floating-point resolution; its error is irreducible.
+            dropped.append(e)
             continue
         splits += 1
         v1, e1 = _gk21(f, a, mid)
@@ -230,6 +234,10 @@ def integrate_adaptive(
         heapq.heappush(heap, (-e1, counter, a, mid, v1, e1))
         counter += 1
         heapq.heappush(heap, (-e2, counter, mid, b, v2, e2))
+        if toterr <= tol:
+            # The running total cancels as the estimates shrink, even below
+            # zero: before it ends the loop, it is summed afresh.
+            toterr = math.fsum([item[5] for item in heap] + dropped)
 
     if toterr > tol:
         raise BudgetError(

@@ -353,10 +353,10 @@ class TestSolveEndpoint:
 
     # (a, tol) -> (b, residual, iterations), each to the bit.
     @pytest.mark.parametrize("a, tol, expected", [
-        (0.4513, 1e-12, (3.1307202101906695, 1.290079154614432e-13, 5)),
-        (1.0, 1e-13, (2.416908866095799, 4.440892098500626e-16, 3)),
+        (0.4513, 1e-12, (3.130720210205089, 0.0, 4)),
+        (1.0, 1e-13, (2.4169088660957985, 0.0, 4)),
         (3.0, 1e-12, (2.4765670555140837, 4.440892098500626e-16, 4)),
-        (18.92, 1e-12, (3.1415009688119735, 8.881784197001252e-16, 4)),
+        (18.92, 1e-12, (3.141500968811973, 8.881784197001252e-16, 4)),
     ])
     def test_pinned_to_the_bit(self, a, tol, expected):
         assert solve_endpoint_b(a, tol) == (a, *expected)
@@ -433,7 +433,7 @@ class TestSolveCost:
         assert calls == 1
 
     def test_halley_solve_agrees_with_reference_solve(self):
-        # The Hermite start and Halley steps take another path to the same
+        # The fitted start and Halley steps take another path to the same
         # root as bisection with Newton steps from pi/2.
         for a in _seeded_admissible_a(200):
             b, _, _ = _reference_solve(a, 1e-14, True)
@@ -444,10 +444,8 @@ class TestSolveCost:
             assert abs(sol.b - b) <= 1e-12, a
 
     def test_mean_iterations_over_seeded_a(self, dilog_calls):
-        # The fitted start leaves one Halley step inside (0.6, 10), the
-        # Hermite start two or three outside it: 4.213 (4-6) here, 5.117
-        # with the Hermite start everywhere.  From pi/2 with Newton steps the
-        # mean at tolerance 1e-12 was 8.0 (7-11).
+        # The fitted start leaves two Halley steps wherever a falls: 4.0
+        # evaluations here, the two bracket ends included.
         its = []
         for a in _seeded_admissible_a(600, seed=5):
             dilog_calls[0] = 0
@@ -456,25 +454,28 @@ class TestSolveCost:
             assert dilog_calls[0] == sol.iterations + 1, a
             its.append(sol.iterations)
         assert 4 <= min(its) and max(its) <= 7
-        assert sum(its) / len(its) == pytest.approx(4.213, abs=0.05)
+        assert sum(its) / len(its) == pytest.approx(4.0, abs=0.05)
 
     def test_total_iterations_over_seeded_a_are_pinned(self):
         # The exact count of phi_a evaluations at tolerance 1e-14, which
-        # repeats run to run: 2.185 interior steps a solve on average (2 for
-        # every a in the fitted start's band (0.6, 10) and most above it, 3
-        # on (10, 11.5), 4 below 0.6).  A change to either start, the Halley
-        # steps or what the solve counts shows here.  With the Hermite start
-        # everywhere it was 5126 (165/544/291).
+        # repeats run to run: 2 interior steps for every a.  A change to the
+        # start, the Halley steps or what the solve counts shows here.
         its = [solve_endpoint_b(a, 1e-14).iterations for a in _seeded_admissible_a(1000, seed=13)]
-        assert sum(its) == 4185
-        assert (its.count(4), its.count(5), its.count(6)) == (888, 39, 73)
+        assert sum(its) == 4000
+        assert its.count(4) == 1000
 
-    def test_hermite_start_is_exact_at_one(self):
-        # phi_1(b) = b^2/4 is its own cubic Hermite interpolant, which the
-        # solve starts from at a = 1 although the fitted start's band holds it.
-        start = endpoint._start(admissibility(1.0))
-        assert start == pytest.approx(B_OF_ONE, abs=1e-15)
-        assert solve_endpoint_b(1.0, 1e-14).iterations == 3
+    def test_start_is_near_b_across_the_window(self):
+        # Within about 3x the fit's worst distance from b(a), 8.9e-7 at
+        # a = 1.147 (20001 log-spaced a), at seeded a and at a within 1e-9
+        # of either end of the window, where b(a) is within 1e-4 of pi and
+        # the start must still lie inside the bracket (0, pi).
+        ends = [endpoint._A_MIN * (1.0 + 1e-9), endpoint._A_MAX * (1.0 - 1e-9)]
+        for a in _seeded_admissible_a(300, seed=11) + ends:
+            start = endpoint._start(admissibility(a))
+            assert 0.0 < start < PI, a
+            assert abs(start - solve_endpoint_b(a, 1e-14).b) <= 2.7e-6, a
+        for a in ends:
+            assert solve_endpoint_b(a, 1e-14).iterations == 3, a
 
     def test_bit_identical_when_solver_stops_on_unevaluated_midpoint(self, dilog_calls):
         # A tolerance no step can meet makes the solver return the midpoint

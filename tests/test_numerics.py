@@ -1,12 +1,13 @@
 import inspect
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_kernel_reference import find_root_increasing
-from ti2kit import numerics
+from ti2kit import decomp, numerics
 from ti2kit.numerics import (
     BudgetError,
     DomainError,
@@ -62,6 +63,20 @@ class TestIntegrateAdaptive:
         assert res.value == pytest.approx(1.0, abs=1e-13)
         assert res.abs_error_estimate >= 0.0
         assert res.evaluations >= 21
+
+    def test_error_estimate_is_never_negative_over_seeded_h_quadratures(self):
+        # H's integrand, as h_series integrates it below A = 3.  The running
+        # total of the panels' estimates cancelled below zero at 342 of these
+        # 3000 before it was summed afresh at the end.
+        rng = random.Random(37)
+        for i in range(3000):
+            A = math.exp(rng.uniform(math.log(1e-3), math.log(3.0)))
+            if i % 2:
+                alpha = rng.uniform(0.01, PI - 0.01)
+            else:
+                alpha = math.exp(rng.uniform(math.log(1e-9), 0.0))
+            est = decomp._h_integral(A, alpha, 1e-13).abs_error_estimate
+            assert 0.0 <= est <= 1e-13, (A, alpha, est)
 
     def test_linear(self):
         res = integrate_adaptive(lambda x: x, 0.0, 1.0, 1e-12)

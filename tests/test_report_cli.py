@@ -312,7 +312,7 @@ COMMANDS = (
             ("compute psi 1.3", "1.67623127339097\n"),
             ("compute phi 1e308 1", "0.5\n"),
             ("compute b-of-a 3", "2.47656705551408\n"),
-            ("compute b-of-a 0.4513", "3.13072021019067\n"),
+            ("compute b-of-a 0.4513", "3.13072021020509\n"),
             ("compute b-of-a 18.9", "3.14106140616877\n"),
             # H at A = 1e-6 once took 84 s a call; A = 1e-322 is subnormal.
             ("compute H 0.000001 1", "6.4209261593423e-07\n"),
@@ -462,6 +462,15 @@ class TestCli:
         (report,) = json.loads(capsys.readouterr().out)
         assert report["pass"] is True
         assert report["abs_residual"] <= 1e-15
+
+    def test_corollary2_tail_is_not_negative(self, capsys):
+        # H's quadrature error estimate here once summed to -1.30e-15: its
+        # running total cancelled below zero as the panels' estimates shrank.
+        argv = ["verify", "corollary2", "--A", "0.009280424621551396",
+                "--alpha", "1.0376507594571653e-09", "--format", "json"]
+        assert cli.main(argv) == 0
+        (report,) = json.loads(capsys.readouterr().out)
+        assert 0.0 <= report["tail_bound"] <= 1e-15
 
 
 assert len({test_id for test_id, *_ in COMMANDS}) == len(COMMANDS)
