@@ -139,6 +139,18 @@ def _aux_integral_points(seed=32, count=200):
     return [(a, endpoint.solve_endpoint_b(a, 1e-14).b) for a in draws]
 
 
+def _phi_points_at_most_one():
+    # a log-uniform over the floats up to 1, and over [1e-3, 1], where phi_a
+    # is not negligible next to pi b/2 - b^2/2.
+    return _sample(27, *((200, lambda rng, lo=lo: (_lu(lo, 1.0)(rng), rng.uniform(0.0, PI)))
+                         for lo in (1e-300, 1e-3)))
+
+
+def _k1_ref():
+    # K(1) = H(1, 1), the integral of arctan(cot(1) tanh x)/x over [0, 1].
+    return mpmath.quad(lambda x: mpmath.atan(mpmath.cot(1) * mpmath.tanh(x)) / x, [0, 1])
+
+
 def _aux_closed_ref(a, b):
     return mpmath.pi * b / 2 - mpmath.mpf(b) ** 2 / 2 + _phi_ref(a, b)[0]
 
@@ -263,6 +275,11 @@ ROWS = (
         "test_phi_and_aux_closed_F_above_one", lambda got, ref: abs(got - ref[0]) / ref[1]),
     Row("aux_closed_F_above_one", endpoint.aux_closed_F, _phi_points, _aux_closed_ref, 4e-15,
         "test_phi_and_aux_closed_F_above_one"),
+    # Up to a = 1, F takes phi_a's first form.  Next to b = pi, where
+    # pi b/2 - b^2/2 cancels, F is small, so its error is in units of |F| + 1.
+    # Worst measured: 9.6e-16 (40000 points over four seeds).
+    Row("aux_closed_F_at_most_one", endpoint.aux_closed_F, _phi_points_at_most_one,
+        _aux_closed_ref, 3e-15, measure=against(1)),
     # I(a, b(a)) at theorem1's tolerance, 1e-13, where every admissible a
     # takes a Gauss-Legendre rung.  Worst measured: 9.1e-16 at a = 0.454,
     # next to the window's lower end (5010 points over five seeds).
@@ -335,20 +352,27 @@ ROWS = (
         lambda: _rungs(_sample(31, (400, _lemma1_or_pole_draw))), _rung_ref, 2.5e-15,
         "TestOddZetaRungs::test_matches_mpmath_at_every_rung", against(mpmath.mpf("1e-2")),
         digits=60),
-    # |b| <= 3, off the poles at 0 and pi: the Taylor series below 1/2, the
-    # closed form 1/(2b^2) - cot(b)/(2b) above, whose two terms cancel to
-    # about 1/6 there.  Worst measured: 3.3e-15 at b = 0.576, just above the
-    # switch (40000 b over four seeds, half uniform, half log-uniform in
-    # |b| from 1e-9).
+    # |b| <= 3, off the poles at 0 and pi: the Taylor series below 3/2, the
+    # closed form 1/(2b^2) - cot(b)/(2b) above.  Worst measured: 3.4e-16 at
+    # b = 2.81, next to pi (two samples of 40000 b over four seeds each, half
+    # uniform, half log-uniform in |b| from 1e-9).
     Row("cot_partial_fraction_sum", special.cot_partial_fraction_sum, lambda: _sample(
         33, (200, _u(-3.0, 3.0)), (200, lambda rng: rng.choice((-1.0, 1.0)) * _lu(1e-9, 3.0)(rng)))
-        + [0.5, math.nextafter(0.5, 1.0), -0.5, 3.0, -3.0], _cot_partial_fraction_ref, 1e-14),
+        + [0.5, math.nextafter(0.5, 1.0), -0.5, 1.5, math.nextafter(1.5, 0.0), -1.5, 3.0, -3.0],
+        _cot_partial_fraction_ref, 1e-15),
     # S_r at every odd r up to 399, against pi^-r [zeta(r, 1 - 1/pi) -
     # zeta(r, 1 + 1/pi)] where 40 and 60 digits agree (all do).  Worst
     # measured: 1.5e-15 at r = 399, growing with r; with pi rounded to a
     # float the reference would move 2.1e-14 there.
     Row("s_r", decomp.s_r, lambda: list(range(1, 400, 2)), _s_r_ref, 4.5e-15, agree=60,
         min_samples=200),
+    # K(1) in closed form against the integral it sums.  Measured: 2.3e-16.
+    Row("k1_closed", decomp.k1_closed, lambda: [()], _k1_ref, 7e-16, digits=30),
+    # Catalan's constant at verify's tolerance and at the 1e-15 floor.
+    # Worst measured: 1.2e-16, at the floor, where more terms add more
+    # rounding; 4.1e-18 at 1e-14.
+    Row("catalan_reference", special.catalan_reference, lambda: [1e-14, 1e-15],
+        lambda tol: mpmath.catalan, 3.5e-16),
     # The Hurwitz grids take 150 digits: mpmath's zeta(s, c) loses about
     # s log10(c) digits, which at 40 digits leaves zeta(21, 100) off by 2e-10.
     Row("hurwitz_zeta_odd_s", special.hurwitz_zeta, lambda: [(float(s), c) for s in range(3, 32, 2)

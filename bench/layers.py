@@ -13,8 +13,10 @@ It times, in microseconds per call:
 - the kernels at fixed arguments, through public names only (KERNELS):
   ti2 at 0.3, 0.7, 0.99, 1.5 and 3, ei_negative at 0.5, 2 and 30,
   k1_closed(), h_series(3, 1), aux_integral_I at theorem1's points
-  (a, b(a)) and tolerance 1e-13 for a = 0.46, 0.75 and 3, and
-  solve_endpoint_b at 0.46, 0.75, 1, 3 and 15 with its default tolerance.
+  (a, b(a)) and tolerance 1e-13 for a = 0.46, 0.75 and 3,
+  solve_endpoint_b at 0.46, 0.75, 1, 3 and 15 with its default tolerance,
+  and admissibility at 0.46, 0.75 and 3, the test every solve makes first:
+  the solve's own cost is solve_endpoint_b's less admissibility's.
 
 Each checkout is timed in its own child process, with ti2kit imported from
 its src directory.  Each round makes a fixed number of calls per timing
@@ -58,6 +60,7 @@ KERNELS = (
       for a, b in ((0.46, 3.0039167202877635), (0.75, 2.508633634796271),
                    (3.0, 2.4765670555140837))),
     *((f"solve_endpoint_b({a:g})", "solve_endpoint_b", (a,)) for a in (0.46, 0.75, 1.0, 3.0, 15.0)),
+    *((f"admissibility({a:g})", "admissibility", (a,)) for a in (0.46, 0.75, 3.0)),
 )
 KERNEL_CALLS = 20
 HERE = Path(__file__).resolve().parent.parent

@@ -32,10 +32,10 @@ term c = -Li2(-a) or Li2(-1/a), and the first or second of each pair,
 
 The solve of b(a) is its own safeguarded Halley loop on the bracket (0, pi),
 one u per step.  Cost: the admissibility test's three dilogarithms (psi(a),
-c and phi_a(pi)), then one Li2(-u) per step.  The loop starts from one
-polynomial in s = sqrt(log(a / a_min)), a_min the window's lower end, within
-8.9e-7 of b(a) over the whole window, and a solve to 1e-14 takes 2 steps at
-every seeded admissible a, wherever it falls in the window.  Every
+c and phi_a(pi)), then one Li2(-u) per step.  The loop starts from a table of
+two polynomials in s = sqrt(log(a / a_min)), a_min the window's lower end,
+whose phi_a is within 3.6e-15 of psi(a) over the whole window, so a solve to
+1e-14 or looser stops at its first phi_a: four dilogarithms in all.  Every
 dilogarithm takes polylog's complex or real route without the public
 wrapper's checks; ``_check_a`` is the guard.
 
@@ -74,22 +74,42 @@ _MAX_STEPS = 200
 # where psi(a) = phi_a(pi).  In s = sqrt(log(a / a_min)), b(a) is analytic on
 # the closed window: phi_a is even about pi, with phi_a'(pi) = 0 below a = 1,
 # so pi - b(a) vanishes like s at the lower end, and like s_max - s at the
-# upper, where phi_a'(pi) = pi; so a Chebyshev fit converges geometrically
+# upper, where phi_a'(pi) = pi; so Chebyshev fits converge geometrically
 # (Trefethen, Approximation Theory and Approximation Practice, ch. 8).  The
-# start is pi - s (s_max - s) q(x), x = 2 s / s_max - 1, with q the degree-12
-# least-squares Chebyshev fit to (pi - b(a)) / (s (s_max - s)) at 200
-# Chebyshev points, b(a) solved by mpmath at 30 digits, in monomials, x^12
-# first.  It is within 8.9e-7 of b(a) over the window (20001 log-spaced a),
-# close enough that one Halley step meets 1e-14.
+# start is pi - s (s_max - s) q, with q one polynomial of degree 24 on each
+# half of [0, s_max], in x, the half mapped onto [-1, 1]: the least-squares
+# Chebyshev fit, weighted by s (s_max - s), to (pi - b(a)) / (s (s_max - s))
+# at 100 Chebyshev points of the half, b(a) solved by mpmath at 30 digits, in
+# monomials, x^24 first (bench/fit_start.py prints them).  phi_a at the start
+# is within 3.6e-15 of psi(a) over the window (20001 log-spaced a), so a solve
+# to 1e-14 stops at its first phi_a.  Degree 20 misses 1e-14 at 6% of those
+# a.  Degrees 21 to 23 meet it, but their starts, up to 3x further from b(a),
+# raise theorem1's worst tail over 3000 seeded a by up to 6.6e-16; degree 24's
+# (within 5.6e-16 of b(a) at 300 seeded a) do not.
 _A_MIN, _A_MAX = 0.45124630058833868334, 18.924174234265879322
 _LOG_A_MIN = math.log(_A_MIN)
 _S_MAX = math.sqrt(math.log(_A_MAX / _A_MIN))
 _FIT = (
-    0.0061524112065331924, -0.0013751781461110257, -0.024491667028333112, 0.007683165074917678,
-    0.041316009378965575, -0.023747693461380427, -0.04178308523424394, 0.06020882286247697,
-    0.04721407201920305, -0.12940178634496036, -0.15512743840885956, 0.2444206749352865,
-    0.80016119951943,
+    (
+        6.901639585520702e-09, 1.2869624473937752e-09, -5.161716210110338e-08, -3.479652582378755e-08,
+        1.5117385929778967e-07, 2.2065751289112423e-07, -8.103152944283229e-08, -5.480593335055571e-07,
+        -8.09379569142839e-07, -2.1605071219765757e-07, 2.050168683018893e-06, 5.0298182939940845e-06,
+        3.730620768526929e-06, -9.209057272351723e-06, -3.2616712406293836e-05, -3.6215947808566235e-05,
+        5.055929115326823e-05, 0.00027347792789545936, 0.00039609439132994007, -0.0004884480133507628,
+        -0.004351061168695166, -0.008025019516737376, 0.005768399426579124, 0.15053562460174053,
+        0.6560711192517408,
+    ),
+    (
+        -2.29767302912565e-10, 1.7652624026735558e-09, -8.548608185449733e-10, -1.0429010875156597e-08,
+        1.7529625484613256e-08, 7.961382134160538e-09, -5.504530789841983e-08, 8.425227783999339e-08,
+        -5.833300322704849e-08, -8.318455838709617e-08, 4.547465395086743e-07, -1.2180831149617875e-06,
+        1.7342352308283092e-06, 2.053437230142964e-06, -1.5376259441426916e-05, 1.9816387058204733e-05,
+        3.8388411112424505e-05, -6.540501053454504e-05, -0.00025938230177301256, -0.00033323948208983104,
+        0.004805287665989374, 0.0026032719893239044, -0.060437443964857805, 0.013308143939952435,
+        0.8715620121107485,
+    ),
 )
+_PIECE_SCALE = len(_FIT) / _S_MAX
 
 # aux_integral_I's Gauss-Legendre rungs, least first, and the machine epsilon.
 _RUNGS = (20, 24, 28, 32)
@@ -390,18 +410,22 @@ def solve_endpoint_b(a: float, tol: float = 1e-12) -> EndpointSolution:
     it is narrower than 1e-14; 200 steps raise :class:`BudgetError`.
     ``iterations`` counts the steps' phi_a values and the two bracket ends,
     so a solve makes ``iterations + 1`` dilogarithm calls (one more if it
-    stops on a bracket midpoint, whose residual then needs one).
+    stops on a bracket midpoint, whose residual then needs one).  Over the
+    window the start meets 1e-14, so a solve to 1e-14 or looser returns it
+    with ``iterations`` 3.
     """
     return _solve(admissibility(a), tol)
 
 
 def _start(adm: AdmissibilityResult) -> float:
-    # The solve's first b, from the fit in s = sqrt(log(a / a_min)) above;
-    # an admissible a puts s strictly inside (0, s_max).
+    # The solve's first b, from the table in s = sqrt(log(a / a_min)) above;
+    # an admissible a puts s strictly inside (0, s_max), so t in [0, pieces).
     s = math.sqrt(math.log(adm.a) - _LOG_A_MIN)
-    x = 2.0 * s / _S_MAX - 1.0
+    t = s * _PIECE_SCALE
+    i = int(t)
+    x = 2.0 * (t - i) - 1.0
     q = 0.0
-    for c in _FIT:
+    for c in _FIT[i]:
         q = q * x + c
     return PI - s * (_S_MAX - s) * q
 

@@ -15,6 +15,7 @@ KERNEL_NAMES = {
     "aux_integral_I(0.46, b(0.46))", "aux_integral_I(0.75, b(0.75))", "aux_integral_I(3, b(3))",
     "solve_endpoint_b(0.46)", "solve_endpoint_b(0.75)", "solve_endpoint_b(1)",
     "solve_endpoint_b(3)", "solve_endpoint_b(15)",
+    "admissibility(0.46)", "admissibility(0.75)", "admissibility(3)",
 }
 
 

@@ -353,10 +353,10 @@ class TestSolveEndpoint:
 
     # (a, tol) -> (b, residual, iterations), each to the bit.
     @pytest.mark.parametrize("a, tol, expected", [
-        (0.4513, 1e-12, (3.130720210205089, 0.0, 4)),
-        (1.0, 1e-13, (2.4169088660957985, 0.0, 4)),
-        (3.0, 1e-12, (2.4765670555140837, 4.440892098500626e-16, 4)),
-        (18.92, 1e-12, (3.141500968811973, 8.881784197001252e-16, 4)),
+        (0.4513, 1e-12, (3.1307202102050957, 0.0, 3)),
+        (1.0, 1e-13, (2.4169088660957985, 0.0, 3)),
+        (3.0, 1e-12, (2.4765670555140833, 4.440892098500626e-16, 3)),
+        (18.92, 1e-12, (3.141500968811973, 8.881784197001252e-16, 3)),
     ])
     def test_pinned_to_the_bit(self, a, tol, expected):
         assert solve_endpoint_b(a, tol) == (a, *expected)
@@ -444,7 +444,7 @@ class TestSolveCost:
             assert abs(sol.b - b) <= 1e-12, a
 
     def test_mean_iterations_over_seeded_a(self, dilog_calls):
-        # The fitted start leaves two Halley steps wherever a falls: 4.0
+        # The fitted start meets the tolerance wherever a falls: 3.0
         # evaluations here, the two bracket ends included.
         its = []
         for a in _seeded_admissible_a(600, seed=5):
@@ -453,29 +453,43 @@ class TestSolveCost:
             # Admissibility's three dilogarithms, then one per interior step.
             assert dilog_calls[0] == sol.iterations + 1, a
             its.append(sol.iterations)
-        assert 4 <= min(its) and max(its) <= 7
-        assert sum(its) / len(its) == pytest.approx(4.0, abs=0.05)
+        assert 3 <= min(its) and max(its) <= 7
+        assert sum(its) / len(its) == pytest.approx(3.0, abs=0.05)
 
     def test_total_iterations_over_seeded_a_are_pinned(self):
-        # The exact count of phi_a evaluations at tolerance 1e-14, which
-        # repeats run to run: 2 interior steps for every a.  A change to the
+        # The exact count of phi_a evaluations at 1e-14 and at the default
+        # 1e-12, which repeats run to run: the start meets the tolerance at
+        # every a, so the solve stops at its first phi_a.  A change to the
         # start, the Halley steps or what the solve counts shows here.
-        its = [solve_endpoint_b(a, 1e-14).iterations for a in _seeded_admissible_a(1000, seed=13)]
-        assert sum(its) == 4000
-        assert its.count(4) == 1000
+        for tol in (1e-14, 1e-12):
+            its = [solve_endpoint_b(a, tol).iterations
+                   for a in _seeded_admissible_a(1000, seed=13)]
+            assert sum(its) == 3000, tol
+            assert its.count(3) == 1000, tol
 
     def test_start_is_near_b_across_the_window(self):
-        # Within about 3x the fit's worst distance from b(a), 8.9e-7 at
-        # a = 1.147 (20001 log-spaced a), at seeded a and at a within 1e-9
-        # of either end of the window, where b(a) is within 1e-4 of pi and
-        # the start must still lie inside the bracket (0, pi).
+        # The start against b(a) from one Newton step in 30-digit mpmath, at
+        # seeded a, at a = 1 and at a within 1e-9 of either end of the
+        # window, where b(a) is within 1e-4 of pi and the start must still
+        # lie inside the bracket (0, pi).  The bounds are about 3x the worst
+        # distances: 6.6e-16 over 3000 seeded a, and 1.1e-13 at the lower
+        # end, where log(a) - log(a_min) keeps 7 digits and phi_a' is about
+        # 3e-5.  A solve to 1e-14 or to the default 1e-12 returns the start.
+        mpmath = pytest.importorskip("mpmath")
         ends = [endpoint._A_MIN * (1.0 + 1e-9), endpoint._A_MAX * (1.0 - 1e-9)]
-        for a in _seeded_admissible_a(300, seed=11) + ends:
-            start = endpoint._start(admissibility(a))
-            assert 0.0 < start < PI, a
-            assert abs(start - solve_endpoint_b(a, 1e-14).b) <= 2.7e-6, a
-        for a in ends:
-            assert solve_endpoint_b(a, 1e-14).iterations == 3, a
+        for bound, sample in ((2e-15, _seeded_admissible_a(300, seed=11) + [1.0]), (3.4e-13, ends)):
+            for a in sample:
+                start = endpoint._start(admissibility(a))
+                assert 0.0 < start < PI, a
+                with mpmath.workdps(30):
+                    x, b = mpmath.mpf(a), mpmath.mpf(start)
+                    z = x * mpmath.expj(b)
+                    value = mpmath.re(mpmath.polylog(2, -z) - mpmath.polylog(2, -x))
+                    b -= (value - mpmath.im(mpmath.polylog(2, 1 + 1j * x))) / mpmath.arg(1 + z)
+                assert abs(start - b) <= bound, a
+                for tol in (1e-14, 1e-12):
+                    sol = solve_endpoint_b(a, tol)
+                    assert (sol.b, sol.iterations) == (start, 3), (a, tol)
 
     def test_bit_identical_when_solver_stops_on_unevaluated_midpoint(self, dilog_calls):
         # A tolerance no step can meet makes the solver return the midpoint
@@ -493,11 +507,18 @@ class TestSolveCost:
         sol = solve_endpoint_b(1.0)
         assert identity_report("theorem1", 1.0).terms_used == sol.iterations
         (c1,) = run_identity("corollary1")
-        assert c1.terms_used == solve_endpoint_b(1.0, 1e-13).iterations > 2
+        assert c1.terms_used == solve_endpoint_b(1.0, 1e-13).iterations == 3
 
 
 class TestSolveSafeguards:
     """Each fallback of the solve's Halley loop, forced by a patched kernel."""
+
+    @pytest.fixture
+    def start_off_b(self, monkeypatch):
+        # The fitted start meets 1e-14, so the loop would take no step; from
+        # 1e-6 off b(a) it takes steps, each through the patched kernel.
+        fitted = endpoint._start
+        monkeypatch.setattr(endpoint, "_start", lambda adm: fitted(adm) + 1e-6)
 
     @pytest.mark.parametrize("start", [0.0, PI, -1.0, 4.0, math.nan])
     def test_start_outside_the_open_bracket_takes_the_midpoint(self, start, monkeypatch):
@@ -515,7 +536,8 @@ class TestSolveSafeguards:
         assert sol.residual <= 1e-14
 
     @pytest.mark.parametrize("curve", [math.nan, math.inf, -math.inf])
-    def test_halley_divisor_outside_zero_to_inf_takes_newtons_step(self, curve, monkeypatch):
+    def test_halley_divisor_outside_zero_to_inf_takes_newtons_step(self, curve, monkeypatch,
+                                                                   start_off_b):
         halley = [tuple(solve_endpoint_b(a, 1e-14)) for a in (0.5, 2.0, 5.0)]
         monkeypatch.setattr(endpoint, "_phi_curve", lambda a, u: curve)
         for a, unpatched in zip((0.5, 2.0, 5.0), halley):
@@ -525,7 +547,7 @@ class TestSolveSafeguards:
             assert sol != unpatched, a
 
     @pytest.mark.parametrize("slope", [0.0, -1.0, math.nan, math.inf])
-    def test_slope_outside_zero_to_inf_bisects(self, slope, monkeypatch):
+    def test_slope_outside_zero_to_inf_bisects(self, slope, monkeypatch, start_off_b):
         monkeypatch.setattr(endpoint, "_phi_slope", lambda a, b, u: slope)
         for a in (0.5, 2.0, 5.0):
             sol = solve_endpoint_b(a, 1e-14)

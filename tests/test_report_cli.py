@@ -312,7 +312,7 @@ COMMANDS = (
             ("compute psi 1.3", "1.67623127339097\n"),
             ("compute phi 1e308 1", "0.5\n"),
             ("compute b-of-a 3", "2.47656705551408\n"),
-            ("compute b-of-a 0.4513", "3.13072021020509\n"),
+            ("compute b-of-a 0.4513", "3.1307202102051\n"),
             ("compute b-of-a 18.9", "3.14106140616877\n"),
             # H at A = 1e-6 once took 84 s a call; A = 1e-322 is subnormal.
             ("compute H 0.000001 1", "6.4209261593423e-07\n"),

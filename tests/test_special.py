@@ -422,12 +422,13 @@ class TestCotPartialFractionSum:
                 assert abs(cot_partial_fraction_sum(b) - want) <= 4e-16 * size, b
 
     def test_small_b_against_mpmath(self):
-        # 1e-9 <= |b| < 1/2, where 1/(2 b^2) - cot(b)/(2 b) cancels to about
-        # 1/6: it gave 0.0 at b = 1e-8 and 1.4e-10 relative at 1.1e-3.
+        # 1e-9 <= |b| < 3/2, the Taylor series' range, where 1/(2 b^2) -
+        # cot(b)/(2 b) cancels: to about 1/6 next to 0, where it gave 0.0 at
+        # b = 1e-8 and 1.4e-10 relative at 1.1e-3, and 1.5e-15 at b = 0.559.
         mpmath = pytest.importorskip("mpmath")
         rng = random.Random(43)
-        bs = [1e-9, 1e-8, 1e-6, 1.1e-3, 0.4999999999999999]
-        bs += [math.exp(rng.uniform(math.log(1e-9), math.log(0.5))) for _ in range(1500)]
+        bs = [1e-9, 1e-8, 1e-6, 1.1e-3, 0.5, 0.559, 1.4999999999999998]
+        bs += [math.exp(rng.uniform(math.log(1e-9), math.log(1.5))) for _ in range(1500)]
         for b in bs:
             with mpmath.workdps(60):
                 want = 1 / (2 * mpmath.mpf(b) ** 2) - mpmath.cot(b) / (2 * b)
