@@ -14,7 +14,9 @@ It times, in microseconds per call:
   ti2 at 0.3, 0.7, 0.99, 1.5 and 3, ei_negative at 0.5, 2 and 30,
   k1_closed(), h_series(3, 1), aux_integral_I at theorem1's points
   (a, b(a)) and tolerance 1e-13 for a = 0.46, 0.75 and 3,
-  solve_endpoint_b at 0.46, 0.75, 1, 3 and 15 with its default tolerance,
+  solve_endpoint_b at 0.46, 0.75, 1, 3 and 15 with its default tolerance
+  and at 5 with 1e-300, below rounding, where the solve ends on its other
+  exits: the bracket floor, or a step that no longer moves b;
   and admissibility at 0.46, 0.75 and 3, the test every solve makes first:
   the solve's own cost is solve_endpoint_b's less admissibility's.
 
@@ -60,6 +62,7 @@ KERNELS = (
       for a, b in ((0.46, 3.0039167202877635), (0.75, 2.508633634796271),
                    (3.0, 2.4765670555140837))),
     *((f"solve_endpoint_b({a:g})", "solve_endpoint_b", (a,)) for a in (0.46, 0.75, 1.0, 3.0, 15.0)),
+    ("solve_endpoint_b(5, 1e-300)", "solve_endpoint_b", (5.0, 1e-300)),
     *((f"admissibility({a:g})", "admissibility", (a,)) for a in (0.46, 0.75, 3.0)),
 )
 KERNEL_CALLS = 20

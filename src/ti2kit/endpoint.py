@@ -27,11 +27,11 @@ term c = -Li2(-a) or Li2(-1/a), and the first or second of each pair,
 
     phi_a(b)   = c + Re Li2(-u)       or  b^2/2 + c - Re Li2(-u)
     phi_a'(b)  = Arg(1 + u)           or  b + Arg(1 + u)
-    phi_a''(b) = Re(u / (1 + u))      or  Re(1 / (1 + u))
     phi_a(pi)  = Re Li2(a) + c        or  pi^2/2 + c - Li2(1/a)
 
-The solve of b(a) is its own safeguarded Halley loop on the bracket (0, pi),
-one u per step.  Cost: the admissibility test's three dilogarithms (psi(a),
+The solve of b(a) is its own bracketed Newton loop on the bracket (0, pi)
+(rtsafe: Press et al., Numerical Recipes, 3rd ed., 2007, 9.4), one u per
+step.  Cost: the admissibility test's three dilogarithms (psi(a),
 c and phi_a(pi)), then one Li2(-u) per step.  The loop starts from a table of
 two polynomials in s = sqrt(log(a / a_min)), a_min the window's lower end,
 whose phi_a is within 3.6e-15 of psi(a) over the whole window, so a solve to
@@ -62,10 +62,7 @@ PI = math.pi
 # margin are excluded from solves.
 ADMISSIBILITY_MARGIN = 1e-12
 
-# phi takes its b = pi value at every b within this distance of pi.
-_PI_SNAP = 1e-12
-
-# The solve's bracket width below which it returns the bracket's midpoint,
+# The solve's bracket width below which it returns the last b it evaluated,
 # and its step budget.
 _BRACKET_FLOOR = 1e-14
 _MAX_STEPS = 200
@@ -226,23 +223,14 @@ def _phi_u(a: float, b: float) -> complex:
 
 
 def _phi_at(a: float, c: float, b: float, u: complex, base: float = 0.0) -> float:
-    # base + phi_a(b) at 0 < b < pi, summed from base (aux_closed_F's pi b/2 - b^2/2).
+    # base + phi_a(b) at 0 < b <= pi, summed from base (aux_closed_F's pi b/2 - b^2/2).
     if a <= 1.0:
         return base + c + _li2_any(-u).real
     return base + 0.5 * b * b + c - _li2_any(-u).real
 
 
-def _phi_snapped(a: float, c: float, b: float, u: complex) -> float:
-    # phi_a(b) at 0 < b <= pi, taking the b = pi value within _PI_SNAP of pi.
-    return _phi_pi(a, c) if b >= PI - _PI_SNAP else _phi_at(a, c, b, u)
-
-
 def _phi_slope(a: float, b: float, u: complex) -> float:
     return math.atan2(u.imag, 1.0 + u.real) + (0.0 if a <= 1.0 else b)
-
-
-def _phi_curve(a: float, u: complex) -> float:
-    return (u / (1.0 + u)).real if a <= 1.0 else (1.0 / (1.0 + u)).real
 
 
 def aux_integral_I(a: float, b: float, tol: float = 1e-11) -> QuadratureResult:
@@ -384,7 +372,7 @@ def phi(a: float, b: float) -> float:
         raise DomainError(f"phi requires 0 <= b <= pi, got b={b!r}")
     if b == 0.0:
         return 0.0
-    return _phi_snapped(a, _phi_const(a), b, _phi_u(a, b))
+    return _phi_at(a, _phi_const(a), b, _phi_u(a, b))
 
 
 def admissibility(a: float) -> AdmissibilityResult:
@@ -403,16 +391,16 @@ def admissibility(a: float) -> AdmissibilityResult:
 def solve_endpoint_b(a: float, tol: float = 1e-12) -> EndpointSolution:
     """Solve phi_a(b) = psi(a) for the unique b in (0, pi).
 
-    Requires ``a`` admissible, so that the bracket (0, pi) is strict.  Halley
-    steps (Newton's where Halley's divisor is not in (0, inf), bisection
-    where a step leaves the bracket) refine a start fitted to b(a) over the
-    admissibility window, and stop on the bracket's midpoint once
-    it is narrower than 1e-14; 200 steps raise :class:`BudgetError`.
+    Requires ``a`` admissible, so that the bracket (0, pi) is strict.  Newton
+    steps (bisection where the slope is not in (0, inf) or a step leaves the
+    bracket) refine a start fitted to b(a) over the admissibility window.
+    The solve returns the last b it evaluated, with its residual, once that
+    residual is at most ``tol``, the bracket is narrower than 1e-14 or the
+    step no longer moves b; 200 steps raise :class:`BudgetError`.
     ``iterations`` counts the steps' phi_a values and the two bracket ends,
-    so a solve makes ``iterations + 1`` dilogarithm calls (one more if it
-    stops on a bracket midpoint, whose residual then needs one).  Over the
-    window the start meets 1e-14, so a solve to 1e-14 or looser returns it
-    with ``iterations`` 3.
+    so a solve makes ``iterations + 1`` dilogarithm calls.  Over the window
+    the start meets 1e-14, so a solve to 1e-14 or looser returns it with
+    ``iterations`` 3.
     """
     return _solve(admissibility(a), tol)
 
@@ -445,31 +433,22 @@ def _solve(adm: AdmissibilityResult, tol: float) -> EndpointSolution:
     if not lo < b < hi:
         b = 0.5 * (lo + hi)
     for _ in range(_MAX_STEPS):
-        # phi_a, phi_a' and phi_a'' at b, all from one u.
+        # phi_a and phi_a' at b, both from one u.
         u = _phi_u(a, b)
-        value = _phi_snapped(a, c, b, u)
+        value = _phi_at(a, c, b, u)
         evals += 1
-        if abs(value - target) <= tol:
-            return EndpointSolution(a, b, abs(value - target), evals)
         if value < target:
             lo = b
         else:
             hi = b
-        if hi - lo < _BRACKET_FLOOR:
-            # The midpoint's phi_a is the residual's, not a step.
-            b = 0.5 * (lo + hi)
-            value = _phi_snapped(a, c, b, _phi_u(a, b))
+        # Newton's step: none once the residual meets tol or the bracket is
+        # narrower than the floor, and an infinite one, which bisection
+        # replaces, where the slope is not in (0, inf).
+        step = 0.0
+        if abs(value - target) > tol and hi - lo >= _BRACKET_FLOOR:
+            d = _phi_slope(a, b, u)
+            step = (value - target) / d if 0.0 < d < math.inf else math.inf
+        if b - step == b:
             return EndpointSolution(a, b, abs(value - target), evals)
-        # A Halley step, or Newton's where its divisor is not in (0, inf),
-        # taken only if it lands strictly inside the bracket; else bisection.
-        d = _phi_slope(a, b, u)
-        if d > 0.0 and math.isfinite(d):
-            step = (value - target) / d
-            div = 1.0 - 0.5 * step * _phi_curve(a, u) / d
-            if 0.0 < div < math.inf:
-                step /= div
-            if lo < b - step < hi:
-                b -= step
-                continue
-        b = 0.5 * (lo + hi)
+        b = b - step if lo < b - step < hi else 0.5 * (lo + hi)
     raise BudgetError(f"root iteration budget {_MAX_STEPS} exhausted", best=0.5 * (lo + hi))

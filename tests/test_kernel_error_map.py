@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from test_domain_contract import DOMAINS
 from ti2kit.polylog import li2
 from ti2kit.ti2core import (INVERSION_FROM, METHOD_IMAGINARY_DILOG, METHOD_INVERSION,
                              METHOD_SERIES, SERIES_CUTOFF, _ti2_series, ti2, ti2_method)
@@ -46,6 +47,45 @@ globals().update((_id, kept_test(_id)) for _id in KEPT_IDS if _id and "::" not i
 @pytest.mark.parametrize("name", KEPT_IDS[None])
 def test_error_map(name):
     check(name)
+
+
+# DOMAINS names that need no row, each with its reason.
+EXEMPT = {
+    "ti2_via_quadrature": "an oracle to 1e-12, which the tests check ti2 against",
+    "admissibility": "the solve tests check it at every solve",
+    "solve_endpoint_b": "the solve tests check its residual against psi and phi",
+    "remark1_partial": "it takes an integer K, which no float sampler draws",
+    "ti2_method": "it returns a route's name, not a value",
+}
+# DOMAINS names whose row, or whose row on part of the domain, waits for the
+# ROADMAP item that fixes the kernel there.
+PENDING = {
+    "phi": "item 3: phi_above_one covers a > 1; at a <= 1 phi loses digits at small b",
+    "psi": "item 9: componentwise accuracy next to z = 1",
+    "ti2_clausen_form": "item 9: clausen2 next to 0 and 2 pi",
+    "ti2_proposition_form": "items 9 and 7",
+}
+
+
+def _public_names_run(row):
+    # The kernel's own name, and, for a lambda, the names it calls.
+    kernel = row.kernel
+    names = {kernel.__name__}
+    if kernel.__name__ == "<lambda>":
+        names.update(kernel.__code__.co_names)
+    return names & set(DOMAINS)
+
+
+def test_every_public_kernel_has_a_row_an_exemption_or_a_pending_item():
+    # A new float-taking public name fails here until it has one.
+    rows = {}
+    for row in error_map.ROWS:
+        for name in _public_names_run(row):
+            rows.setdefault(name, []).append(row.name)
+    assert not set(EXEMPT) & set(PENDING)
+    assert {name: rows[name] for name in EXEMPT if name in rows} == {}
+    assert sorted(set(DOMAINS) - set(rows) - set(EXEMPT) - set(PENDING)) == []
+    assert set(EXEMPT) | set(PENDING) <= set(DOMAINS)
 
 
 def test_a_nan_or_a_nonzero_value_at_a_zero_reference_is_infinite():

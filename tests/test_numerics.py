@@ -191,29 +191,26 @@ class TestIntegrateAdaptive:
 class TestFindRootIncreasing:
     """The endpoint solve's bitwise reference, kept in test_kernel_reference.
 
-    Its start rule, Halley steps with their Newton fallback and step budget
-    are the solve's.
+    Its start rule, Newton steps with their bisection fallback, exits and
+    step budget are the solve's.
     """
 
-    def test_halley_steps_from_a_start(self):
+    @pytest.mark.parametrize("derivative", [None, lambda x: (1.0 + x) * math.exp(x)])
+    def test_returns_the_last_point_it_evaluated(self, derivative):
+        # No step meets 1e-300: bisection stops on the 1e-14 bracket floor,
+        # Newton where its step no longer moves x, each on an evaluated x.
         calls = []
 
         def g(x):
             calls.append(x)
             return x * math.exp(x)
 
-        dg = lambda x: (1.0 + x) * math.exp(x)
-        d2g = lambda x: (2.0 + x) * math.exp(x)
-        newton = find_root_increasing(g, 0.0, 2.0, 3.0, 1e-14, derivative=dg)
-        n_newton = len(calls)
-        calls.clear()
-        halley = find_root_increasing(
-            g, 0.0, 2.0, 3.0, 1e-14, derivative=dg, second_derivative=d2g, start=1.2
-        )
-        assert abs(halley * math.exp(halley) - 3.0) <= 1e-14
-        assert abs(halley - newton) < 1e-14
+        root = find_root_increasing(g, 0.0, 2.0, 3.0, 1e-300, derivative=derivative, start=1.2)
         assert calls[2] == 1.2
-        assert len(calls) < n_newton
+        assert root == calls[-1]
+        # The bracket floor leaves up to g' = 5.9 times 1e-14 in g.
+        assert abs(root * math.exp(root) - 3.0) <= (1e-15 if derivative else 1e-13)
+        assert len(calls) < 10 if derivative else len(calls) > 40
 
     @pytest.mark.parametrize("start", [None, 0.0, 2.0, -1.0, math.nan])
     def test_start_missing_or_outside_the_open_bracket_takes_the_midpoint(self, start):
@@ -225,17 +222,6 @@ class TestFindRootIncreasing:
 
         find_root_increasing(g, 0.0, 2.0, 3.0, 1e-13, start=start)
         assert calls[2] == 1.0
-
-    @pytest.mark.parametrize("d2", [math.nan, math.inf, -math.inf])
-    def test_halley_divisor_outside_zero_to_inf_falls_back_to_newton(self, d2):
-        # 1 - step g''/(2 g') is NaN or infinite at every step.
-        g = lambda x: x * math.exp(x)
-        dg = lambda x: (1.0 + x) * math.exp(x)
-        newton = find_root_increasing(g, 0.0, 2.0, 3.0, 1e-13, derivative=dg)
-        fallback = find_root_increasing(
-            g, 0.0, 2.0, 3.0, 1e-13, derivative=dg, second_derivative=lambda x: d2
-        )
-        assert fallback == newton
 
     def test_step_budget_is_200(self):
         # Bisecting [0, 1e300] toward 1.5 leaves a bracket 6e239 wide after

@@ -281,6 +281,9 @@ COMMANDS = (
             ("verify corollary4 --theta 1.2", ("corollary4",)),
             ("verify theorem1 --a 0.46 --a 18.9", ("theorem1",)),
             ("verify theorem1 --a 0.4513 --a 18.92", ("theorem1",)),
+            # The last admissible float below the window's top, where b(a)
+            # lies 3.2e-13 below pi.
+            ("verify theorem1 --a 18.92417423425139", ("theorem1",)),
         )
     ),
     # Printed values, 15 significant digits each.
@@ -314,6 +317,7 @@ COMMANDS = (
             ("compute b-of-a 3", "2.47656705551408\n"),
             ("compute b-of-a 0.4513", "3.1307202102051\n"),
             ("compute b-of-a 18.9", "3.14106140616877\n"),
+            ("compute b-of-a 18.92417423425139", "3.14159265358947\n"),
             # H at A = 1e-6 once took 84 s a call; A = 1e-322 is subnormal.
             ("compute H 0.000001 1", "6.4209261593423e-07\n"),
             ("compute H 1e-322 1", "6.42285339593621e-323\n"),
