@@ -12,8 +12,10 @@ It times, in microseconds per call:
   compute pool (s uniform in [1.1, 6], c log-uniform in [1e-2, 1e2]);
 - the kernels at fixed arguments, through public names only (KERNELS):
   ti2 at 0.3, 0.7, 0.99, 1.5 and 3, ei_negative at 0.5, 2 and 30,
-  k1_closed(), h_series(3, 1), aux_integral_I at theorem1's points
-  (a, b(a)) and tolerance 1e-13 for a = 0.46, 0.75 and 3,
+  k1_closed(), h_series(3, 1), log_gamma at 0.3 and 1.3 (its branches
+  below 1/2 and on [1/2, 3/2), the two that _sine_log_sum reaches),
+  aux_integral_I at theorem1's points (a, b(a)) and tolerance 1e-13 for
+  a = 0.46, 0.75 and 3,
   solve_endpoint_b at 0.46, 0.75, 1, 3 and 15 with its default tolerance
   and at 5 with 1e-300, below rounding, where the solve ends on its other
   exits: the bracket floor, or a step that no longer moves b;
@@ -58,6 +60,7 @@ KERNELS = (
     *((f"ei_negative({x:g})", "ei_negative", (x,)) for x in (0.5, 2.0, 30.0)),
     ("k1_closed", "k1_closed", ()),
     ("h_series(3, 1)", "h_series", (3.0, 1.0)),
+    *((f"log_gamma({x:g})", "log_gamma", (x,)) for x in (0.3, 1.3)),
     *((f"aux_integral_I({a:g}, b({a:g}))", "aux_integral_I", (a, b, 1e-13))
       for a, b in ((0.46, 3.0039167202877635), (0.75, 2.508633634796271),
                    (3.0, 2.4765670555140837))),

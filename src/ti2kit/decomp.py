@@ -64,6 +64,7 @@ from . import _EXPORTS
 from .numerics import DomainError, QuadratureResult, SeriesResult, integrate_adaptive
 from .special import (
     EULER_GAMMA,
+    _GAP_LEAST_Z,
     _half_pi_minus,
     _zeta_rungs,
     _sine_log_sum,
@@ -102,10 +103,12 @@ def _xi_term(k: int, alpha: float, x: float) -> float:
     return math.atan(2.0 * alpha * x / (x * x + c))
 
 
-# Pole terms summed before the Stirling tail: the least loggamma_im_gap
-# allows.  Against 20: 11.2 against 13.8 us per seeded point, and a worst
-# pointwise residual of 6.7e-16 to 7.8e-16 at either count (3 x 4000 points).
-_XI_DIRECT_TERMS = 12
+# Pole terms summed before an asymptotic tail at m: the least m with
+# m + 1 - a >= _GAP_LEAST_Z at every a = alpha/pi < 1, the least the gaps
+# allow.  The pointwise sum takes exactly these (against 20: 11.2 against
+# 13.8 us per seeded point, and a worst pointwise residual of 6.7e-16 to
+# 7.8e-16 at either count, 3 x 4000 points), the bracket sum at least these.
+_DIRECT_TERMS = _GAP_LEAST_Z
 
 
 def _xi_sum(alpha: float, x: float) -> float:
@@ -119,8 +122,8 @@ def _xi_sum(alpha: float, x: float) -> float:
     The first 12 terms are summed directly, the rest as T(12) by
     loggamma_im_gap.
     """
-    direct = math.fsum(_xi_term(k, alpha, x) for k in range(1, _XI_DIRECT_TERMS + 1))
-    return direct + loggamma_im_gap(_XI_DIRECT_TERMS + 1.0, x / PI, alpha / PI)
+    direct = math.fsum(_xi_term(k, alpha, x) for k in range(1, _DIRECT_TERMS + 1))
+    return direct + loggamma_im_gap(_DIRECT_TERMS + 1.0, x / PI, alpha / PI)
 
 
 def _h_integral(A: float, alpha: float, tol: float) -> QuadratureResult:
@@ -224,8 +227,10 @@ def _h_ei_series(A: float, alpha: float) -> SeriesResult:
 # (-1)^n / (2n + 1)^2 for n up to the n-series' term budget.
 _N_SERIES_MAX_TERMS = 64
 _N_SERIES_COEFF = _SERIES_COEFF[1:]
-# -log of the n-series' 1e-17 stop.
-_LOG_1E17 = 17.0 * math.log(10.0)
+# 17 log 10 - 2 log 131: r (-log q) is at least this wherever the n-series
+# bound q^r (1 + lo/(r - 1))/r^2 at an order r <= 2 * 64 + 3 = 131 is at
+# most 1e-17, since 1 + lo/(r - 1) >= 1 and r^2 <= 131^2.
+_N_SERIES_START_LOG = 17.0 * math.log(10.0) - 2.0 * math.log(131.0)
 
 
 def _pole_tail(A: float, alpha: float, m: int) -> SeriesResult:
@@ -259,36 +264,19 @@ def _hurwitz_n_series(A: float, alpha: float, m: int) -> SeriesResult:
     lo = m + 1 - alpha / PI
     hi = m + 1 + alpha / PI
     q = x / lo
-    depth = _n_series_depth(q, lo)
-    for n in (depth, depth + 1):
+    # No n below the start meets the stop (see _N_SERIES_START_LOG), so the
+    # loop ends at the same N and bound as from n = 1: it starts at 3 for
+    # the pole tails' N = 5, at 17 for lemma1's N = 20.  The clamps are
+    # written out; min(max(...)) costs 0.26 us more, about one loop step.
+    start = int((_N_SERIES_START_LOG / -math.log(q) - 3.0) / 2.0)
+    start = 1 if start < 1 else start if start < _N_SERIES_MAX_TERMS else _N_SERIES_MAX_TERMS
+    for n in range(start, _N_SERIES_MAX_TERMS + 1):
         r = 2 * n + 3  # the first omitted order
         bound = q**r * (1.0 + lo / (r - 1)) / (r * r)
-        if bound <= 1e-17 or n == _N_SERIES_MAX_TERMS:
+        if bound <= 1e-17:
             break
     diffs = map(sub, _zeta_rungs(x, lo, 3, n), _zeta_rungs(x, hi, 3, n))
     return SeriesResult(math.fsum(map(mul, _N_SERIES_COEFF, diffs)), n, bound)
-
-
-def _n_series_depth(q: float, lo: float) -> int:
-    # The depth N, or N - 1, in place of a loop over n.  Minus the log of
-    # the bound at order r is g(r) = r L + 2 log r - log(1 + lo/(r - 1)),
-    # L = -log q: concave and increasing, so one Newton step towards
-    # g = 17 log 10 lands at or below its root r*, and within 0.26 of it
-    # wherever N <= 64 (100 000 draws of q in [1e-8, 0.75], lo in
-    # [0.01, 2e4]).  The least n with 2n + 3 at or above that step is then
-    # N or N - 1, and the caller tries the next n where it is N - 1.  The
-    # clamps are written out: builtin min and max calls cost as much as
-    # the loop they replace at the pole tails' N = 5.
-    big_l = -math.log(q)
-    if not big_l > 0.0:
-        return _N_SERIES_MAX_TERMS
-    r = _LOG_1E17 / big_l
-    if r < 5.0:
-        r = 5.0
-    g = r * big_l + 2.0 * math.log(r) - math.log1p(lo / (r - 1.0)) - _LOG_1E17
-    r -= g / (big_l + 2.0 / r + lo / ((r - 1.0) * (r - 1.0 + lo)))
-    n = math.ceil(0.5 * (r - 3.0) - 1e-9)
-    return 1 if n < 1 else n if n < _N_SERIES_MAX_TERMS else _N_SERIES_MAX_TERMS
 
 
 def _pole_direct_terms(A: float, alpha: float) -> int:
@@ -296,7 +284,7 @@ def _pole_direct_terms(A: float, alpha: float) -> int:
     # at least 1.2 digits per term.  The floor is the least digamma_gap
     # allows: 46.0 us per corollary2 point at 12, 54.6 at 20 (40 points as
     # verify's); over 4000 the worst residual is 2.1e-15 (3.0e-15 before).
-    return max(12, math.ceil((4.0 * A + alpha) / PI))
+    return max(_DIRECT_TERMS, math.ceil((4.0 * A + alpha) / PI))
 
 
 def _pole_bracket(A: float, alpha: float) -> SeriesResult:

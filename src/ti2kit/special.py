@@ -171,6 +171,11 @@ def _inverse_power_gap(coeffs, z, q, odd):
     return -q * v * (v + u) * (r + hi * d)
 
 
+# The least z = x - h from which digamma_gap and loggamma_im_gap sum their
+# asymptotic series.
+_GAP_LEAST_Z = 12
+
+
 def digamma_gap(x: float, h: float) -> float:
     """psi(x + h) - psi(x - h) for 0 <= h and x - h >= 12, to a few ulp of the gap.
 
@@ -186,8 +191,10 @@ def digamma_gap(x: float, h: float) -> float:
     of the same quotient, so that it stays finite where 2h overflows: at
     x = inf the gap is 0.0.
     """
-    if not (h >= 0.0 and x - h >= 12.0):
-        raise DomainError(f"digamma_gap requires h >= 0 and x - h >= 12, got x={x!r}, h={h!r}")
+    if not (h >= 0.0 and x - h >= _GAP_LEAST_Z):
+        raise DomainError(
+            f"digamma_gap requires h >= 0 and x - h >= {_GAP_LEAST_Z}, got x={x!r}, h={h!r}"
+        )
     lo = x - h
     q = h / (0.5 * lo)
     return math.log1p(q) + 0.5 * q / (lo * (1.0 + q)) - _inverse_power_gap(
@@ -214,9 +221,9 @@ def loggamma_im_gap(x: float, y: float, h: float) -> float:
     taken to first order in Im(2h/w), in closed form, since its two parts of
     size 2h|y|/|w| no longer cancel in floating point.
     """
-    if not (h >= 0.0 and x - h >= 12.0 and math.isfinite(x) and math.isfinite(y)):
+    if not (h >= 0.0 and x - h >= _GAP_LEAST_Z and math.isfinite(x) and math.isfinite(y)):
         raise DomainError(
-            f"loggamma_im_gap requires finite x and y, h >= 0 and x - h >= 12, "
+            f"loggamma_im_gap requires finite x and y, h >= 0 and x - h >= {_GAP_LEAST_Z}, "
             f"got x={x!r}, y={y!r}, h={h!r}"
         )
     w = complex(x - h, y)
@@ -391,7 +398,10 @@ def _stirling_series(x: float, total: float) -> float:
 
 # (-1)^k (zeta(k) - 1) / k for k = 2..28, the Taylor coefficients of
 # log Gamma(2 + e) past its linear term (1 - gamma) e; rounded from 40-digit
-# values.  At |e| <= 1/2 the first omitted term is below 2e-19.
+# values.  At |e| <= 1/2 the first omitted term is below 2e-19.  With 1 - gamma
+# they make _LGAMMA2_HORNER, the polynomial log Gamma(2 + e)/e from e^27 down
+# to e^0, the one table that _log_gamma_two_plus and _sine_log_sum's divided
+# difference walk.
 _LGAMMA2_COEFF = (
     0.3224670334241132,
     -0.0673523010531981,
@@ -421,22 +431,17 @@ _LGAMMA2_COEFF = (
     -2.7595228851242334e-10,
     1.330476437424449e-10,
 )
-(_LG2, _LG3, _LG4, _LG5, _LG6, _LG7, _LG8, _LG9, _LG10, _LG11, _LG12, _LG13, _LG14, _LG15,
- _LG16, _LG17, _LG18, _LG19, _LG20, _LG21, _LG22, _LG23, _LG24, _LG25, _LG26, _LG27,
- _LG28) = _LGAMMA2_COEFF
 _ONE_MINUS_EULER_GAMMA = 0.42278433509846713
+_LGAMMA2_HORNER = (*_LGAMMA2_COEFF[::-1], _ONE_MINUS_EULER_GAMMA)
 
 
 def _log_gamma_two_plus(e: float) -> float:
-    # log Gamma(2 + e) for |e| <= 1/2 by its Taylor series (Horner), the
-    # products and sums of acc = (acc + c) * e over reversed(_LGAMMA2_COEFF)
-    # in the same order.
-    return e * (_ONE_MINUS_EULER_GAMMA + e * (_LG2 + e * (_LG3 + e * (_LG4 + e * (
-        _LG5 + e * (_LG6 + e * (_LG7 + e * (_LG8 + e * (_LG9 + e * (_LG10 + e * (
-        _LG11 + e * (_LG12 + e * (_LG13 + e * (_LG14 + e * (_LG15 + e * (_LG16 + e * (
-        _LG17 + e * (_LG18 + e * (_LG19 + e * (_LG20 + e * (_LG21 + e * (_LG22 + e * (
-        _LG23 + e * (_LG24 + e * (_LG25 + e * (_LG26 + e * (
-        _LG27 + e * _LG28)))))))))))))))))))))))))))
+    # log Gamma(2 + e) for |e| <= 1/2 by its Taylor series, Horner's rule
+    # from p = 0, whose first step gives the top coefficient exactly.
+    p = 0.0
+    for c in _LGAMMA2_HORNER:
+        p = p * e + c
+    return p * e
 
 
 # log_gamma sums the Stirling series from this x on and shifts down below it.
@@ -519,9 +524,7 @@ def catalan_reference(tol: float) -> float:
 # exact there), and the sine-log sum its log Gamma gap from one divided
 # difference; both vanish at pi/2.  Elsewhere they keep PI/2 - alpha.
 _NEAR_HALF_PI = 0.25
-# _log_gamma_two_plus's coefficients from e^27 down to e^1, and
 # gamma + log(2 pi) - 2 rounded once from its 40-digit value.
-_LGAMMA2_DOWN = (*_LGAMMA2_COEFF[-2::-1], _ONE_MINUS_EULER_GAMMA)
 _GAMMA_LOG_2PI_LESS_2 = 0.41509273131087837
 
 
@@ -560,8 +563,8 @@ def _sine_log_sum(alpha: float) -> float:
         # polynomial's Horner sums takes D -> D x1 + p(x0).
         d = delta / PI
         x1, x0 = d - 0.5, -d - 0.5
-        p, slope = _LG28, 0.0
-        for c in _LGAMMA2_DOWN:
+        p = slope = 0.0
+        for c in _LGAMMA2_HORNER:
             slope = slope * x1 + p
             p = p * x0 + c
         slope = slope * x1 + p

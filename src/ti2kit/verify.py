@@ -210,7 +210,7 @@ def _pointwise(point, tol: float) -> IdentityReport:
     return IdentityReport.build(
         "pointwise", {"alpha": alpha, "x": x}, math.atan(x / alpha),
         principal + ti2kit.decomp._xi_sum(alpha, x), tol, "arctan", "pole-sum",
-        None, ti2kit.decomp._XI_DIRECT_TERMS,
+        None, ti2kit.decomp._DIRECT_TERMS,
     )
 
 

@@ -12,6 +12,7 @@ SCRIPT = ROOT / "bench" / "layers.py"
 KERNEL_NAMES = {
     "ti2(0.3)", "ti2(0.7)", "ti2(0.99)", "ti2(1.5)", "ti2(3)",
     "ei_negative(0.5)", "ei_negative(2)", "ei_negative(30)", "k1_closed", "h_series(3, 1)",
+    "log_gamma(0.3)", "log_gamma(1.3)",
     "aux_integral_I(0.46, b(0.46))", "aux_integral_I(0.75, b(0.75))", "aux_integral_I(3, b(3))",
     "solve_endpoint_b(0.46)", "solve_endpoint_b(0.75)", "solve_endpoint_b(1)",
     "solve_endpoint_b(3)", "solve_endpoint_b(15)", "solve_endpoint_b(5, 1e-300)",

@@ -9,8 +9,9 @@ import pytest
 
 from conftest import identity_report
 from ti2kit.decomp import (
+    _DIRECT_TERMS,
     _H_QUADRATURE_BELOW,
-    _XI_DIRECT_TERMS,
+    _N_SERIES_START_LOG,
     _h_ei_series,
     _h_integral,
     _hurwitz_n_series,
@@ -116,7 +117,7 @@ class TestPointwiseIdentity:
             for x in (0.8, 1.6, 2.4, 3.2, 4.0):
                 report = identity_report("pointwise", (alpha, x))
                 assert report.abs_residual <= 1e-13, (alpha, x)
-                assert report.terms_used == _XI_DIRECT_TERMS
+                assert report.terms_used == _DIRECT_TERMS
 
 
 _STIRLING_ALPHAS = (0.01, 0.2, 1.0, 2.0, 3.0, PI - 0.01)
@@ -143,7 +144,7 @@ class TestPointwiseStirlingTail:
                     rhs = identity_report("pointwise", (alpha, x)).rhs
                     assert abs(rhs - ref) <= 1e-14, (alpha, x)
 
-    @pytest.mark.parametrize("K", [_XI_DIRECT_TERMS, _XI_DIRECT_TERMS + 1, 5000])
+    @pytest.mark.parametrize("K", [_DIRECT_TERMS, _DIRECT_TERMS + 1, 5000])
     def test_kernel_matches_atan_loop(self, K):
         # The full sum less its own tail T(K) is the K-term partial sum.
         for alpha in _STIRLING_ALPHAS:
@@ -538,7 +539,7 @@ def _n_series_depth_by_loop(A, alpha, m):
 
 
 class TestHurwitzNSeriesDepth:
-    """The depth from one Newton step is the loop's, bound bits included."""
+    """The depth from the loop's one-log start is the loop's from n = 1, bound bits included."""
 
     @staticmethod
     def _check(tails):
@@ -577,6 +578,34 @@ class TestHurwitzNSeriesDepth:
             m = _pole_direct_terms(A, alpha) if rng.random() < 0.5 else rng.randint(0, 40)
             if A / PI < m + 1 - alpha / PI:
                 tails.append((A, alpha, m))
+        self._check(tails)
+
+    @staticmethod
+    def _start(A, alpha, m):
+        # The one-log start before its clamps to 1..64.
+        q = A / PI / (m + 1 - alpha / PI)
+        return (_N_SERIES_START_LOG / -math.log(q) - 3.0) / 2.0
+
+    def test_q_just_below_one_starts_at_the_last_depth(self):
+        tails = [(PI * (m + 1 - 1.0 / PI) * (1.0 - 1e-12), 1.0, m) for m in (0, 12, 40)]
+        for A, alpha, m in tails:
+            assert self._start(A, alpha, m) > 64
+            ser = _hurwitz_n_series(A, alpha, m)
+            assert ser.terms_used == 64 and ser.tail_bound > 1e-17
+        self._check(tails)
+
+    def test_tiny_A_starts_below_one(self):
+        tails = [(1e-300, alpha, 0) for alpha in (1e-6, 1.0, PI - 1e-6)]
+        for A, alpha, m in tails:
+            assert self._start(A, alpha, m) < 1
+        self._check(tails)
+
+    def test_m_40_where_the_bound_has_its_largest_factor(self):
+        # lo = 41 - a makes 1 + lo/(r - 1) as large as 11.25, at r = 5.
+        tails = [(PI * (41 - alpha / PI) * q, alpha, 40)
+                 for q in (1e-3, 0.05, 0.25, 0.5, 0.75, 0.9, 0.97, 0.99)
+                 for alpha in (1e-6, 1.0, PI - 1e-6)]
+        assert {_hurwitz_n_series(*t).terms_used for t in tails} == {2, 5, 11, 22, 51, 64}
         self._check(tails)
 
 
@@ -666,5 +695,5 @@ class TestSeededResiduals:
         rng = random.Random(30)
         points = [(rng.uniform(0.2, 3.0), rng.uniform(0.05, 4.0)) for _ in range(300)]
         reports = run_identity("pointwise", VerificationConfig(alpha_x_grid=points))
-        assert all(r.terms_used == _XI_DIRECT_TERMS == 12 for r in reports)
+        assert all(r.terms_used == _DIRECT_TERMS == 12 for r in reports)
         assert max(r.abs_residual for r in reports) <= 7 * 2.0**-53
